@@ -67,15 +67,11 @@ from .simulation import (
     ScenarioSpec,
     calibrate_beta_trt,
     generate,
-    generate_scenario1,
-    generate_scenario2,
-    generate_scenario3,
     make_scenario,
     run_replicate,
     run_study,
     summarize,
     true_marginal_effect,
-    true_marginal_rd,
 )
 from .streams import derive_substream
 

@@ -31,14 +31,15 @@ from .errors import NotBracketedError
 from .estimators import (
     ESTIMAND_LOG_OR,
     ESTIMAND_RD,
-    OR_METHODS,
-    RD_METHODS,
+    METHODS,
     EffectEstimate,
     estimate_effects,
 )
 from .simulation import (
+    SCENARIO_IDS,
     MethodMetrics,
     MetricsSummary,
+    ReplicateResult,
     calibrate_beta_trt,
     make_scenario,
     run_study,
@@ -47,7 +48,6 @@ from .simulation import (
 )
 from .streams import derive_substream
 
-SCENARIOS = ("covid", "unmeasured", "austin")
 PROFILES = {
     "paper": {"n_replicates": 2000, "bootstrap_b": 1000},
     "express": {"n_replicates": 500, "bootstrap_b": 250},
@@ -73,6 +73,8 @@ SUMMARY_COLUMNS = (
     "median_ci_length",
     "n_failures",
 )
+#: oracle tolerance of a calibrated effect, on the rd and OR scales
+CALIBRATION_TOLERANCE = {"rd": 0.002, "or": 0.02}
 
 
 class CliError(Exception):
@@ -103,18 +105,23 @@ class RunConfig:
 
     def resolved_workers(self) -> int:
         if self.workers == "auto":
+            if hasattr(os, "sched_getaffinity"):  # honours CPU affinity
+                return len(os.sched_getaffinity(0))
             return os.cpu_count() or 1
         return max(1, int(self.workers))
 
     def resolved_methods(self) -> tuple[str, ...]:
-        registry = RD_METHODS if self.estimand == "rd" else OR_METHODS
+        registry = METHODS[self.estimand_tag()]
         if not self.methods:
-            return registry
+            return tuple(registry)
         unknown = set(self.methods) - set(registry)
         if unknown:
             raise CliError(
                 f"unknown methods for estimand {self.estimand!r}: {sorted(unknown)}"
             )
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise CliError(f"methods requested more than once: {repeated}")
         return tuple(self.methods)
 
     def estimand_tag(self) -> str:
@@ -142,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--scenario", choices=SCENARIOS)
+        p.add_argument("--scenario", choices=SCENARIO_IDS)
         p.add_argument("--n", type=int, help="subjects per dataset")
         p.add_argument("--replicates", type=int, dest="n_replicates")
         p.add_argument(
@@ -195,42 +202,23 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise CliError(f"unknown profile {profile!r}")
         for key, value in PROFILES[profile].items():
             fields.setdefault(key, value)
-    for key in (
-        "scenario",
-        "n",
-        "n_replicates",
-        "bootstrap_b",
-        "estimand",
-        "master_seed",
-        "workers",
-        "beta_trt",
-        "target_effect",
-        "beta0_override",
-        "out",
-        "data",
-        "oracle_datasets",
-        "oracle_size",
-        "true_effect",
-        "replicates_csv",
-    ):
+    for key in RunConfig.__dataclass_fields__:
         value = getattr(args, key, None)
-        if value is not None:
+        if key in ("methods", "categorical"):  # comma-separated lists
+            if value is not None:
+                fields[key] = tuple(v for v in value.split(",") if v)
+            elif fields.get(key) is not None:
+                fields[key] = tuple(fields[key])
+        elif value is not None:
             fields[key] = value
-    for key in ("methods", "categorical"):
-        value = getattr(args, key, None)
-        if value is not None:
-            fields[key] = tuple(v for v in value.split(",") if v)
-        elif key in fields and fields[key] is not None:
-            fields[key] = tuple(fields[key])
-    known = {f for f in RunConfig.__dataclass_fields__}
-    unknown = set(fields) - known
+    unknown = set(fields) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise CliError(f"unknown config fields: {sorted(unknown)}")
     cfg = RunConfig(**fields)
     if cfg.estimand not in ("rd", "or"):
         raise CliError("estimand must be rd or or")
-    if cfg.scenario not in SCENARIOS:
-        raise CliError(f"scenario must be one of {SCENARIOS}")
+    if cfg.scenario not in SCENARIO_IDS:
+        raise CliError(f"scenario must be one of {SCENARIO_IDS}")
     return cfg
 
 
@@ -244,19 +232,29 @@ def _write_meta(path_prefix: str, cfg: RunConfig, extra: dict) -> None:
         },
     }
     meta.update(extra)
-    with open(path_prefix + "_meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path_prefix + "_meta.json", meta)
 
 
-def _null_effect(estimand: str) -> float:
-    return 0.0  # both the risk difference and the log odds ratio
+def _json_text(obj: dict) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write_json(path: str, obj: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_json_text(obj))
+
+
+def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _truth_for(cfg: RunConfig, beta_trt: float) -> float:
     """Marginal effect on the metric scale (rd, or log-OR for estimand=or)."""
     if beta_trt == 0.0:
-        return _null_effect(cfg.estimand)
+        return 0.0  # the null on both scales, without running the oracle
     spec = make_scenario(cfg.scenario, cfg.n, beta_trt, cfg.beta0_override)
     rng = derive_substream(cfg.master_seed, cfg.scenario, 0, "truth")
     value = true_marginal_effect(
@@ -265,12 +263,10 @@ def _truth_for(cfg: RunConfig, beta_trt: float) -> float:
     return math.log(value) if cfg.estimand == "or" else value
 
 
-def cmd_calibrate(cfg: RunConfig) -> int:
-    if cfg.target_effect is None:
-        raise CliError("calibrate needs --target-effect")
-    tolerance = 0.002 if cfg.estimand == "rd" else 0.02
+def _calibrated_beta_trt(cfg: RunConfig) -> float:
+    """Treatment coefficient for ``cfg.target_effect``; 0.0 at the null."""
     try:
-        beta_trt = calibrate_beta_trt(
+        return calibrate_beta_trt(
             cfg.scenario,
             cfg.target_effect,
             estimand=cfg.estimand,
@@ -278,10 +274,16 @@ def cmd_calibrate(cfg: RunConfig) -> int:
             master_seed=cfg.master_seed,
             n_datasets=cfg.oracle_datasets,
             dataset_size=cfg.oracle_size,
-            tolerance=tolerance,
+            tolerance=CALIBRATION_TOLERANCE[cfg.estimand],
         )
     except NotBracketedError as exc:
         raise CliError(f"calibration failed: {exc}")
+
+
+def cmd_calibrate(cfg: RunConfig) -> int:
+    if cfg.target_effect is None:
+        raise CliError("calibrate needs --target-effect")
+    beta_trt = _calibrated_beta_trt(cfg)
     spec = make_scenario(cfg.scenario, cfg.oracle_size, beta_trt, cfg.beta0_override)
     achieved = true_marginal_effect(
         spec,
@@ -300,11 +302,9 @@ def cmd_calibrate(cfg: RunConfig) -> int:
         "oracle_size": cfg.oracle_size,
         "seed": cfg.master_seed,
     }
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text)
+    sys.stdout.write(_json_text(report))
     if cfg.out:
-        with open(cfg.out + "_calibration.json", "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_json(cfg.out + "_calibration.json", report)
     return 0
 
 
@@ -364,21 +364,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise CliError("simulate needs exactly one of --beta-trt / --target-effect")
     beta_trt = cfg.beta_trt
     if beta_trt is None:
-        tolerance = 0.002 if cfg.estimand == "rd" else 0.02
-        null = 0.0 if cfg.estimand == "rd" else 1.0
-        if cfg.target_effect == null:
-            beta_trt = 0.0
-        else:
-            beta_trt = calibrate_beta_trt(
-                cfg.scenario,
-                cfg.target_effect,
-                estimand=cfg.estimand,
-                beta0_override=cfg.beta0_override,
-                master_seed=cfg.master_seed,
-                n_datasets=cfg.oracle_datasets,
-                dataset_size=cfg.oracle_size,
-                tolerance=tolerance,
-            )
+        beta_trt = _calibrated_beta_trt(cfg)
     true_effect = (
         cfg.true_effect if cfg.true_effect is not None else _truth_for(cfg, beta_trt)
     )
@@ -399,17 +385,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
     )
 
     rep_path = cfg.out + "_replicates.csv"
-    with open(rep_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPLICATE_COLUMNS)
-        for res in results:
-            for m in methods:
-                writer.writerow(_estimate_row(res.replicate_index, res.estimates[m], cfg.estimand))
+    _write_csv(rep_path, REPLICATE_COLUMNS, (
+        _estimate_row(res.replicate_index, res.estimates[m], cfg.estimand)
+        for res in results
+        for m in methods
+    ))
     sum_path = cfg.out + "_summary.csv"
-    with open(sum_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        writer.writerows(_summary_rows(summary, methods))
+    _write_csv(sum_path, SUMMARY_COLUMNS, _summary_rows(summary, methods))
     _write_meta(
         cfg.out,
         cfg,
@@ -497,13 +479,13 @@ def cmd_analyze(cfg: RunConfig) -> int:
         raise CliError("analyze needs --data CSV")
     data = read_dataset_csv(cfg.data, cfg.categorical)
     methods = cfg.resolved_methods()
-    ps_methods = set(methods) - {"crude", "cov_adjusted", "gcomp"}
-    if data.n_covariates == 0:
-        if ps_methods:
-            raise CliError(
-                "propensity-based methods need at least one covariate; "
-                f"requested: {sorted(ps_methods)}"
-            )
+    registry = METHODS[cfg.estimand_tag()]
+    ps_methods = sorted(m for m in methods if registry[m].needs_ps)
+    if data.n_covariates == 0 and ps_methods:
+        raise CliError(
+            "propensity-based methods need at least one covariate; "
+            f"requested: {ps_methods}"
+        )
     bootstrap = (
         BootstrapConfig(replications=cfg.bootstrap_b) if cfg.bootstrap_b else None
     )
@@ -511,12 +493,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
     estimates = estimate_effects(
         data, methods, cfg.estimand_tag(), bootstrap=bootstrap, rng=rng
     )
-    est_path = cfg.out + "_estimates.csv"
-    with open(est_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPLICATE_COLUMNS)
-        for m in methods:
-            writer.writerow(_estimate_row(0, estimates[m], cfg.estimand))
+    _write_csv(cfg.out + "_estimates.csv", REPLICATE_COLUMNS, (
+        _estimate_row(0, estimates[m], cfg.estimand) for m in methods
+    ))
     report = {
         "estimand": cfg.estimand,
         "bootstrap_replications": cfg.bootstrap_b,
@@ -534,9 +513,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
             for m in methods
         },
     }
-    with open(cfg.out + "_estimates.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(cfg.out + "_estimates.json", report)
     for m in methods:
         est = estimates[m]
         if est.failed:
@@ -556,10 +533,7 @@ def read_replicates_csv(path: str):
             raise CliError(
                 f"replicate CSV must have columns {','.join(REPLICATE_COLUMNS)}"
             )
-        out = []
-        for row in reader:
-            out.append(row)
-    return out
+        return list(reader)
 
 
 def cmd_summarize(cfg: RunConfig) -> int:
@@ -568,8 +542,6 @@ def cmd_summarize(cfg: RunConfig) -> int:
     if cfg.true_effect is None:
         raise CliError("summarize needs --true-effect")
     rows = read_replicates_csv(cfg.replicates_csv)
-    from .simulation import ReplicateResult
-
     by_replicate: dict[int, dict[str, EffectEstimate]] = {}
     methods: list[str] = []
     estimand_tag = ESTIMAND_RD
@@ -604,10 +576,9 @@ def cmd_summarize(cfg: RunConfig) -> int:
         for idx, ests in sorted(by_replicate.items())
     ]
     summary = summarize(results, cfg.true_effect)
-    with open(cfg.out + "_summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        writer.writerows(_summary_rows(summary, tuple(methods)))
+    _write_csv(
+        cfg.out + "_summary.csv", SUMMARY_COLUMNS, _summary_rows(summary, tuple(methods))
+    )
     _print_summary(summary, tuple(methods))
     return 0
 

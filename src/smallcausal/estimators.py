@@ -5,12 +5,20 @@ returning a uniform :class:`EffectEstimate`.  A method never raises for a
 statistical failure: rank problems, non-convergence, empty matchings and the
 like are caught and recorded as a failed estimate with a reason tag, so a
 simulation replicate always yields one estimate per requested method.
+
+Each method is one row of the registry ``METHODS``: its id, its estimand,
+whether it needs a propensity score or a matched sample, and how it is run.
+``RD_METHODS``, ``OR_METHODS``, :func:`shared_inputs`, :func:`or_estimate`,
+:func:`estimate_effects` and the command line all read that table, so adding
+a method means adding one row (and the function it calls).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit
@@ -38,57 +46,80 @@ from .propensity import (
 ESTIMAND_RD = "risk_difference"
 ESTIMAND_LOG_OR = "log_odds_ratio"
 
-#: fixed registry ids used in every CSV/JSON output
-RD_METHODS = (
-    "crude",
-    "cov_adjusted",
-    "ps_covariate",
-    "matched",
-    "iptw",
-    "gcomp",
-    "gcomp_simple_dr",
-    "gcomp_dr_quintiles",
-    "aipw",
-)
-OR_METHODS = (
-    "crude",
-    "cov_adjusted",
-    "ps_covariate",
-    "match_unadjusted",
-    "match_conditional",
-    "iptw",
-    "gcomp",
-    "gcomp_simple_dr",
-    "gcomp_dr_quintiles",
-)
-
-#: methods that need propensity scores / a matched sample as inputs
-PS_DEPENDENT = {
-    ESTIMAND_RD: {
-        "ps_covariate",
-        "matched",
-        "iptw",
-        "gcomp_simple_dr",
-        "gcomp_dr_quintiles",
-        "aipw",
-    },
-    ESTIMAND_LOG_OR: {
-        "ps_covariate",
-        "match_unadjusted",
-        "match_conditional",
-        "iptw",
-        "gcomp_simple_dr",
-        "gcomp_dr_quintiles",
-    },
-}
-MATCH_DEPENDENT = {
-    ESTIMAND_RD: {"matched"},
-    ESTIMAND_LOG_OR: {"match_unadjusted", "match_conditional"},
-}
-
 #: a back-transformed odds ratio at/above this is recorded as a failure
 OR_FAILURE_THRESHOLD = 3000.0
 _LOG_OR_FAILURE = math.log(OR_FAILURE_THRESHOLD)
+
+
+@dataclass(frozen=True)
+class Method:
+    """One registry row.
+
+    ``fn(data, ps, matched, bootstrap, rng)`` runs the method.  A
+    risk-difference row calls the method's public function and returns its
+    estimate.  An odds-ratio row returns ``(point, se, ci)`` or raises an
+    EstimationError, and is run by :func:`or_estimate`.  Functions are looked
+    up by module-level name at call time, so rebinding a public estimator
+    (to trace it, say) reaches every dispatch.
+    """
+
+    id: str
+    estimand: str
+    needs_ps: bool  # matching is built on the score, so matched rows need it
+    needs_match: bool
+    fn: Callable
+
+
+_RD, _OR = ESTIMAND_RD, ESTIMAND_LOG_OR
+_ROWS = (
+    Method("crude", _RD, False, False, lambda d, ps, m, b, r: crude_rd(d)),
+    Method("cov_adjusted", _RD, False, False,
+           lambda d, ps, m, b, r: covariate_adjusted_rd(d)),
+    Method("ps_covariate", _RD, True, False,
+           lambda d, ps, m, b, r: ps_covariate_rd(d, ps)),
+    Method("matched", _RD, True, True, lambda d, ps, m, b, r: matched_rd(d, m)),
+    Method("iptw", _RD, True, False,
+           lambda d, ps, m, b, r: iptw_rd(d, iptw_weights(ps, d.treatment))),
+    Method("gcomp", _RD, False, False,
+           lambda d, ps, m, b, r: gcomp_rd(d, "plain", None, b, r)),
+    Method("gcomp_simple_dr", _RD, True, False,
+           lambda d, ps, m, b, r: gcomp_rd(d, "simple_dr", ps, b, r)),
+    Method("gcomp_dr_quintiles", _RD, True, False,
+           lambda d, ps, m, b, r: gcomp_rd(d, "dr_quintiles", ps, b, r)),
+    Method("aipw", _RD, True, False, lambda d, ps, m, b, r: aipw_rd(d, ps)),
+    Method("crude", _OR, False, False,
+           lambda d, ps, m, b, r: _logistic_or(
+               _intercept_design(d.treatment), d.outcome)),
+    Method("cov_adjusted", _OR, False, False,
+           lambda d, ps, m, b, r: _logistic_or(
+               _intercept_design(d.treatment, *d.covariates.T), d.outcome)),
+    Method("ps_covariate", _OR, True, False,
+           lambda d, ps, m, b, r: _logistic_or(
+               _intercept_design(d.treatment, ps.probabilities), d.outcome)),
+    Method("match_unadjusted", _OR, True, True,
+           lambda d, ps, m, b, r: _match_unadjusted_or(d, m)),
+    Method("match_conditional", _OR, True, True,
+           lambda d, ps, m, b, r: _match_conditional_or(d, m)),
+    Method("iptw", _OR, True, False,
+           lambda d, ps, m, b, r: _logistic_or(
+               _intercept_design(d.treatment), d.outcome,
+               iptw_weights(ps, d.treatment).weights)),
+    Method("gcomp", _OR, False, False,
+           lambda d, ps, m, b, r: _gcomp_or(d, "plain", None, b, r)),
+    Method("gcomp_simple_dr", _OR, True, False,
+           lambda d, ps, m, b, r: _gcomp_or(d, "simple_dr", ps, b, r)),
+    Method("gcomp_dr_quintiles", _OR, True, False,
+           lambda d, ps, m, b, r: _gcomp_or(d, "dr_quintiles", ps, b, r)),
+)
+
+#: the registry: estimand -> method id -> row; CSV rows follow this order
+METHODS = {
+    estimand: {row.id: row for row in _ROWS if row.estimand == estimand}
+    for estimand in (ESTIMAND_RD, ESTIMAND_LOG_OR)
+}
+#: fixed registry ids used in every CSV/JSON output
+RD_METHODS = tuple(METHODS[ESTIMAND_RD])
+OR_METHODS = tuple(METHODS[ESTIMAND_LOG_OR])
 
 
 @dataclass(frozen=True)
@@ -226,7 +257,6 @@ def _q_model_design(
     q_spec: str,
     ps: PropensityScores | None,
     treatment: np.ndarray,
-    for_fit: bool,
 ) -> np.ndarray:
     """Design for the outcome (Q) model under actual or counterfactual A."""
     a = np.asarray(treatment, float)
@@ -244,44 +274,44 @@ def _q_model_design(
     return _intercept_design(*cols)
 
 
-def _gcomp_point(data: Dataset, q_spec: str) -> float:
-    """Full g-computation pipeline (PS refit included) for one dataset."""
-    if q_spec == "plain":
-        ps = None
-    else:
-        if data.n_treated == 0 or data.n_controls == 0:
-            raise RankDeficientError("single-arm data: treatment is constant")
-        ps = estimate_ps(data)
-    X = _q_model_design(data, q_spec, ps, data.treatment, for_fit=True)
-    fit = fit_logistic(X, data.outcome)
-    ones = np.ones(data.n_subjects)
-    X1 = _q_model_design(data, q_spec, ps, ones, for_fit=False)
-    X0 = _q_model_design(data, q_spec, ps, np.zeros_like(ones), for_fit=False)
-    p1 = expit(X1 @ fit.coefficients)
-    p0 = expit(X0 @ fit.coefficients)
-    return float(p1.mean() - p0.mean())
-
-
-def _gcomp_counterfactual_means(
+def _gcomp_means(
     data: Dataset, q_spec: str, ps: PropensityScores | None
 ) -> tuple[float, float]:
     """Counterfactual outcome means from a Q-model fitted on the given PS."""
-    X = _q_model_design(data, q_spec, ps, data.treatment, for_fit=True)
+    X = _q_model_design(data, q_spec, ps, data.treatment)
     fit = fit_logistic(X, data.outcome)
     ones = np.ones(data.n_subjects)
-    X1 = _q_model_design(data, q_spec, ps, ones, for_fit=False)
-    X0 = _q_model_design(data, q_spec, ps, np.zeros_like(ones), for_fit=False)
+    X1 = _q_model_design(data, q_spec, ps, ones)
+    X0 = _q_model_design(data, q_spec, ps, np.zeros_like(ones))
     return (
         float(expit(X1 @ fit.coefficients).mean()),
         float(expit(X0 @ fit.coefficients).mean()),
     )
 
 
-_GCOMP_METHOD_IDS = {
-    "plain": "gcomp",
-    "simple_dr": "gcomp_simple_dr",
-    "dr_quintiles": "gcomp_dr_quintiles",
-}
+def _gcomp_ci(
+    data: Dataset,
+    q_spec: str,
+    contrast: Callable[[float, float], float],
+    bootstrap: BootstrapConfig | None,
+    rng: np.random.Generator | None,
+) -> tuple[float, float] | None:
+    """Percentile interval of ``contrast(m1, m0)``; None without bootstrap.
+
+    Every resample refits the whole pipeline, propensity model included.
+    """
+    if bootstrap is None:
+        return None
+    if rng is None:
+        raise ValueError("bootstrap interval needs a random stream")
+
+    def resample_effect(resample: Dataset) -> float:
+        if resample.n_treated == 0 or resample.n_controls == 0:
+            raise RankDeficientError("single-arm data: treatment is constant")
+        ps = None if q_spec == "plain" else estimate_ps(resample)
+        return contrast(*_gcomp_means(resample, q_spec, ps))
+
+    return bootstrap_percentile_ci(data, resample_effect, bootstrap, rng)
 
 
 def gcomp_rd(
@@ -300,22 +330,15 @@ def gcomp_rd(
     requested, is a percentile bootstrap that refits the whole pipeline
     (propensity model included) inside each resample.
     """
-    method = _GCOMP_METHOD_IDS[q_spec]
+    method = "gcomp" if q_spec == "plain" else "gcomp_" + q_spec
     if q_spec != "plain" and ps is None:
         raise ValueError(f"{method} requires propensity scores")
     try:
-        m1, m0 = _gcomp_counterfactual_means(data, q_spec, ps)
-        point = m1 - m0
-        ci = None
-        if bootstrap is not None:
-            if rng is None:
-                raise ValueError("bootstrap interval needs a random stream")
-            ci = bootstrap_percentile_ci(
-                data, lambda d: _gcomp_point(d, q_spec), bootstrap, rng
-            )
+        m1, m0 = _gcomp_means(data, q_spec, ps)
+        ci = _gcomp_ci(data, q_spec, operator.sub, bootstrap, rng)
     except EstimationError as exc:
         return _failed(ESTIMAND_RD, method, exc)
-    return EffectEstimate(ESTIMAND_RD, method, point, None, ci)
+    return EffectEstimate(ESTIMAND_RD, method, m1 - m0, None, ci)
 
 
 def aipw_rd(data: Dataset, ps: PropensityScores) -> EffectEstimate:
@@ -362,7 +385,7 @@ def _aipw_arm_predictions(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# odds-ratio family
+# odds-ratio family: each body returns (point, se, ci) or raises
 # ---------------------------------------------------------------------------
 
 #: spec-facing aliases accepted by or_estimate, mapped to registry ids
@@ -386,17 +409,50 @@ def _or_point_guard(point: float) -> float:
 
 
 def _logistic_or(
-    X: np.ndarray,
-    y: np.ndarray,
-    method: str,
-    weights: np.ndarray | None = None,
-) -> EffectEstimate:
+    X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None
+) -> tuple[float, float, tuple[float, float]]:
     fit = fit_logistic(X, y, weights=weights)
     point = _or_point_guard(float(fit.coefficients[1]))
     if fit.covariance is None:
         raise DegenerateVarianceError("singular information at the optimum")
     se = float(np.sqrt(fit.covariance[1, 1]))
-    return EffectEstimate(ESTIMAND_LOG_OR, method, point, se, wald_ci(point, se))
+    return point, se, wald_ci(point, se)
+
+
+def _match_unadjusted_or(data: Dataset, matched: MatchedSample):
+    rows = np.array([i for pair in matched.pairs for i in pair])
+    return _logistic_or(_intercept_design(data.treatment[rows]), data.outcome[rows])
+
+
+def _match_conditional_or(data: Dataset, matched: MatchedSample):
+    """Closed-form 1:1 conditional-likelihood estimate from discordant pairs."""
+    counts = matched_counts(data, matched)
+    b, c = counts.b_discordant, counts.c_discordant
+    if b == 0 or c == 0:
+        raise DegenerateVarianceError("a discordant-pair count is zero")
+    point = _or_point_guard(math.log(b / c))
+    se = math.sqrt(1.0 / b + 1.0 / c)
+    return point, se, wald_ci(point, se)
+
+
+def _log_or(m1: float, m0: float) -> float:
+    """Log odds ratio of two counterfactual means."""
+    if min(m1, m0) <= 0.0 or max(m1, m0) >= 1.0:
+        raise ExtremeOrError("counterfactual mean on the boundary")
+    return math.log(m1) - math.log1p(-m1) - math.log(m0) + math.log1p(-m0)
+
+
+def _gcomp_or(
+    data: Dataset,
+    q_spec: str,
+    ps: PropensityScores | None,
+    bootstrap: BootstrapConfig | None,
+    rng: np.random.Generator | None,
+):
+    # the extreme-OR rule applies to the point only, before any resample
+    # stream is spawned; resamples drop on the boundary check alone
+    point = _or_point_guard(_log_or(*_gcomp_means(data, q_spec, ps)))
+    return point, None, _gcomp_ci(data, q_spec, _log_or, bootstrap, rng)
 
 
 def or_estimate(
@@ -412,90 +468,19 @@ def or_estimate(
     Any method whose back-transformed point estimate reaches an odds ratio of
     3000 is recorded as an ExtremeOR failure before interval construction.
     """
-    method = _OR_ALIASES.get(method, method)
-    if method not in OR_METHODS:
+    row = METHODS[ESTIMAND_LOG_OR].get(_OR_ALIASES.get(method, method))
+    if row is None:
         raise ValueError(f"unknown odds-ratio method: {method!r}")
-    needs_ps = method in PS_DEPENDENT[ESTIMAND_LOG_OR] - MATCH_DEPENDENT[
-        ESTIMAND_LOG_OR
-    ]
-    if needs_ps and ps is None:
-        raise ValueError(f"{method} requires propensity scores")
-    if method in MATCH_DEPENDENT[ESTIMAND_LOG_OR] and matched is None:
-        raise ValueError(f"{method} requires a matched sample")
-
+    if row.needs_match:
+        if matched is None:
+            raise ValueError(f"{row.id} requires a matched sample")
+    elif row.needs_ps and ps is None:
+        raise ValueError(f"{row.id} requires propensity scores")
     try:
-        if method == "crude":
-            X = _intercept_design(data.treatment)
-            return _logistic_or(X, data.outcome, method)
-        if method == "cov_adjusted":
-            X = _intercept_design(data.treatment, *data.covariates.T)
-            return _logistic_or(X, data.outcome, method)
-        if method == "ps_covariate":
-            X = _intercept_design(data.treatment, ps.probabilities)
-            return _logistic_or(X, data.outcome, method)
-        if method == "iptw":
-            X = _intercept_design(data.treatment)
-            w = iptw_weights(ps, data.treatment).weights
-            return _logistic_or(X, data.outcome, method, weights=w)
-        if method in ("gcomp", "gcomp_simple_dr", "gcomp_dr_quintiles"):
-            q_spec = {v: k for k, v in _GCOMP_METHOD_IDS.items()}[method]
-            return _gcomp_or(data, q_spec, ps, bootstrap, rng)
-        if method == "match_unadjusted":
-            rows = np.array([i for pair in matched.pairs for i in pair])
-            X = _intercept_design(data.treatment[rows])
-            return _logistic_or(X, data.outcome[rows], method)
-        if method == "match_conditional":
-            return _match_conditional_or(data, matched)
+        point, se, ci = row.fn(data, ps, matched, bootstrap, rng)
     except EstimationError as exc:
-        return _failed(ESTIMAND_LOG_OR, method, exc)
-    raise AssertionError("unreachable")
-
-
-def _gcomp_log_or_point(data: Dataset, q_spec: str) -> float:
-    if data.n_treated == 0 or data.n_controls == 0:
-        raise RankDeficientError("single-arm data: treatment is constant")
-    ps = None if q_spec == "plain" else estimate_ps(data)
-    m1, m0 = _gcomp_counterfactual_means(data, q_spec, ps)
-    if min(m1, m0) <= 0.0 or max(m1, m0) >= 1.0:
-        raise ExtremeOrError("counterfactual mean on the boundary")
-    return math.log(m1) - math.log1p(-m1) - math.log(m0) + math.log1p(-m0)
-
-
-def _gcomp_or(
-    data: Dataset,
-    q_spec: str,
-    ps: PropensityScores | None,
-    bootstrap: BootstrapConfig | None,
-    rng: np.random.Generator | None,
-) -> EffectEstimate:
-    method = _GCOMP_METHOD_IDS[q_spec]
-    m1, m0 = _gcomp_counterfactual_means(data, q_spec, ps)
-    if min(m1, m0) <= 0.0 or max(m1, m0) >= 1.0:
-        raise ExtremeOrError("counterfactual mean on the boundary")
-    point = _or_point_guard(
-        math.log(m1) - math.log1p(-m1) - math.log(m0) + math.log1p(-m0)
-    )
-    ci = None
-    if bootstrap is not None:
-        if rng is None:
-            raise ValueError("bootstrap interval needs a random stream")
-        ci = bootstrap_percentile_ci(
-            data, lambda d: _gcomp_log_or_point(d, q_spec), bootstrap, rng
-        )
-    return EffectEstimate(ESTIMAND_LOG_OR, method, point, None, ci)
-
-
-def _match_conditional_or(data: Dataset, matched: MatchedSample) -> EffectEstimate:
-    """Closed-form 1:1 conditional-likelihood estimate from discordant pairs."""
-    counts = matched_counts(data, matched)
-    b, c = counts.b_discordant, counts.c_discordant
-    if b == 0 or c == 0:
-        raise DegenerateVarianceError("a discordant-pair count is zero")
-    point = _or_point_guard(math.log(b / c))
-    se = math.sqrt(1.0 / b + 1.0 / c)
-    return EffectEstimate(
-        ESTIMAND_LOG_OR, "match_conditional", point, se, wald_ci(point, se)
-    )
+        return _failed(ESTIMAND_LOG_OR, row.id, exc)
+    return EffectEstimate(ESTIMAND_LOG_OR, row.id, point, se, ci)
 
 
 # ---------------------------------------------------------------------------
@@ -511,16 +496,16 @@ def shared_inputs(
     Returns (ps, ps_error, matched, match_error); a propensity failure
     cascades to matching.
     """
+    rows = [METHODS[estimand][m] for m in methods]
     ps = ps_error = matched = match_error = None
-    wants_ps = set(methods) & PS_DEPENDENT[estimand]
-    if wants_ps:
+    if any(row.needs_ps for row in rows):
         try:
             if data.n_treated == 0 or data.n_controls == 0:
                 raise RankDeficientError("single-arm data")
             ps = estimate_ps(data)
         except EstimationError as exc:
             ps_error = exc
-    if set(methods) & MATCH_DEPENDENT[estimand]:
+    if any(row.needs_match for row in rows):
         if ps is not None:
             try:
                 matched = match_caliper(ps, data.treatment)
@@ -538,47 +523,26 @@ def estimate_effects(
     bootstrap: BootstrapConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> dict[str, EffectEstimate]:
-    """Run every requested method on one dataset; one estimate per method."""
-    registry = RD_METHODS if estimand == ESTIMAND_RD else OR_METHODS
+    """Run every requested method on one dataset, in the requested order.
+
+    A method whose propensity score or matched sample could not be built
+    fails with that reason and never touches ``rng``.
+    """
+    registry = METHODS[estimand]
     unknown = set(methods) - set(registry)
     if unknown:
         raise ValueError(f"unknown methods for {estimand}: {sorted(unknown)}")
 
     ps, ps_error, matched, match_error = shared_inputs(data, methods, estimand)
-    weights = None
-    if ps is not None and "iptw" in methods and estimand == ESTIMAND_RD:
-        weights = iptw_weights(ps, data.treatment)
-
     results: dict[str, EffectEstimate] = {}
     for method in methods:
-        if method in PS_DEPENDENT[estimand] and ps is None:
-            reason = match_error if method in MATCH_DEPENDENT[estimand] else ps_error
-            results[method] = _failed(estimand, method, reason)
-            continue
-        if method in MATCH_DEPENDENT[estimand] and matched is None:
+        row = registry[method]
+        if row.needs_match and matched is None:
             results[method] = _failed(estimand, method, match_error)
-            continue
-        if estimand == ESTIMAND_LOG_OR:
-            results[method] = or_estimate(
-                data, method, ps=ps, matched=matched, bootstrap=bootstrap, rng=rng
-            )
-            continue
-        if method == "crude":
-            results[method] = crude_rd(data)
-        elif method == "cov_adjusted":
-            results[method] = covariate_adjusted_rd(data)
-        elif method == "ps_covariate":
-            results[method] = ps_covariate_rd(data, ps)
-        elif method == "matched":
-            results[method] = matched_rd(data, matched)
-        elif method == "iptw":
-            results[method] = iptw_rd(data, weights)
-        elif method == "gcomp":
-            results[method] = gcomp_rd(data, "plain", None, bootstrap, rng)
-        elif method == "gcomp_simple_dr":
-            results[method] = gcomp_rd(data, "simple_dr", ps, bootstrap, rng)
-        elif method == "gcomp_dr_quintiles":
-            results[method] = gcomp_rd(data, "dr_quintiles", ps, bootstrap, rng)
-        elif method == "aipw":
-            results[method] = aipw_rd(data, ps)
+        elif row.needs_ps and ps is None:
+            results[method] = _failed(estimand, method, ps_error)
+        elif estimand == ESTIMAND_LOG_OR:
+            results[method] = or_estimate(data, method, ps, matched, bootstrap, rng)
+        else:
+            results[method] = row.fn(data, ps, matched, bootstrap, rng)
     return results

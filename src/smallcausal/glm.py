@@ -53,6 +53,7 @@ class LinearFit:
     covariance: np.ndarray
     covariance_kind: str  # "HC0" | "HC3" | "weighted-sandwich"
     weights: np.ndarray | None = None
+    xtx_inverse: np.ndarray | None = field(repr=False, default=None)  # unweighted
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ def fit_ols(
         xtx_inv = _xtx_inverse(R)
         meat = (X * residuals[:, None] ** 2).T @ X
         cov = xtx_inv @ meat @ xtx_inv
-        return LinearFit(beta, residuals, hat, cov, "HC0")
+        return LinearFit(beta, residuals, hat, cov, "HC0", xtx_inverse=xtx_inv)
 
     w = np.asarray(weights, dtype=float)
     if w.shape != y.shape:
@@ -152,7 +153,8 @@ def fit_ols(
 def hc3_covariance(fit: LinearFit, X: np.ndarray) -> np.ndarray:
     """HC3 sandwich: squared residuals inflated by (1 - h_ii)^-2.
 
-    Raises LeverageOneError when any hat diagonal is numerically 1 (a
+    ``X`` is the design ``fit`` was computed from; the fit's (X'X)^-1 is
+    reused.  Raises LeverageOneError when any hat diagonal is numerically 1 (a
     self-fitting observation; the caller records a method failure).
     """
     if fit.weights is not None:
@@ -161,11 +163,9 @@ def hc3_covariance(fit: LinearFit, X: np.ndarray) -> np.ndarray:
     h = fit.hat_diagonals
     if (h >= 1.0 - LEVERAGE_EPS).any():
         raise LeverageOneError("hat diagonal numerically equal to 1")
-    _, R = _checked_qr(X)
-    xtx_inv = _xtx_inverse(R)
     omega = (fit.residuals / (1.0 - h)) ** 2
     meat = (X * omega[:, None]).T @ X
-    return xtx_inv @ meat @ xtx_inv
+    return fit.xtx_inverse @ meat @ fit.xtx_inverse
 
 
 def _binomial_deviance(y: np.ndarray, prob: np.ndarray, w: np.ndarray) -> float:

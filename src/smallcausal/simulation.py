@@ -33,8 +33,6 @@ from .errors import NotBracketedError
 from .estimators import (
     ESTIMAND_LOG_OR,
     ESTIMAND_RD,
-    OR_METHODS,
-    RD_METHODS,
     EffectEstimate,
     estimate_effects,
 )
@@ -176,30 +174,6 @@ def generate(
     return dataset, CounterfactualTruth(p1, p0)
 
 
-def generate_scenario1(
-    n: int,
-    beta_trt: float,
-    rng: np.random.Generator,
-    beta0_override: float | None = None,
-) -> tuple[Dataset, CounterfactualTruth]:
-    return generate(make_scenario("covid", n, beta_trt, beta0_override), rng)
-
-
-def generate_scenario2(
-    n: int, beta_trt: float, rng: np.random.Generator
-) -> tuple[Dataset, CounterfactualTruth]:
-    return generate(make_scenario("unmeasured", n, beta_trt), rng)
-
-
-def generate_scenario3(
-    n: int,
-    beta_trt: float,
-    rng: np.random.Generator,
-    beta0_override: float | None = None,
-) -> tuple[Dataset, CounterfactualTruth]:
-    return generate(make_scenario("austin", n, beta_trt, beta0_override), rng)
-
-
 # ---------------------------------------------------------------------------
 # truth oracle and calibration
 # ---------------------------------------------------------------------------
@@ -237,15 +211,6 @@ def true_marginal_effect(
     if estimand == "or":
         return (m1 / (1.0 - m1)) / (m0 / (1.0 - m0))
     raise ValueError(f"unknown estimand: {estimand!r}")
-
-
-def true_marginal_rd(
-    spec: ScenarioSpec,
-    n_datasets: int = 1000,
-    dataset_size: int = 10_000,
-    rng: np.random.Generator | None = None,
-) -> float:
-    return true_marginal_effect(spec, "rd", n_datasets, dataset_size, rng)
 
 
 def calibrate_beta_trt(
@@ -364,13 +329,8 @@ def summarize(
     Failed estimates are excluded from every metric and only counted; CI
     metrics additionally require an interval to be present.
     """
-    methods: list[str] = []
-    for res in results:
-        for m in res.estimates:
-            if m not in methods:
-                methods.append(m)
     per_method = {}
-    for m in methods:
+    for m in dict.fromkeys(name for res in results for name in res.estimates):
         errors = []
         lengths = []
         covered = []
@@ -437,6 +397,3 @@ def run_study(
     results.sort(key=lambda r: r.replicate_index)
     return results, summarize(results, true_effect)
 
-
-def default_methods(estimand: str) -> tuple[str, ...]:
-    return RD_METHODS if estimand == "rd" else OR_METHODS

@@ -1,10 +1,11 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
-from smallcausal.cli import main, read_dataset_csv
+from smallcausal.cli import RunConfig, main, read_dataset_csv
 from smallcausal.data import Dataset
 from smallcausal.estimators import estimate_effects, ESTIMAND_RD
 
@@ -130,6 +131,26 @@ class TestSimulate:
         meta = json.loads((tmp_path / "or_meta.json").read_text())
         # the recorded truth is the log of the marginal odds ratio (~log 2)
         assert meta["true_effect"] == pytest.approx(np.log(2.0), abs=0.02)
+
+    def test_duplicate_methods_refused(self, tmp_path, capsys):
+        rc = run_cli(
+            "simulate", "--scenario", "covid", "--n", "40",
+            "--replicates", "2", "--bootstrap", "0", "--beta-trt", "0",
+            "--methods", "crude,crude,iptw", "--workers", "1",
+            "--out", str(tmp_path / "d"),
+        )
+        assert rc == 2
+        assert "crude" in capsys.readouterr().err
+        assert not (tmp_path / "d_replicates.csv").exists()
+
+    def test_auto_workers_follow_cpu_affinity(self, monkeypatch):
+        cfg = RunConfig("simulate", workers="auto")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert cfg.resolved_workers() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cfg.resolved_workers() == 8
+        assert RunConfig("simulate", workers="3").resolved_workers() == 3
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = {

@@ -408,3 +408,63 @@ class TestEstimateEffects:
             if a_out[m].failed or b_out[m].failed:
                 continue
             assert a_out[m].point == pytest.approx(-b_out[m].point, abs=1e-8)
+
+
+class TestMethodRegistry:
+    PS_METHODS = {
+        ESTIMAND_RD: {
+            "ps_covariate", "matched", "iptw",
+            "gcomp_simple_dr", "gcomp_dr_quintiles", "aipw",
+        },
+        ESTIMAND_LOG_OR: {
+            "ps_covariate", "match_unadjusted", "match_conditional",
+            "iptw", "gcomp_simple_dr", "gcomp_dr_quintiles",
+        },
+    }
+    MATCH_METHODS = {
+        ESTIMAND_RD: {"matched"},
+        ESTIMAND_LOG_OR: {"match_unadjusted", "match_conditional"},
+    }
+    ALL = {ESTIMAND_RD: RD_METHODS, ESTIMAND_LOG_OR: OR_METHODS}
+
+    def test_ids_and_order_are_fixed(self):
+        # CSV row order follows these tuples
+        assert RD_METHODS == (
+            "crude", "cov_adjusted", "ps_covariate", "matched", "iptw",
+            "gcomp", "gcomp_simple_dr", "gcomp_dr_quintiles", "aipw",
+        )
+        assert OR_METHODS == (
+            "crude", "cov_adjusted", "ps_covariate", "match_unadjusted",
+            "match_conditional", "iptw", "gcomp", "gcomp_simple_dr",
+            "gcomp_dr_quintiles",
+        )
+
+    @pytest.mark.parametrize("estimand", [ESTIMAND_RD, ESTIMAND_LOG_OR])
+    def test_propensity_failure_fails_exactly_the_ps_methods(
+        self, estimand, monkeypatch
+    ):
+        from smallcausal import estimators
+        from smallcausal.errors import NotConvergedError
+
+        def no_scores(data):
+            raise NotConvergedError("forced")
+
+        monkeypatch.setattr(estimators, "estimate_ps", no_scores)
+        out = estimate_effects(random_dataset(20, n=120), self.ALL[estimand], estimand)
+        failed = {m: est.failure_reason for m, est in out.items() if est.failed}
+        assert failed == dict.fromkeys(self.PS_METHODS[estimand], "NotConverged")
+
+    @pytest.mark.parametrize("estimand", [ESTIMAND_RD, ESTIMAND_LOG_OR])
+    def test_matching_failure_fails_only_the_matched_methods(
+        self, estimand, monkeypatch
+    ):
+        from smallcausal import estimators
+        from smallcausal.errors import NoPairsError
+
+        def no_pairs(ps, treatment):
+            raise NoPairsError("forced")
+
+        monkeypatch.setattr(estimators, "match_caliper", no_pairs)
+        out = estimate_effects(random_dataset(20, n=120), self.ALL[estimand], estimand)
+        failed = {m: est.failure_reason for m, est in out.items() if est.failed}
+        assert failed == dict.fromkeys(self.MATCH_METHODS[estimand], "NoPairs")

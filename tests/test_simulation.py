@@ -10,13 +10,11 @@ from smallcausal.simulation import (
     ReplicateResult,
     calibrate_beta_trt,
     generate,
-    generate_scenario2,
     make_scenario,
     run_replicate,
     run_study,
     summarize,
     true_marginal_effect,
-    true_marginal_rd,
 )
 from smallcausal.streams import derive_substream
 
@@ -49,7 +47,7 @@ class TestGenerators:
         assert np.allclose(truth.p_control, p0, atol=1e-12)
 
     def test_scenario2_masks_the_confounder(self):
-        data, _ = generate_scenario2(300, 0.0, np.random.default_rng(4))
+        data, _ = generate(make_scenario("unmeasured", 300, 0.0), np.random.default_rng(4))
         assert data.n_covariates == 5
         assert data.covariate_kinds == (
             "binary",
@@ -62,7 +60,9 @@ class TestGenerators:
     def test_scenario2_confounding_visible_in_crude(self):
         from smallcausal.estimators import crude_rd
 
-        data, _ = generate_scenario2(100_000, 0.0, np.random.default_rng(5))
+        data, _ = generate(
+            make_scenario("unmeasured", 100_000, 0.0), np.random.default_rng(5)
+        )
         est = crude_rd(data)
         assert est.point > 0.25  # strong positive confounding
 
@@ -84,8 +84,8 @@ class TestTruthOracle:
         spec = make_scenario("covid", 100_000, 0.8678)
         _, truth = generate(spec, np.random.default_rng(6))
         subject_level = (truth.p_treated - truth.p_control).mean()
-        oracle = true_marginal_rd(
-            spec, 200, 10_000, derive_substream(7, "covid", 0, "t")
+        oracle = true_marginal_effect(
+            spec, "rd", 200, 10_000, derive_substream(7, "covid", 0, "t")
         )
         assert subject_level == pytest.approx(oracle, abs=0.005)
 
