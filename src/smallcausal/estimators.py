@@ -32,7 +32,13 @@ from .errors import (
     RankDeficientError,
     SeparationError,
 )
-from .glm import fit_logistic, fit_ols, hc3_covariance, wald_ci
+from .glm import (
+    fit_logistic,
+    fit_logistic_batch,
+    fit_ols,
+    hc3_covariance,
+    wald_ci,
+)
 from .propensity import (
     IptwWeights,
     MatchedSample,
@@ -41,6 +47,7 @@ from .propensity import (
     iptw_weights,
     match_caliper,
     ps_quintile_dummies,
+    quintile_strata,
 )
 
 ESTIMAND_RD = "risk_difference"
@@ -252,41 +259,122 @@ def iptw_rd(data: Dataset, weights: IptwWeights) -> EffectEstimate:
     return EffectEstimate(ESTIMAND_RD, "iptw", point, se, wald_ci(point, se))
 
 
+def _signed_ip_covariate(a: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """1/p for treated rows and -1/(1-p) for controls, from the logits.
+
+    Each branch is computed only on the rows that use it, so the unused one
+    cannot overflow; an overflow in a used branch is left as inf for the
+    caller's finiteness check.
+    """
+    treated = np.broadcast_to(a == 1, eta.shape)
+    z = np.empty(eta.shape)
+    with np.errstate(over="ignore"):
+        z[treated] = 1.0 + np.exp(-eta[treated])
+        z[~treated] = -(1.0 + np.exp(eta[~treated]))
+    return z
+
+
 def _q_model_design(
     data: Dataset,
     q_spec: str,
-    ps: PropensityScores | None,
     treatment: np.ndarray,
+    logits: np.ndarray | None,
+    dummies: np.ndarray | None,
 ) -> np.ndarray:
-    """Design for the outcome (Q) model under actual or counterfactual A."""
+    """Design for the outcome (Q) model under actual or counterfactual A.
+
+    ``logits`` (``simple_dr``) or ``dummies`` (``dr_quintiles``) carry the
+    propensity columns; with a stack of them, shaped ``(b, n)`` or
+    ``(b, n, 4)``, the design is the ``(b, n, p)`` stack.
+    """
     a = np.asarray(treatment, float)
-    cols = [a] + list(data.covariates.T)
+    X = _intercept_design(a, *data.covariates.T)
     if q_spec == "simple_dr":
         # signed inverse-probability covariate, recomputed under the
         # counterfactual treatment when predicting
-        eta = ps.logits
-        z = np.where(a == 1, 1.0 + np.exp(-eta), -(1.0 + np.exp(eta)))
-        cols.append(z)
+        extra = _signed_ip_covariate(a, logits)[..., None]
     elif q_spec == "dr_quintiles":
-        cols.extend(ps_quintile_dummies(ps).dummies.T)
-    elif q_spec != "plain":
+        extra = dummies
+    elif q_spec == "plain":
+        return X
+    else:
         raise ValueError(f"unknown Q-model spec: {q_spec!r}")
-    return _intercept_design(*cols)
+    X = np.broadcast_to(X, extra.shape[:-1] + X.shape[-1:])
+    return np.concatenate([X, extra], axis=-1)
 
 
 def _gcomp_means(
     data: Dataset, q_spec: str, ps: PropensityScores | None
 ) -> tuple[float, float]:
-    """Counterfactual outcome means from a Q-model fitted on the given PS."""
-    X = _q_model_design(data, q_spec, ps, data.treatment)
+    """Counterfactual outcome means from a Q-model fitted on the given PS.
+
+    A fitted design that is not finite, or a mean that is NaN, raises
+    SeparationError (a separated propensity or Q-model fit).  An overflowed
+    counterfactual covariate is kept: its prediction is the limit 0 or 1.
+    """
+    logits = None if ps is None else ps.logits
+    dummies = ps_quintile_dummies(ps).dummies if q_spec == "dr_quintiles" else None
+    X = _q_model_design(data, q_spec, data.treatment, logits, dummies)
+    if not np.isfinite(X).all():
+        raise SeparationError("outcome-model design is not finite")
     fit = fit_logistic(X, data.outcome)
     ones = np.ones(data.n_subjects)
-    X1 = _q_model_design(data, q_spec, ps, ones)
-    X0 = _q_model_design(data, q_spec, ps, np.zeros_like(ones))
-    return (
-        float(expit(X1 @ fit.coefficients).mean()),
-        float(expit(X0 @ fit.coefficients).mean()),
-    )
+    means = []
+    for a in (ones, np.zeros_like(ones)):
+        X_a = _q_model_design(data, q_spec, a, logits, dummies)
+        with np.errstate(over="ignore", invalid="ignore"):
+            means.append(float(expit(X_a @ fit.coefficients).mean()))
+    if math.isnan(means[0]) or math.isnan(means[1]):
+        raise SeparationError("counterfactual mean is not finite")
+    return means[0], means[1]
+
+
+def _gcomp_batch_means(
+    data: Dataset, q_spec: str, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_gcomp_means` for every resample of a ``(b, n)`` index block.
+
+    A resample is its row counts, so the propensity and Q-models are
+    count-weighted fits on the original rows.  Returns ``(m1, m0,
+    settled)``; a resample is unsettled when it is single-arm, has fewer
+    than 5 distinct logits (``dr_quintiles``), a fit does not settle (see
+    :func:`fit_logistic_batch`) or a design or mean is not finite.
+    """
+    b, n = indices.shape
+    offsets = n * np.arange(b)[:, None]
+    counts = np.bincount((indices + offsets).ravel(), minlength=b * n)
+    counts = counts.reshape(b, n).astype(float)
+    n_treated = counts @ data.treatment
+    settled = (n_treated > 0) & (n_treated < n)
+    logits = dummies = None
+    if q_spec != "plain":
+        X_ps = _intercept_design(*data.covariates.T)
+        gamma, ok = fit_logistic_batch(
+            np.broadcast_to(X_ps, (b,) + X_ps.shape), data.treatment, counts
+        )
+        settled &= ok
+        logits = gamma @ X_ps.T
+    if q_spec == "dr_quintiles":
+        expanded = np.take_along_axis(logits, indices, axis=1)
+        dummies, _, n_distinct = quintile_strata(logits, expanded)
+        settled &= n_distinct >= 5
+
+    def design(treatment: np.ndarray) -> np.ndarray:
+        X = _q_model_design(data, q_spec, treatment, logits, dummies)
+        return np.broadcast_to(X, (b, n, X.shape[-1]))
+
+    beta, ok = fit_logistic_batch(design(data.treatment), data.outcome, counts)
+    settled &= ok
+    means = []
+    for a in (np.ones(n), np.zeros(n)):
+        X = design(a)
+        settled &= np.isfinite(X).all(axis=(1, 2))  # the scalar path decides
+        with np.errstate(over="ignore", invalid="ignore"):
+            eta = np.einsum("bnp,bp->bn", X, beta)
+        means.append((counts * expit(eta)).sum(axis=1) / n)
+    m1, m0 = means
+    settled &= np.isfinite(m1) & np.isfinite(m0)
+    return m1, m0, settled
 
 
 def _gcomp_ci(
@@ -299,6 +387,9 @@ def _gcomp_ci(
     """Percentile interval of ``contrast(m1, m0)``; None without bootstrap.
 
     Every resample refits the whole pipeline, propensity model included.
+    Resamples are fitted a block at a time by :func:`_gcomp_batch_means`;
+    the unsettled ones are rerun one by one, and that scalar path decides
+    every failure.
     """
     if bootstrap is None:
         return None
@@ -311,7 +402,19 @@ def _gcomp_ci(
         ps = None if q_spec == "plain" else estimate_ps(resample)
         return contrast(*_gcomp_means(resample, q_spec, ps))
 
-    return bootstrap_percentile_ci(data, resample_effect, bootstrap, rng)
+    def resample_batch(data: Dataset, indices: np.ndarray):
+        m1, m0, settled = _gcomp_batch_means(data, q_spec, indices)
+        values = np.full(len(indices), np.nan)
+        for j in np.flatnonzero(settled):
+            try:
+                values[j] = contrast(float(m1[j]), float(m0[j]))
+            except EstimationError:
+                settled[j] = False
+        return values, settled
+
+    return bootstrap_percentile_ci(
+        data, resample_effect, bootstrap, rng, batch=resample_batch
+    )
 
 
 def gcomp_rd(
@@ -532,6 +635,8 @@ def estimate_effects(
     unknown = set(methods) - set(registry)
     if unknown:
         raise ValueError(f"unknown methods for {estimand}: {sorted(unknown)}")
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"repeated method ids: {list(methods)}")
 
     ps, ps_error, matched, match_error = shared_inputs(data, methods, estimand)
     results: dict[str, EffectEstimate] = {}

@@ -168,12 +168,20 @@ def hc3_covariance(fit: LinearFit, X: np.ndarray) -> np.ndarray:
     return fit.xtx_inverse @ meat @ fit.xtx_inverse
 
 
-def _binomial_deviance(y: np.ndarray, prob: np.ndarray, w: np.ndarray) -> float:
-    """-2 log-likelihood, with 0*log(0) treated as 0 at saturated points."""
+def _binomial_deviance(y: np.ndarray, prob: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """-2 log-likelihood over the last axis, with 0*log(0) treated as 0 at
+    saturated points."""
     with np.errstate(divide="ignore", invalid="ignore"):
         ll_terms = np.where(y == 1.0, np.log(prob), np.log1p(-prob))
     ll_terms = np.where(np.isfinite(ll_terms), ll_terms, -745.0)  # log(min double)
-    return float(-2.0 * (w * ll_terms).sum())
+    return -2.0 * (w * ll_terms).sum(axis=-1)
+
+
+def _plateaued(deviance, deviance_prev, margin: float = 1.0):
+    """The deviance-plateau rule; ``margin`` < 1 tightens it."""
+    return abs(deviance - deviance_prev) <= margin * PLATEAU_RTOL * (
+        abs(deviance) + 0.1
+    )
 
 
 def fit_logistic(
@@ -241,12 +249,9 @@ def fit_logistic(
         beta = beta + step
         iterations = it
         if it >= max_iter - 1:  # plateau detection needs the final pair only
-            deviance = _binomial_deviance(y, expit(X @ beta), w)
+            deviance = float(_binomial_deviance(y, expit(X @ beta), w))
             if deviance_prev is not None:
-                deviance_plateaued = (
-                    abs(deviance - deviance_prev)
-                    <= PLATEAU_RTOL * (abs(deviance) + 0.1)
-                )
+                deviance_plateaued = _plateaued(deviance, deviance_prev)
             deviance_prev = deviance
         if np.abs(step).max() <= tol:
             converged = True
@@ -297,6 +302,78 @@ def fit_logistic(
         residuals=y - prob,
         weights=None if weights is None else w,
     )
+
+
+def fit_logistic_batch(
+    X: np.ndarray, y: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frequency-weighted logistic fits of a stack of resamples, by one IRLS.
+
+    ``X`` is ``(b, n, p)`` (a broadcast view when the design is shared),
+    ``y`` broadcasts against ``(b, n)`` and ``counts[j, i]`` is how often row
+    ``i`` appears in resample ``j``.  The MLE on the duplicated rows equals
+    the count-weighted MLE on the original rows, so row ``j`` reproduces
+    ``fit_logistic(X[j][idx], y[idx])`` up to rounding.  The stop rules are
+    those of :func:`fit_logistic`.
+
+    Returns ``(coefficients, settled)``.  A row is settled only when it is
+    far from every failure rule of the scalar fit: its design is finite,
+    every pivot ratio is at least ``10 * PIVOT_RTOL``, every step is finite,
+    and it converges, or plateaus at the cap by half the scalar margin.
+    Callers refit unsettled rows with :func:`fit_logistic`, which decides
+    their fate; their coefficients come back as zeros.
+    """
+    X = np.asarray(X, dtype=float)
+    counts = np.asarray(counts, dtype=float)
+    b, n, p = X.shape
+    y = np.broadcast_to(np.asarray(y, dtype=float), counts.shape)
+    beta = np.zeros((b, p))
+    settled = np.isfinite(X).all(axis=(1, 2)) & (n >= p)
+    deviance_prev = np.full(b, np.nan)
+    # the rows still iterating, and their slices of every input
+    rows = np.flatnonzero(settled)
+    Xr = X if rows.size == b else X[rows]  # no copy of a shared design
+    wr, yr, br = counts[rows], y[rows], beta[rows]
+    for it in range(1, IRLS_MAX_ITER + 1):
+        if rows.size == 0:
+            break
+        prob = expit(np.einsum("bnp,bp->bn", Xr, br))
+        score = np.einsum("bnp,bn->bp", Xr, wr * (yr - prob))
+        converged = np.abs(score).max(axis=1) <= IRLS_SCORE_TOL
+        # every iterating row is factorised, so the first factorisation is
+        # the design rank check whether or not the score stops the fit
+        sw = np.sqrt(wr * prob * (1.0 - prob))
+        R = np.linalg.qr(sw[:, :, None] * Xr, mode="r")
+        piv = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        failed = ~(
+            (piv.max(axis=1) > 0.0)
+            & (piv.min(axis=1) >= 10 * PIVOT_RTOL * piv.max(axis=1))
+        )
+        if failed.any():
+            R[failed] = np.eye(p)  # a harmless solve; the row is dropped
+        half = np.linalg.solve(np.swapaxes(R, 1, 2), score[:, :, None])
+        step = np.linalg.solve(R, half)[:, :, 0]
+        step[converged | failed] = 0.0
+        failed |= ~np.isfinite(step).all(axis=1)
+        step[failed] = 0.0
+        br += step
+        if it >= IRLS_MAX_ITER - 1:
+            prob = expit(np.einsum("bnp,bp->bn", Xr, br))
+            deviance = _binomial_deviance(yr, prob, wr)
+            if it == IRLS_MAX_ITER:
+                # a scalar fit near the plateau bound may fall either side,
+                # so only a clear plateau settles here
+                converged |= _plateaued(deviance, deviance_prev[rows], margin=0.5)
+            deviance_prev[rows] = deviance
+        converged |= np.abs(step).max(axis=1) <= IRLS_TOL
+        converged &= ~failed
+        beta[rows[converged]] = br[converged]
+        settled[rows[failed]] = False
+        keep = ~(converged | failed)
+        if not keep.all():
+            rows, Xr, wr, yr, br = (a[keep] for a in (rows, Xr, wr, yr, br))
+    settled[rows] = False  # still walking at the cap
+    return beta, settled
 
 
 def weighted_sandwich_covariance(

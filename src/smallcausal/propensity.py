@@ -13,6 +13,7 @@ from .errors import DegenerateStrataError, NoPairsError
 from .glm import LogisticFit, fit_logistic
 
 DEFAULT_CALIPER_SD = 0.2
+QUINTILES = (0.2, 0.4, 0.6, 0.8)
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,25 @@ def ps_quintile_dummies(ps: PropensityScores) -> QuintileDummies:
     logits = ps.logits
     if logits.size < 5:
         raise DegenerateStrataError("need at least 5 subjects for quintiles")
-    if np.unique(logits).size < 5:
+    dummies, cutpoints, n_distinct = quintile_strata(logits, logits)
+    if n_distinct < 5:
         raise DegenerateStrataError("fewer than 5 distinct logit values")
-    cutpoints = np.quantile(logits, [0.2, 0.4, 0.6, 0.8])
-    stratum = (logits[:, None] > cutpoints[None, :]).sum(axis=1)  # 0..4
-    dummies = (stratum[:, None] == np.arange(1, 5)[None, :]).astype(float)
     return QuintileDummies(dummies, cutpoints)
+
+
+def quintile_strata(
+    values: np.ndarray, sample: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quintile rule of :func:`ps_quintile_dummies`, on the last axis.
+
+    Returns the four stratum dummies of each of ``values`` (shape
+    ``values.shape + (4,)``) among the type-7 quintile cut points of
+    ``sample``, those cut points, and the number of distinct values in
+    ``sample``.  Leading axes stack independent samples.
+    """
+    ordered = np.sort(sample, axis=-1)
+    n_distinct = 1 + (np.diff(ordered, axis=-1) != 0).sum(axis=-1)
+    cutpoints = np.moveaxis(np.quantile(ordered, QUINTILES, axis=-1), 0, -1)
+    stratum = (values[..., None] > cutpoints[..., None, :]).sum(axis=-1)  # 0..4
+    dummies = (stratum[..., None] == np.arange(1, 5)).astype(float)
+    return dummies, cutpoints, n_distinct

@@ -1,0 +1,219 @@
+"""The batched g-computation bootstrap against the scalar path it replaces."""
+
+import operator
+import warnings
+
+import numpy as np
+import pytest
+from scipy.special import expit
+
+from smallcausal import bootstrap as bootstrap_module
+from smallcausal import estimators
+from smallcausal.bootstrap import BootstrapConfig
+from smallcausal.errors import (
+    EstimationError,
+    NotConvergedError,
+    RankDeficientError,
+)
+from smallcausal.estimators import (
+    _gcomp_ci,
+    _gcomp_means,
+    _intercept_design,
+    _log_or,
+    _signed_ip_covariate,
+    gcomp_rd,
+)
+from smallcausal.glm import IRLS_MAX_ITER, fit_logistic, fit_logistic_batch
+from smallcausal.propensity import PropensityScores, estimate_ps
+from smallcausal.simulation import generate, make_scenario
+
+
+def scenario_data(scenario, seed, beta0=None, n=100):
+    spec = make_scenario(scenario, n, 0.5, beta0)
+    return generate(spec, np.random.default_rng(seed))[0]
+
+
+def resample_counts(indices, n):
+    return np.stack([np.bincount(row, minlength=n) for row in indices]).astype(float)
+
+
+def batch_ps_fits(data, indices):
+    X = _intercept_design(*data.covariates.T)
+    counts = resample_counts(indices, data.n_subjects)
+    stacked = np.broadcast_to(X, (len(indices),) + X.shape)
+    return X, fit_logistic_batch(stacked, data.treatment, counts)
+
+
+class TestFitLogisticBatch:
+    def test_matches_scalar_fits_on_covid_resamples(self):
+        data = scenario_data("covid", 1)
+        indices = np.random.default_rng(2).integers(0, 100, size=(50, 100))
+        X, (beta, settled) = batch_ps_fits(data, indices)
+        assert settled.sum() >= 45
+        for j, idx in enumerate(indices):
+            try:
+                fit = fit_logistic(X[idx], data.treatment[idx])
+            except EstimationError:
+                assert not settled[j]
+                continue
+            if settled[j]:
+                np.testing.assert_allclose(
+                    beta[j], fit.coefficients, rtol=0, atol=1e-10
+                )
+
+    def test_all_zero_dummy_column_is_unsettled(self):
+        data = scenario_data("covid", 3)
+        n = data.n_subjects
+        # column 3 is the clinical-status-1 dummy; drop every row that has it
+        keep = np.flatnonzero(data.covariates[:, 2] == 0)
+        rng = np.random.default_rng(4)
+        indices = np.stack([rng.integers(0, n, size=n), rng.choice(keep, size=n)])
+        X, (beta, settled) = batch_ps_fits(data, indices)
+        with pytest.raises(RankDeficientError):
+            fit_logistic(X[indices[1]], data.treatment[indices[1]])
+        fit_logistic(X[indices[0]], data.treatment[indices[0]])
+        assert settled.tolist() == [True, False]
+        assert (beta[1] == 0).all()
+
+    def test_plateau_settles_iff_scalar_accepts_it(self):
+        data = scenario_data("austin", 0, beta0=-1.5)
+        indices = np.random.default_rng(0).integers(0, 100, size=(100, 100))
+        X, (beta, settled) = batch_ps_fits(data, indices)
+        at_cap = 0
+        for j, idx in enumerate(indices):
+            try:
+                fit = fit_logistic(X[idx], data.treatment[idx])
+            except NotConvergedError:
+                at_cap += 1
+                assert not settled[j]
+                continue
+            if fit.iterations == IRLS_MAX_ITER:  # plateau-accepted
+                at_cap += 1
+                assert settled[j]
+                np.testing.assert_allclose(
+                    beta[j], fit.coefficients, rtol=0, atol=1e-4
+                )
+        assert at_cap >= 3
+
+    def test_non_finite_design_is_unsettled(self):
+        X = np.ones((2, 6, 2))
+        X[:, :, 1] = np.arange(6.0)
+        X[1, 0, 1] = np.inf
+        y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+        beta, settled = fit_logistic_batch(X, y, np.ones((2, 6)))
+        assert settled.tolist() == [True, False]
+        np.testing.assert_allclose(
+            beta[0], fit_logistic(X[0], y).coefficients, rtol=0, atol=1e-10
+        )
+
+
+def scalar_ci(data, q_spec, contrast, config, rng):
+    """The g-computation bootstrap as an explicit loop of scalar fits."""
+    n = data.n_subjects
+    values, dropped = [], 0
+    for child in rng.spawn(config.replications):
+        resample = data.take(child.integers(0, n, size=n))
+        try:
+            if resample.n_treated in (0, n):
+                raise RankDeficientError("single-arm")
+            ps = None if q_spec == "plain" else estimate_ps(resample)
+            values.append(contrast(*_gcomp_means(resample, q_spec, ps)))
+        except EstimationError:
+            dropped += 1
+    lo, hi = np.quantile(values, config.percentiles)
+    return (lo, hi), dropped
+
+
+def counted_ci(monkeypatch, data, q_spec, contrast, config, rng):
+    """``_gcomp_ci`` plus the number of resamples it dropped."""
+    real = bootstrap_module.bootstrap_percentile_ci
+    dropped = []
+
+    def spy(data, estimator, config, rng, *, batch=None):
+        def counting(resample):
+            try:
+                return estimator(resample)
+            except EstimationError:
+                dropped.append(1)
+                raise
+
+        return real(data, counting, config, rng, batch=batch)
+
+    monkeypatch.setattr(estimators, "bootstrap_percentile_ci", spy)
+    return _gcomp_ci(data, q_spec, contrast, config, rng), len(dropped)
+
+
+class TestBatchedGcompCi:
+    @pytest.mark.parametrize("q_spec", ["plain", "simple_dr", "dr_quintiles"])
+    @pytest.mark.parametrize("contrast", [operator.sub, _log_or])
+    def test_matches_scalar_loop(self, monkeypatch, q_spec, contrast):
+        data = scenario_data("covid", 5)
+        config = BootstrapConfig(replications=40)
+        expected, expected_dropped = scalar_ci(
+            data, q_spec, contrast, config, np.random.default_rng(6)
+        )
+        ci, dropped = counted_ci(
+            monkeypatch, data, q_spec, contrast, config, np.random.default_rng(6)
+        )
+        np.testing.assert_allclose(ci, expected, rtol=0, atol=1e-10)
+        assert dropped == expected_dropped
+
+    def test_drops_match_scalar_loop_on_separated_data(self, monkeypatch):
+        data = scenario_data("austin", 1, beta0=-1.5)
+        config = BootstrapConfig(replications=40)
+        expected, expected_dropped = scalar_ci(
+            data, "simple_dr", _log_or, config, np.random.default_rng(7)
+        )
+        ci, dropped = counted_ci(
+            monkeypatch, data, "simple_dr", _log_or, config,
+            np.random.default_rng(7),
+        )
+        assert expected_dropped > 0
+        assert dropped == expected_dropped
+        np.testing.assert_allclose(ci, expected, rtol=0, atol=1e-4)
+
+    def test_same_interval_in_one_block_or_several(self, monkeypatch):
+        data = scenario_data("covid", 8)
+        config = BootstrapConfig(replications=30)
+        one = _gcomp_ci(
+            data, "dr_quintiles", operator.sub, config, np.random.default_rng(9)
+        )
+        # 7 data columns at n=100: blocks of 4 resamples
+        monkeypatch.setattr(bootstrap_module, "BATCH_DOUBLES", 2800)
+        several = _gcomp_ci(
+            data, "dr_quintiles", operator.sub, config, np.random.default_rng(9)
+        )
+        np.testing.assert_allclose(several, one, rtol=0, atol=1e-12)
+
+
+class TestNonFiniteGcomp:
+    @staticmethod
+    def scores(data, logits):
+        fit = fit_logistic(np.ones((4, 1)), np.array([0.0, 1.0, 0.0, 1.0]))
+        return PropensityScores(expit(logits), logits, fit)
+
+    def test_overflowed_fitted_design_fails_as_separation(self):
+        data = scenario_data("covid", 10, n=60)
+        logits = np.linspace(-2.0, 1.0, data.n_subjects)
+        logits[np.flatnonzero(data.treatment == 1)[0]] = -800.0  # 1/p overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = gcomp_rd(data, "simple_dr", self.scores(data, logits))
+        assert est.failed
+        assert est.failure_reason == "Separation"
+
+    def test_overflow_only_in_counterfactual_design_keeps_the_limit(self):
+        data = scenario_data("covid", 10, n=60)
+        logits = np.linspace(-2.0, 1.0, data.n_subjects)
+        logits[np.flatnonzero(data.treatment == 1)[0]] = 800.0  # 1/(1-p) unused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = gcomp_rd(data, "simple_dr", self.scores(data, logits))
+        assert not est.failed
+        assert -1.0 <= est.point <= 1.0
+
+    def test_signed_covariate_is_the_two_branch_formula(self):
+        eta = np.random.default_rng(11).normal(scale=3.0, size=50)
+        a = (np.arange(50) % 3 == 0).astype(float)
+        expected = np.where(a == 1, 1.0 + np.exp(-eta), -(1.0 + np.exp(eta)))
+        assert np.array_equal(_signed_ip_covariate(a, eta), expected)

@@ -97,3 +97,47 @@ def test_config_validation():
         BootstrapConfig(replications=1)
     with pytest.raises(ValueError):
         BootstrapConfig(percentiles=(0.9, 0.1))
+
+
+def nan_on_every_third(data, calls):
+    calls["n"] += 1
+    return np.nan if calls["n"] % 3 == 0 else data.outcome.mean()
+
+
+def settle_everything_as_nan(data, indices):
+    return np.full(len(indices), np.nan), np.ones(len(indices), dtype=bool)
+
+
+@pytest.mark.parametrize("batch", [None, settle_everything_as_nan])
+def test_non_finite_resamples_are_dropped(batch):
+    data = tiny_dataset(30, np.random.default_rng(10))
+    calls = {"n": 0}
+    ci = bootstrap_percentile_ci(
+        data, lambda d: nan_on_every_third(d, calls),
+        BootstrapConfig(replications=60), np.random.default_rng(11), batch=batch,
+    )
+    assert np.isfinite(ci).all()
+    assert calls["n"] == 60
+    with pytest.raises(BootstrapCollapseError):
+        bootstrap_percentile_ci(
+            data, lambda d: nan_on_every_third(d, calls),
+            BootstrapConfig(replications=60, max_failure_fraction=0.3),
+            np.random.default_rng(11), batch=batch,
+        )
+
+
+def test_batch_values_and_scalar_fallback_make_one_interval():
+    data = tiny_dataset(30, np.random.default_rng(12))
+    mean = lambda d: d.outcome.mean()
+
+    def half_batch(d, indices):
+        values = d.outcome[indices].mean(axis=1)
+        settled = np.arange(len(indices)) % 2 == 0
+        return np.where(settled, values, -1.0), settled
+
+    cfg = BootstrapConfig(replications=50)
+    plain = bootstrap_percentile_ci(data, mean, cfg, np.random.default_rng(13))
+    batched = bootstrap_percentile_ci(
+        data, mean, cfg, np.random.default_rng(13), batch=half_batch
+    )
+    assert batched == pytest.approx(plain, abs=1e-15)

@@ -383,6 +383,15 @@ class TestEstimateEffects:
         out = estimate_effects(data, RD_METHODS, ESTIMAND_RD)
         assert all(est.failed for est in out.values())
 
+    @pytest.mark.parametrize("estimand", [ESTIMAND_RD, ESTIMAND_LOG_OR])
+    def test_repeated_methods_refused(self, estimand):
+        data = random_dataset(21, n=60)
+        with pytest.raises(ValueError, match="repeated"):
+            estimate_effects(
+                data, ("gcomp", "crude", "gcomp"), estimand,
+                BootstrapConfig(replications=10), np.random.default_rng(0),
+            )
+
     def test_label_flip_negates_points(self):
         data = random_dataset(18, n=150, k=2)
         flipped = Dataset(
