@@ -20,6 +20,7 @@ from .errors import (
     NotBracketedError,
     NotConvergedError,
     RankDeficientError,
+    ReplicateError,
     SeparationError,
 )
 from .estimators import (

@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -219,6 +220,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raise CliError("estimand must be rd or or")
     if cfg.scenario not in SCENARIO_IDS:
         raise CliError(f"scenario must be one of {SCENARIO_IDS}")
+    if cfg.oracle_datasets < 1 or cfg.oracle_size < 1:
+        raise CliError("--oracle-datasets and --oracle-size must be at least 1")
     return cfg
 
 
@@ -362,12 +365,18 @@ def _print_summary(summary: MetricsSummary, methods: tuple[str, ...]) -> None:
 def cmd_simulate(cfg: RunConfig) -> int:
     if (cfg.beta_trt is None) == (cfg.target_effect is None):
         raise CliError("simulate needs exactly one of --beta-trt / --target-effect")
+    # wall seconds of each set-up stage; None for a stage that did not run
+    setup_seconds = {"calibration": None, "truth_oracle": None}
     beta_trt = cfg.beta_trt
     if beta_trt is None:
+        started = time.perf_counter()
         beta_trt = _calibrated_beta_trt(cfg)
-    true_effect = (
-        cfg.true_effect if cfg.true_effect is not None else _truth_for(cfg, beta_trt)
-    )
+        setup_seconds["calibration"] = time.perf_counter() - started
+    true_effect = cfg.true_effect
+    if true_effect is None:
+        started = time.perf_counter()
+        true_effect = _truth_for(cfg, beta_trt)
+        setup_seconds["truth_oracle"] = time.perf_counter() - started
     methods = cfg.resolved_methods()
     spec = make_scenario(cfg.scenario, cfg.n, beta_trt, cfg.beta0_override)
     bootstrap = (
@@ -402,6 +411,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "outputs": [rep_path, sum_path],
             "bootstrap_refits_full_pipeline": True,
             "matching_order": "descending propensity, ties by index",
+            "setup_seconds": setup_seconds,
         },
     )
     print(f"scenario={cfg.scenario} n={cfg.n} estimand={cfg.estimand} "

@@ -68,3 +68,11 @@ class BootstrapCollapseError(EstimationError):
 
 class NotBracketedError(Exception):
     """Calibration target not reachable on the search interval."""
+
+
+class ReplicateError(Exception):
+    """A replicate raised something other than an ``EstimationError``.
+
+    The message names the scenario, master seed and replicate index, so the
+    replicate can be rerun on its own.
+    """

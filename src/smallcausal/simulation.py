@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from scipy.special import expit
 
 from .bootstrap import BootstrapConfig
 from .data import Dataset
-from .errors import NotBracketedError
+from .errors import EstimationError, NotBracketedError, ReplicateError
 from .estimators import (
     ESTIMAND_LOG_OR,
     ESTIMAND_RD,
@@ -204,13 +205,98 @@ def true_marginal_effect(
         sum1 += expit(eta + beta_trt).sum()
         sum0 += expit(eta).sum()
         total += dataset_size
-    m1 = sum1 / total
-    m0 = sum0 / total
+    return _contrast(sum1 / total, sum0 / total, estimand)
+
+
+def _contrast(m1: float, m0: float, estimand: str) -> float:
+    """Effect of the marginal probabilities ``m1`` (treated), ``m0`` (control)."""
     if estimand == "rd":
         return m1 - m0
     if estimand == "or":
         return (m1 / (1.0 - m1)) / (m0 / (1.0 - m0))
     raise ValueError(f"unknown estimand: {estimand!r}")
+
+
+def _linear_predictor_table(
+    spec: ScenarioSpec,
+    n_datasets: int,
+    dataset_size: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Sorted distinct outcome linear predictors of the oracle draws, and counts.
+
+    Draws the datasets exactly as ``true_marginal_effect`` does, so averaging
+    ``expit(values + beta_trt)`` with these counts is that oracle up to the
+    order of summation.  Returns ``None`` once more than ``dataset_size``
+    distinct values appear (a continuous covariate), so the table never
+    outgrows one dataset.
+    """
+    alpha = np.asarray(spec.alpha)
+    values = np.empty(0)
+    counts = np.empty(0)  # whole numbers, exact in float64
+    for _ in range(n_datasets):
+        X = _draw_covariates(spec.scenario_id, dataset_size, rng)
+        eta = np.sort(alpha[0] + X @ alpha[1:])
+        first = np.flatnonzero(np.concatenate(([True], eta[1:] != eta[:-1])))
+        new_values = eta[first]
+        new_counts = np.diff(first, append=dataset_size)
+        # merge into the sorted table: add counts of known values, insert the rest
+        pos = np.searchsorted(values, new_values)
+        known = pos < len(values)
+        known[known] = values[pos[known]] == new_values[known]
+        counts[pos[known]] += new_counts[known]
+        fresh = ~known
+        values = np.insert(values, pos[fresh], new_values[fresh])
+        counts = np.insert(counts, pos[fresh], new_counts[fresh])
+        if len(values) > dataset_size:
+            return None
+    return values, counts
+
+
+def _calibration_objective(
+    scenario_id: str,
+    estimand: str,
+    beta0_override: float | None,
+    master_seed: int,
+    n_datasets: int,
+    dataset_size: int,
+) -> Callable[[float], float]:
+    """The calibration oracle as a function of the treatment coefficient.
+
+    Every evaluation sees the same derived stream (common random numbers).
+    The stream is drawn once into a table of distinct outcome linear
+    predictors, so an evaluation costs one pass over the table; when the
+    covariates take too many distinct values for a table, every evaluation
+    redraws the stream through ``true_marginal_effect``.
+    """
+
+    def calibration_stream() -> np.random.Generator:
+        return derive_substream(master_seed, scenario_id, 0, "calibration")
+
+    table = _linear_predictor_table(
+        make_scenario(scenario_id, dataset_size, 0.0, beta0_override),
+        n_datasets,
+        dataset_size,
+        calibration_stream(),
+    )
+    if table is None:
+
+        def redraw(beta_trt: float) -> float:
+            spec = make_scenario(scenario_id, dataset_size, beta_trt, beta0_override)
+            return true_marginal_effect(
+                spec, estimand, n_datasets, dataset_size, calibration_stream()
+            )
+
+        return redraw
+
+    values, counts = table
+    total = n_datasets * dataset_size
+    m0 = counts @ expit(values) / total
+
+    def from_table(beta_trt: float) -> float:
+        return _contrast(counts @ expit(values + beta_trt) / total, m0, estimand)
+
+    return from_table
 
 
 def calibrate_beta_trt(
@@ -237,17 +323,14 @@ def calibrate_beta_trt(
     if target < null_value:
         raise NotBracketedError("targets below the null effect are not searched")
 
-    def objective(beta_trt: float) -> float:
-        spec = make_scenario(scenario_id, dataset_size, beta_trt, beta0_override)
-        rng = derive_substream(master_seed, scenario_id, 0, "calibration")
-        return true_marginal_effect(spec, estimand, n_datasets, dataset_size, rng)
-
+    objective = _calibration_objective(
+        scenario_id, estimand, beta0_override, master_seed, n_datasets, dataset_size
+    )
     if objective(upper) < target - tolerance:
         raise NotBracketedError(
             f"target {target} not reachable with coefficient at most {upper}"
         )
     lo, hi = 0.0, upper
-    mid = 0.5 * upper
     for _ in range(max_iterations):
         mid = 0.5 * (lo + hi)
         value = objective(mid)
@@ -306,18 +389,29 @@ def run_replicate(
 
     All randomness comes from substreams keyed by (master seed, scenario,
     replicate index, purpose), so results are independent of scheduling.
+    Statistical failures come back recorded in the estimates; any other
+    exception is re-raised as a ``ReplicateError`` naming the replicate.
     """
-    data_rng = derive_substream(
-        master_seed, spec.scenario_id, replicate_index, "data"
-    )
-    data, _ = generate(spec, data_rng)
-    boot_rng = derive_substream(
-        master_seed, spec.scenario_id, replicate_index, "bootstrap"
-    )
-    estimand_tag = ESTIMAND_RD if estimand == "rd" else ESTIMAND_LOG_OR
-    estimates = estimate_effects(
-        data, tuple(methods), estimand_tag, bootstrap=bootstrap, rng=boot_rng
-    )
+    try:
+        data_rng = derive_substream(
+            master_seed, spec.scenario_id, replicate_index, "data"
+        )
+        data, _ = generate(spec, data_rng)
+        boot_rng = derive_substream(
+            master_seed, spec.scenario_id, replicate_index, "bootstrap"
+        )
+        estimand_tag = ESTIMAND_RD if estimand == "rd" else ESTIMAND_LOG_OR
+        estimates = estimate_effects(
+            data, tuple(methods), estimand_tag, bootstrap=bootstrap, rng=boot_rng
+        )
+    except EstimationError:
+        raise
+    except Exception as exc:
+        # the message carries the cause: a process pool pickles only the args
+        raise ReplicateError(
+            f"replicate {replicate_index} of scenario {spec.scenario_id!r} at "
+            f"master seed {master_seed} raised {type(exc).__name__}: {exc}"
+        ) from exc
     return ReplicateResult(replicate_index, estimates, true_effect)
 
 

@@ -1,12 +1,15 @@
 import csv
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
 
+from smallcausal import simulation
 from smallcausal.cli import RunConfig, main, read_dataset_csv
 from smallcausal.data import Dataset
+from smallcausal.errors import ReplicateError
 from smallcausal.estimators import estimate_effects, ESTIMAND_RD
 
 
@@ -55,6 +58,15 @@ class TestCalibrate:
         )
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--oracle-datasets", "--oracle-size"])
+    def test_empty_oracle_refused(self, tmp_path, flag):
+        rc = run_cli(
+            "calibrate", "--scenario", "austin", "--target-effect", "0.1",
+            flag, "0", "--out", str(tmp_path / "z"),
+        )
+        assert rc == 2
+        assert not (tmp_path / "z_calibration.json").exists()
 
 
 class TestSimulate:
@@ -173,6 +185,42 @@ class TestSimulate:
         with open(tmp_path / "c_replicates.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3  # flag overrides the file's 4
+
+    def test_setup_seconds_in_meta(self, tmp_path):
+        common = [
+            "simulate", "--scenario", "austin", "--n", "40", "--replicates", "2",
+            "--bootstrap", "0", "--methods", "crude", "--workers", "1",
+            "--oracle-datasets", "5", "--oracle-size", "2000",
+        ]
+        assert run_cli(*common, "--target-effect", "0.1", "--out", str(tmp_path / "t")) == 0
+        setup = json.loads((tmp_path / "t_meta.json").read_text())["setup_seconds"]
+        assert set(setup) == {"calibration", "truth_oracle"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in setup.values())
+        assert run_cli(*common, "--beta-trt", "0.5", "--out", str(tmp_path / "b")) == 0
+        setup = json.loads((tmp_path / "b_meta.json").read_text())["setup_seconds"]
+        assert setup["calibration"] is None and setup["truth_oracle"] >= 0.0
+
+    def test_unexpected_replicate_error_names_the_replicate(self, tmp_path, monkeypatch):
+        generate = simulation.generate
+        calls = []
+
+        def failing_generate(spec, rng):
+            calls.append(None)
+            if len(calls) == 3:
+                raise ValueError("boom")
+            return generate(spec, rng)
+
+        monkeypatch.setattr(simulation, "generate", failing_generate)
+        with pytest.raises(ReplicateError) as excinfo:
+            run_cli(
+                "simulate", "--scenario", "covid", "--n", "40", "--replicates", "4",
+                "--bootstrap", "0", "--beta-trt", "0.5", "--methods", "crude",
+                "--seed", "11", "--workers", "1", "--out", str(tmp_path / "x"),
+            )
+        message = "replicate 2 of scenario 'covid' at master seed 11 raised ValueError: boom"
+        assert str(excinfo.value) == message
+        assert isinstance(excinfo.value.__cause__, ValueError)
+        assert str(pickle.loads(pickle.dumps(excinfo.value))) == message
 
 
 class TestAnalyze:

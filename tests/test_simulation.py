@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from helpers import summarize_oracle
+from smallcausal import simulation
 from smallcausal.bootstrap import BootstrapConfig
 from smallcausal.errors import NotBracketedError
 from smallcausal.estimators import ESTIMAND_RD, RD_METHODS, EffectEstimate
 from smallcausal.simulation import (
     CounterfactualTruth,
     ReplicateResult,
+    _calibration_objective,
     calibrate_beta_trt,
     generate,
     make_scenario,
@@ -128,6 +130,92 @@ class TestCalibration:
         assert calibrate_beta_trt("covid", 0.16, **kw) == calibrate_beta_trt(
             "covid", 0.16, **kw
         )
+
+
+def reference_calibration(
+    scenario_id, target, estimand, beta0, seed, n_datasets, dataset_size,
+    tolerance, upper=6.0, max_iterations=80,
+):
+    """The bisection of ``calibrate_beta_trt``, every step redrawing the
+    calibration stream through ``true_marginal_effect``."""
+
+    def objective(beta_trt):
+        spec = make_scenario(scenario_id, dataset_size, beta_trt, beta0)
+        rng = derive_substream(seed, scenario_id, 0, "calibration")
+        return true_marginal_effect(spec, estimand, n_datasets, dataset_size, rng)
+
+    if objective(upper) < target - tolerance:
+        raise NotBracketedError("not bracketed")
+    lo, hi = 0.0, upper
+    for _ in range(max_iterations):
+        mid = 0.5 * (lo + hi)
+        value = objective(mid)
+        if abs(value - target) <= tolerance:
+            return mid
+        if value < target:
+            lo = mid
+        else:
+            hi = mid
+    raise NotBracketedError("budget exhausted")
+
+
+# 10 x 10,000 keeps covid inside its table (about 5,700 distinct linear
+# predictors); unmeasured has a continuous covariate and redraws every step
+ORACLE = dict(n_datasets=10, dataset_size=10_000)
+TARGETS = [("rd", 0.16, 0.002), ("or", 2.0, 0.02)]
+CALIBRATION_CASES = [
+    (scenario, beta0, estimand, target, tolerance, seed)
+    for scenario, beta0 in [("covid", None), ("austin", None), ("austin", -1.5)]
+    for estimand, target, tolerance in TARGETS
+    for seed in (0, 7, 2007)
+] + [("unmeasured", None, *t, 0) for t in TARGETS]
+
+
+class TestCalibrationTable:
+    @pytest.mark.parametrize(
+        "scenario,beta0,estimand,target,tolerance,seed", CALIBRATION_CASES
+    )
+    def test_same_coefficient_as_redrawing_bisection(
+        self, scenario, beta0, estimand, target, tolerance, seed
+    ):
+        got = calibrate_beta_trt(
+            scenario, target, estimand, beta0, seed, tolerance=tolerance, **ORACLE
+        )
+        expected = reference_calibration(
+            scenario, target, estimand, beta0, seed,
+            ORACLE["n_datasets"], ORACLE["dataset_size"], tolerance,
+        )
+        assert got == expected
+
+    @pytest.mark.parametrize("scenario", ["covid", "austin"])
+    @pytest.mark.parametrize("estimand", ["rd", "or"])
+    def test_table_objective_matches_oracle(self, scenario, estimand):
+        objective = _calibration_objective(scenario, estimand, None, 3, **ORACLE)
+        for beta_trt in (0.1, 0.87, 2.5, 6.0):
+            spec = make_scenario(scenario, ORACLE["dataset_size"], beta_trt)
+            expected = true_marginal_effect(
+                spec, estimand, rng=derive_substream(3, scenario, 0, "calibration"),
+                **ORACLE,
+            )
+            assert objective(beta_trt) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "scenario,draws_once", [("covid", True), ("austin", True), ("unmeasured", False)]
+    )
+    def test_stream_drawn_once_when_tabulable(self, monkeypatch, scenario, draws_once):
+        calls = []
+        draw = simulation._draw_covariates
+
+        def counting_draw(*args):
+            calls.append(None)
+            return draw(*args)
+
+        monkeypatch.setattr(simulation, "_draw_covariates", counting_draw)
+        calibrate_beta_trt(scenario, 0.16, master_seed=0, **ORACLE)
+        if draws_once:
+            assert len(calls) == ORACLE["n_datasets"]
+        else:
+            assert len(calls) > 2 * ORACLE["n_datasets"]
 
 
 class TestReplicates:
