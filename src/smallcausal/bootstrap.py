@@ -13,7 +13,7 @@ from .errors import BootstrapCollapseError, EstimationError
 
 #: a batch block holds about this many doubles per (resamples, n, columns)
 #: array, with the data's columns as the width; it bounds the batch's memory
-BATCH_DOUBLES = 2**15
+BATCH_DOUBLES = 2**16
 
 
 @dataclass(frozen=True)

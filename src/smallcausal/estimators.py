@@ -349,9 +349,7 @@ def _gcomp_batch_means(
     logits = dummies = None
     if q_spec != "plain":
         X_ps = _intercept_design(*data.covariates.T)
-        gamma, ok = fit_logistic_batch(
-            np.broadcast_to(X_ps, (b,) + X_ps.shape), data.treatment, counts
-        )
+        gamma, ok = fit_logistic_batch(X_ps, data.treatment, counts)
         settled &= ok
         logits = gamma @ X_ps.T
     if q_spec == "dr_quintiles":
@@ -360,17 +358,17 @@ def _gcomp_batch_means(
         settled &= n_distinct >= 5
 
     def design(treatment: np.ndarray) -> np.ndarray:
-        X = _q_model_design(data, q_spec, treatment, logits, dummies)
-        return np.broadcast_to(X, (b, n, X.shape[-1]))
+        # plain: one (n, p) design for every resample; otherwise (b, n, p)
+        return _q_model_design(data, q_spec, treatment, logits, dummies)
 
     beta, ok = fit_logistic_batch(design(data.treatment), data.outcome, counts)
     settled &= ok
     means = []
     for a in (np.ones(n), np.zeros(n)):
         X = design(a)
-        settled &= np.isfinite(X).all(axis=(1, 2))  # the scalar path decides
+        settled &= np.isfinite(X).all(axis=(-2, -1))  # the scalar path decides
         with np.errstate(over="ignore", invalid="ignore"):
-            eta = np.einsum("bnp,bp->bn", X, beta)
+            eta = np.matmul(X, beta[:, :, None])[:, :, 0]
         means.append((counts * expit(eta)).sum(axis=1) / n)
     m1, m0 = means
     settled &= np.isfinite(m1) & np.isfinite(m0)
@@ -451,19 +449,24 @@ def aipw_rd(data: Dataset, ps: PropensityScores) -> EffectEstimate:
     augmentation term; the standard error is the empirical SD of the
     per-subject influence contributions over sqrt(n).  An arm model whose
     observed information is numerically singular at the optimum (the
-    signature of separation) fails the method.
+    signature of separation) fails the method, and so does an
+    inverse-probability weight that overflows (a propensity logit beyond
+    about 709 in the subject's own arm).
     """
     try:
         m1, m0 = _aipw_arm_predictions(data)
     except EstimationError as exc:
         return _failed(ESTIMAND_RD, "aipw", exc)
-    a = data.treatment
     y = data.outcome
-    eta = ps.logits
-    w1 = 1.0 + np.exp(-eta)  # 1 / p
-    w0 = 1.0 + np.exp(eta)  # 1 / (1 - p)
-    term1 = a * y * w1 - (a * w1 - 1.0) * m1
-    term0 = (1.0 - a) * y * w0 + (a + (1.0 - a) * (1.0 - w0)) * m0
+    treated = data.treatment == 1
+    # 1/p for treated rows and 1/(1-p) for controls, each only where used
+    w = np.abs(_signed_ip_covariate(data.treatment, ps.logits))
+    if not np.isfinite(w).all():
+        return _failed(
+            ESTIMAND_RD, "aipw", SeparationError("inverse-probability weight overflows")
+        )
+    term1 = np.where(treated, y * w - (w - 1.0) * m1, m1)
+    term0 = np.where(treated, m0, y * w + (1.0 - w) * m0)
     phi = term1 - term0
     point = float(phi.mean())
     se = float(phi.std(ddof=1) / math.sqrt(len(phi)))
@@ -629,7 +632,8 @@ def estimate_effects(
     """Run every requested method on one dataset, in the requested order.
 
     A method whose propensity score or matched sample could not be built
-    fails with that reason and never touches ``rng``.
+    fails with that reason and never touches ``rng``.  A successful estimate
+    with a non-finite point, SE or CI endpoint raises ArithmeticError.
     """
     registry = METHODS[estimand]
     unknown = set(methods) - set(registry)
@@ -650,4 +654,14 @@ def estimate_effects(
             results[method] = or_estimate(data, method, ps, matched, bootstrap, rng)
         else:
             results[method] = row.fn(data, ps, matched, bootstrap, rng)
+        _check_finite(results[method])
     return results
+
+
+def _check_finite(estimate: EffectEstimate) -> None:
+    """A successful estimate has a finite point, and a finite SE and CI when
+    present.  A method that breaks this is a program bug, not a statistical
+    failure, so it raises."""
+    numbers = (estimate.point, estimate.se, *(estimate.ci or ()))
+    if not all(x is None or math.isfinite(x) for x in numbers):
+        raise ArithmeticError(f"method {estimate.method!r} returned {estimate}")

@@ -7,6 +7,7 @@ silently dropping columns, because the simulation harness counts failures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -304,17 +305,58 @@ def fit_logistic(
     )
 
 
+def _linear_predictors(X: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """``(b, n)`` linear predictors of a shared ``(n, p)`` or a ``(b, n, p)``
+    design."""
+    if X.ndim == 2:
+        return coefficients @ X.T
+    return (X @ coefficients[:, :, None])[:, :, 0]
+
+
+def _weighted_column_sums(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``(b, p)`` sums ``v[j] @ X[j]`` of a shared or a stacked design."""
+    if X.ndim == 2:
+        return v @ X
+    return (v[:, None, :] @ X)[:, 0]
+
+
+def _qr_steps(
+    X: np.ndarray, irls_w: np.ndarray, score: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps and the pivot-ratio check through the QR of ``sqrt(w)X``,
+    as :func:`fit_logistic` takes them; returns ``(step, failed)``."""
+    R = np.linalg.qr(np.sqrt(irls_w)[:, :, None] * X, mode="r")
+    piv = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    failed = ~(
+        (piv.max(axis=1) > 0.0)
+        & (piv.min(axis=1) >= 10 * PIVOT_RTOL * piv.max(axis=1))
+    )
+    R[failed] = np.eye(R.shape[-1])  # a harmless solve; the row is dropped
+    # solved through R so saturated rows (irls weight exactly 0) still
+    # contribute their score
+    half = np.linalg.solve(np.swapaxes(R, 1, 2), score[:, :, None])
+    return np.linalg.solve(R, half)[:, :, 0], failed
+
+
 def fit_logistic_batch(
     X: np.ndarray, y: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frequency-weighted logistic fits of a stack of resamples, by one IRLS.
 
-    ``X`` is ``(b, n, p)`` (a broadcast view when the design is shared),
-    ``y`` broadcasts against ``(b, n)`` and ``counts[j, i]`` is how often row
-    ``i`` appears in resample ``j``.  The MLE on the duplicated rows equals
-    the count-weighted MLE on the original rows, so row ``j`` reproduces
-    ``fit_logistic(X[j][idx], y[idx])`` up to rounding.  The stop rules are
-    those of :func:`fit_logistic`.
+    ``X`` is one ``(n, p)`` design shared by every resample or a ``(b, n,
+    p)`` stack, ``y`` broadcasts against ``(b, n)`` and ``counts[j, i]`` is
+    how often row ``i`` appears in resample ``j``.  The MLE on the duplicated
+    rows equals the count-weighted MLE on the original rows, so row ``j``
+    reproduces ``fit_logistic(X[j][idx], y[idx])`` up to rounding.  The stop
+    rules are those of :func:`fit_logistic`.
+
+    Each Newton step solves the weighted Gram ``X'WX``, factored by
+    Cholesky; with a shared design the Gram is one product with the row
+    outer products of ``X``.  ``diag(L)`` equals ``|diag(R)|`` of the QR in
+    exact arithmetic, but it carries the Gram's rounding, about
+    ``sqrt((n + p) eps)`` of the largest pivot.  So a row whose Cholesky
+    pivot ratio is below that bound, or every row when the batched Cholesky
+    fails, takes the QR step and the QR pivot check instead.
 
     Returns ``(coefficients, settled)``.  A row is settled only when it is
     far from every failure rule of the scalar fit: its design is finite,
@@ -325,40 +367,52 @@ def fit_logistic_batch(
     """
     X = np.asarray(X, dtype=float)
     counts = np.asarray(counts, dtype=float)
-    b, n, p = X.shape
+    b, n = counts.shape
+    p = X.shape[-1]
+    shared = X.ndim == 2
     y = np.broadcast_to(np.asarray(y, dtype=float), counts.shape)
     beta = np.zeros((b, p))
-    settled = np.isfinite(X).all(axis=(1, 2)) & (n >= p)
+    finite = np.isfinite(X).all(axis=(-2, -1))  # one flag for a shared design
+    settled = np.broadcast_to(finite & (n >= p), (b,)).copy()
+    if shared:
+        outer = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
+    cholesky_rtol = math.sqrt((n + p) * np.finfo(float).eps)
     deviance_prev = np.full(b, np.nan)
     # the rows still iterating, and their slices of every input
     rows = np.flatnonzero(settled)
-    Xr = X if rows.size == b else X[rows]  # no copy of a shared design
+    Xr = X if shared or rows.size == b else X[rows]
     wr, yr, br = counts[rows], y[rows], beta[rows]
     for it in range(1, IRLS_MAX_ITER + 1):
         if rows.size == 0:
             break
-        prob = expit(np.einsum("bnp,bp->bn", Xr, br))
-        score = np.einsum("bnp,bn->bp", Xr, wr * (yr - prob))
+        prob = expit(_linear_predictors(Xr, br))
+        score = _weighted_column_sums(Xr, wr * (yr - prob))
         converged = np.abs(score).max(axis=1) <= IRLS_SCORE_TOL
         # every iterating row is factorised, so the first factorisation is
         # the design rank check whether or not the score stops the fit
-        sw = np.sqrt(wr * prob * (1.0 - prob))
-        R = np.linalg.qr(sw[:, :, None] * Xr, mode="r")
-        piv = np.abs(np.diagonal(R, axis1=1, axis2=2))
-        failed = ~(
-            (piv.max(axis=1) > 0.0)
-            & (piv.min(axis=1) >= 10 * PIVOT_RTOL * piv.max(axis=1))
-        )
-        if failed.any():
-            R[failed] = np.eye(p)  # a harmless solve; the row is dropped
-        half = np.linalg.solve(np.swapaxes(R, 1, 2), score[:, :, None])
-        step = np.linalg.solve(R, half)[:, :, 0]
+        irls_w = wr * prob * (1.0 - prob)
+        if shared:
+            gram = (irls_w @ outer).reshape(-1, p, p)
+        else:
+            gram = (np.swapaxes(Xr, 1, 2) * irls_w[:, None, :]) @ Xr
+        try:
+            piv = np.diagonal(np.linalg.cholesky(gram), axis1=1, axis2=2)
+            use_qr = ~(piv.min(axis=1) >= cholesky_rtol * piv.max(axis=1))
+        except np.linalg.LinAlgError:  # raised for the whole stack
+            use_qr = np.ones(rows.size, dtype=bool)
+        gram[use_qr] = np.eye(p)  # a harmless solve; the QR step replaces it
+        step = np.linalg.solve(gram, score[:, :, None])[:, :, 0]
+        failed = np.zeros(rows.size, dtype=bool)
+        if use_qr.any():
+            step[use_qr], failed[use_qr] = _qr_steps(
+                Xr if shared else Xr[use_qr], irls_w[use_qr], score[use_qr]
+            )
         step[converged | failed] = 0.0
         failed |= ~np.isfinite(step).all(axis=1)
         step[failed] = 0.0
         br += step
         if it >= IRLS_MAX_ITER - 1:
-            prob = expit(np.einsum("bnp,bp->bn", Xr, br))
+            prob = expit(_linear_predictors(Xr, br))
             deviance = _binomial_deviance(yr, prob, wr)
             if it == IRLS_MAX_ITER:
                 # a scalar fit near the plateau bound may fall either side,
@@ -371,7 +425,9 @@ def fit_logistic_batch(
         settled[rows[failed]] = False
         keep = ~(converged | failed)
         if not keep.all():
-            rows, Xr, wr, yr, br = (a[keep] for a in (rows, Xr, wr, yr, br))
+            rows, wr, yr, br = (a[keep] for a in (rows, wr, yr, br))
+            if not shared:
+                Xr = Xr[keep]
     settled[rows] = False  # still walking at the cap
     return beta, settled
 

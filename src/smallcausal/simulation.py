@@ -179,6 +179,10 @@ def generate(
 # truth oracle and calibration
 # ---------------------------------------------------------------------------
 
+#: the calibration table of distinct linear predictors keeps at least this
+#: many entries (1 MB of values and counts) before it gives up
+TABLE_ENTRIES = 2**16
+
 
 def true_marginal_effect(
     spec: ScenarioSpec,
@@ -227,9 +231,9 @@ def _linear_predictor_table(
 
     Draws the datasets exactly as ``true_marginal_effect`` does, so averaging
     ``expit(values + beta_trt)`` with these counts is that oracle up to the
-    order of summation.  Returns ``None`` once more than ``dataset_size``
-    distinct values appear (a continuous covariate), so the table never
-    outgrows one dataset.
+    order of summation.  Returns ``None`` once more than
+    ``max(dataset_size, TABLE_ENTRIES)`` distinct values appear (a continuous
+    covariate), so the table never outgrows the larger of one dataset and 1 MB.
     """
     alpha = np.asarray(spec.alpha)
     values = np.empty(0)
@@ -248,7 +252,7 @@ def _linear_predictor_table(
         fresh = ~known
         values = np.insert(values, pos[fresh], new_values[fresh])
         counts = np.insert(counts, pos[fresh], new_counts[fresh])
-        if len(values) > dataset_size:
+        if len(values) > max(dataset_size, TABLE_ENTRIES):
             return None
     return values, counts
 

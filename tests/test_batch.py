@@ -20,6 +20,7 @@ from smallcausal.estimators import (
     _gcomp_means,
     _intercept_design,
     _log_or,
+    _q_model_design,
     _signed_ip_covariate,
     gcomp_rd,
 )
@@ -37,18 +38,21 @@ def resample_counts(indices, n):
     return np.stack([np.bincount(row, minlength=n) for row in indices]).astype(float)
 
 
-def batch_ps_fits(data, indices):
+def batch_ps_fits(data, indices, shared=True):
+    """Batched PS fits of the resamples, on the ``(n, p)`` design or on its
+    ``(b, n, p)`` broadcast."""
     X = _intercept_design(*data.covariates.T)
     counts = resample_counts(indices, data.n_subjects)
-    stacked = np.broadcast_to(X, (len(indices),) + X.shape)
-    return X, fit_logistic_batch(stacked, data.treatment, counts)
+    design = X if shared else np.broadcast_to(X, (len(indices),) + X.shape)
+    return X, fit_logistic_batch(design, data.treatment, counts)
 
 
 class TestFitLogisticBatch:
-    def test_matches_scalar_fits_on_covid_resamples(self):
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_matches_scalar_fits_on_covid_resamples(self, shared):
         data = scenario_data("covid", 1)
         indices = np.random.default_rng(2).integers(0, 100, size=(50, 100))
-        X, (beta, settled) = batch_ps_fits(data, indices)
+        X, (beta, settled) = batch_ps_fits(data, indices, shared)
         assert settled.sum() >= 45
         for j, idx in enumerate(indices):
             try:
@@ -61,19 +65,58 @@ class TestFitLogisticBatch:
                     beta[j], fit.coefficients, rtol=0, atol=1e-10
                 )
 
+    @pytest.mark.parametrize("scenario,beta0", [("covid", None), ("austin", -1.5)])
+    def test_shared_design_matches_its_broadcast(self, scenario, beta0):
+        data = scenario_data(scenario, 1, beta0=beta0)
+        indices = np.random.default_rng(2).integers(0, 100, size=(50, 100))
+        _, (beta, settled) = batch_ps_fits(data, indices, shared=True)
+        _, (beta3, settled3) = batch_ps_fits(data, indices, shared=False)
+        assert settled.tolist() == settled3.tolist()
+        np.testing.assert_allclose(beta, beta3, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("ratio,fits", [(3e-11, False), (3e-9, True)])
+    def test_pivot_ratio_near_the_threshold_decides_like_scalar(self, ratio, fits):
+        # the last column scaled so the design's pivot ratio is ``ratio``:
+        # far below the Cholesky bound, so the QR check decides, and the
+        # scalar fit raises RankDeficient exactly when the batch unsettles
+        data = scenario_data("covid", 1)
+        X = _intercept_design(*data.covariates.T)
+        piv = np.abs(np.diag(np.linalg.qr(X, mode="r")))
+        X[:, -1] *= ratio * piv.max() / piv[-1]
+        indices = np.random.default_rng(2).integers(0, 100, size=(20, 100))
+        beta, settled = fit_logistic_batch(
+            X, data.treatment, resample_counts(indices, 100)
+        )
+        assert settled.tolist() == [fits] * 20
+        for j, idx in enumerate(indices):
+            if not fits:
+                with pytest.raises(RankDeficientError):
+                    fit_logistic(X[idx], data.treatment[idx])
+                continue
+            fit = fit_logistic(X[idx], data.treatment[idx])
+            np.testing.assert_allclose(beta[j], fit.coefficients, rtol=1e-7)
+
     def test_all_zero_dummy_column_is_unsettled(self):
         data = scenario_data("covid", 3)
         n = data.n_subjects
         # column 3 is the clinical-status-1 dummy; drop every row that has it
         keep = np.flatnonzero(data.covariates[:, 2] == 0)
         rng = np.random.default_rng(4)
-        indices = np.stack([rng.integers(0, n, size=n), rng.choice(keep, size=n)])
+        indices = rng.integers(0, n, size=(12, n))
+        indices[5] = rng.choice(keep, size=n)
         X, (beta, settled) = batch_ps_fits(data, indices)
+        # its Gram is singular, so the block's batched Cholesky raises
+        counts = resample_counts(indices[5:6], n)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky((X.T * counts) @ X)
         with pytest.raises(RankDeficientError):
-            fit_logistic(X[indices[1]], data.treatment[indices[1]])
-        fit_logistic(X[indices[0]], data.treatment[indices[0]])
-        assert settled.tolist() == [True, False]
-        assert (beta[1] == 0).all()
+            fit_logistic(X[indices[5]], data.treatment[indices[5]])
+        assert not settled[5]
+        assert (beta[5] == 0).all()
+        for j in np.flatnonzero(np.arange(12) != 5):
+            assert settled[j]
+            fit = fit_logistic(X[indices[j]], data.treatment[indices[j]])
+            np.testing.assert_allclose(beta[j], fit.coefficients, rtol=0, atol=1e-10)
 
     def test_plateau_settles_iff_scalar_accepts_it(self):
         data = scenario_data("austin", 0, beta0=-1.5)
@@ -211,6 +254,22 @@ class TestNonFiniteGcomp:
             est = gcomp_rd(data, "simple_dr", self.scores(data, logits))
         assert not est.failed
         assert -1.0 <= est.point <= 1.0
+
+    def test_counterfactual_overflow_predicts_the_limit(self):
+        # a treated subject at logit 800 has a -inf covariate under a = 0;
+        # its prediction there is expit(+-inf), exactly 0 or 1
+        data = scenario_data("covid", 10, n=60)
+        i = np.flatnonzero(data.treatment == 1)[0]
+        logits = np.linspace(-2.0, 1.0, data.n_subjects)
+        logits[i] = 800.0
+        m1, m0 = _gcomp_means(data, "simple_dr", self.scores(data, logits))
+        X = _q_model_design(data, "simple_dr", data.treatment, logits, None)
+        coef = fit_logistic(X, data.outcome).coefficients
+        X0 = _q_model_design(data, "simple_dr", np.zeros(60), logits, None)
+        assert X0[i, -1] == -np.inf and np.isfinite(np.delete(X0, i, axis=0)).all()
+        prediction = expit(np.delete(X0, i, axis=0) @ coef)
+        limit = 1.0 if coef[-1] < 0 else 0.0
+        assert m0 == pytest.approx((prediction.sum() + limit) / 60, rel=1e-13)
 
     def test_signed_covariate_is_the_two_branch_formula(self):
         eta = np.random.default_rng(11).normal(scale=3.0, size=50)

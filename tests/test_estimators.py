@@ -1,15 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
+from smallcausal import estimators, simulation
 from smallcausal.bootstrap import BootstrapConfig
 from smallcausal.data import Dataset
+from smallcausal.errors import ReplicateError
 from smallcausal.estimators import (
     ESTIMAND_LOG_OR,
     ESTIMAND_RD,
     OR_METHODS,
     RD_METHODS,
+    EffectEstimate,
     aipw_rd,
     covariate_adjusted_rd,
     crude_rd,
@@ -308,6 +313,33 @@ class TestAipwRd:
         est = aipw_rd(data, ps)
         assert est.failed
 
+    @staticmethod
+    def scores_with(data, arm, logit):
+        logits = np.linspace(-1.0, 1.0, data.n_subjects)
+        logits[np.flatnonzero(data.treatment == arm)[0]] = logit
+        return PropensityScores(
+            expit(logits), logits, constant_scores(4, 0.5).source_fit
+        )
+
+    def test_overflow_of_the_other_arms_weight_is_unused(self):
+        # a treated subject at logit 800: 1/(1-p) overflows but only controls
+        # use it, and 1/p is exactly 1 there as at logit 40
+        data = random_dataset(14, n=60, k=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = aipw_rd(data, self.scores_with(data, 1.0, 800.0))
+        expected = aipw_rd(data, self.scores_with(data, 1.0, 40.0))
+        assert not est.failed
+        assert (est.point, est.se, est.ci) == (expected.point, expected.se, expected.ci)
+
+    def test_overflow_of_a_used_weight_fails_as_separation(self):
+        data = random_dataset(14, n=60, k=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = aipw_rd(data, self.scores_with(data, 1.0, -800.0))
+        assert est.failed
+        assert est.failure_reason == "Separation"
+
 
 class TestOrFamily:
     def test_crude_study_counts(self):
@@ -391,6 +423,17 @@ class TestEstimateEffects:
                 data, ("gcomp", "crude", "gcomp"), estimand,
                 BootstrapConfig(replications=10), np.random.default_rng(0),
             )
+
+    def test_non_finite_success_raises(self, monkeypatch):
+        def nan_crude(data):
+            return EffectEstimate(ESTIMAND_RD, "crude", math.nan)
+
+        monkeypatch.setattr(estimators, "crude_rd", nan_crude)
+        with pytest.raises(ArithmeticError, match="crude"):
+            estimate_effects(random_dataset(20, n=40), ("crude",), ESTIMAND_RD)
+        spec = simulation.make_scenario("covid", 40, 0.5)
+        with pytest.raises(ReplicateError, match="ArithmeticError"):
+            simulation.run_replicate(spec, ("crude",), "rd", None, 3, 5, 0.1)
 
     def test_label_flip_negates_points(self):
         data = random_dataset(18, n=150, k=2)

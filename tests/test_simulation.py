@@ -218,6 +218,35 @@ class TestCalibrationTable:
             assert len(calls) > 2 * ORACLE["n_datasets"]
 
 
+    def test_small_covid_oracle_keeps_its_table(self):
+        # a 20 x 2,000 covid oracle has a few thousand distinct predictors,
+        # more than one dataset's rows but well inside the entry budget
+        oracle = dict(n_datasets=20, dataset_size=2000)
+        spec = make_scenario("covid", 2000, 0.0)
+        rng = derive_substream(0, "covid", 0, "calibration")
+        values, _ = simulation._linear_predictor_table(spec, rng=rng, **oracle)
+        assert 2000 < len(values) <= simulation.TABLE_ENTRIES
+        got = calibrate_beta_trt("covid", 0.16, master_seed=0, **oracle)
+        assert got == reference_calibration(
+            "covid", 0.16, "rd", None, 0, tolerance=0.002, **oracle
+        )
+
+    def test_continuous_covariate_gives_up_after_a_few_datasets(self, monkeypatch):
+        calls = []
+        draw = simulation._draw_covariates
+
+        def counting_draw(*args):
+            calls.append(None)
+            return draw(*args)
+
+        monkeypatch.setattr(simulation, "_draw_covariates", counting_draw)
+        spec = make_scenario("unmeasured", 10_000, 0.0)
+        rng = derive_substream(0, "unmeasured", 0, "calibration")
+        assert simulation._linear_predictor_table(spec, 20, 10_000, rng) is None
+        # every row is distinct: the budget is passed on the seventh dataset
+        assert len(calls) == -(-simulation.TABLE_ENTRIES // 10_000)
+
+
 class TestReplicates:
     def test_replicate_deterministic(self):
         spec = make_scenario("covid", 60, 0.5)
