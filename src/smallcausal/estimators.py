@@ -48,6 +48,7 @@ from .propensity import (
     match_caliper,
     ps_quintile_dummies,
     quintile_strata,
+    signed_inverse_probability,
 )
 
 ESTIMAND_RD = "risk_difference"
@@ -63,9 +64,10 @@ class Method:
     """One registry row.
 
     ``fn(data, ps, matched, bootstrap, rng)`` runs the method.  A
-    risk-difference row calls the method's public function and returns its
-    estimate.  An odds-ratio row returns ``(point, se, ci)`` or raises an
-    EstimationError, and is run by :func:`or_estimate`.  Functions are looked
+    risk-difference row returns the estimate of the method's public function
+    or raises an EstimationError (an overflowing ``iptw`` weight).  An
+    odds-ratio row returns ``(point, se, ci)`` or raises an EstimationError,
+    and is run by :func:`or_estimate`.  Functions are looked
     up by module-level name at call time, so rebinding a public estimator
     (to trace it, say) reaches every dispatch.
     """
@@ -259,21 +261,6 @@ def iptw_rd(data: Dataset, weights: IptwWeights) -> EffectEstimate:
     return EffectEstimate(ESTIMAND_RD, "iptw", point, se, wald_ci(point, se))
 
 
-def _signed_ip_covariate(a: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """1/p for treated rows and -1/(1-p) for controls, from the logits.
-
-    Each branch is computed only on the rows that use it, so the unused one
-    cannot overflow; an overflow in a used branch is left as inf for the
-    caller's finiteness check.
-    """
-    treated = np.broadcast_to(a == 1, eta.shape)
-    z = np.empty(eta.shape)
-    with np.errstate(over="ignore"):
-        z[treated] = 1.0 + np.exp(-eta[treated])
-        z[~treated] = -(1.0 + np.exp(eta[~treated]))
-    return z
-
-
 def _q_model_design(
     data: Dataset,
     q_spec: str,
@@ -292,7 +279,7 @@ def _q_model_design(
     if q_spec == "simple_dr":
         # signed inverse-probability covariate, recomputed under the
         # counterfactual treatment when predicting
-        extra = _signed_ip_covariate(a, logits)[..., None]
+        extra = signed_inverse_probability(a, logits)[..., None]
     elif q_spec == "dr_quintiles":
         extra = dummies
     elif q_spec == "plain":
@@ -455,16 +442,11 @@ def aipw_rd(data: Dataset, ps: PropensityScores) -> EffectEstimate:
     """
     try:
         m1, m0 = _aipw_arm_predictions(data)
+        w = iptw_weights(ps, data.treatment).weights
     except EstimationError as exc:
         return _failed(ESTIMAND_RD, "aipw", exc)
     y = data.outcome
     treated = data.treatment == 1
-    # 1/p for treated rows and 1/(1-p) for controls, each only where used
-    w = np.abs(_signed_ip_covariate(data.treatment, ps.logits))
-    if not np.isfinite(w).all():
-        return _failed(
-            ESTIMAND_RD, "aipw", SeparationError("inverse-probability weight overflows")
-        )
     term1 = np.where(treated, y * w - (w - 1.0) * m1, m1)
     term0 = np.where(treated, m0, y * w + (1.0 - w) * m0)
     phi = term1 - term0
@@ -653,7 +635,10 @@ def estimate_effects(
         elif estimand == ESTIMAND_LOG_OR:
             results[method] = or_estimate(data, method, ps, matched, bootstrap, rng)
         else:
-            results[method] = row.fn(data, ps, matched, bootstrap, rng)
+            try:
+                results[method] = row.fn(data, ps, matched, bootstrap, rng)
+            except EstimationError as exc:  # from building the method's input
+                results[method] = _failed(estimand, method, exc)
         _check_finite(results[method])
     return results
 

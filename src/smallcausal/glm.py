@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtri
 
 from .errors import (
     LeverageOneError,
@@ -91,18 +90,19 @@ def _as_design(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _checked_qr(M: np.ndarray, on_deficient: type[Exception] = RankDeficientError):
-    """Reduced QR with the pivot-magnitude rank check."""
-    Q, R = np.linalg.qr(M)
+def _checked_r(R: np.ndarray, on_deficient: type[Exception] = RankDeficientError):
+    """A QR's R factor (``mode="r"`` where Q is unused), rank-checked by pivots."""
     piv = np.abs(np.diag(R))
     if piv.size == 0 or piv.max() == 0.0 or piv.min() < PIVOT_RTOL * piv.max():
         raise on_deficient("design matrix is numerically rank deficient")
-    return Q, R
+    return R
 
 
 def _xtx_inverse(R: np.ndarray) -> np.ndarray:
     """(M'M)^-1 from the R factor of M's QR decomposition."""
-    r_inv = solve_triangular(R, np.eye(R.shape[0]))
+    # numpy, not scipy: a matrix right-hand side to scipy's solve_triangular
+    # wakes the BLAS thread pool scipy ships beside numpy's, and it spins
+    r_inv = np.linalg.inv(R)
     return r_inv @ r_inv.T
 
 
@@ -126,8 +126,8 @@ def fit_ols(
         raise ValueError("response contains non-finite values")
 
     if weights is None:
-        Q, R = _checked_qr(X)
-        beta = solve_triangular(R, Q.T @ y)
+        Q, R = np.linalg.qr(X)
+        beta = solve_triangular(_checked_r(R), Q.T @ y)
         residuals = y - X @ beta
         hat = np.einsum("ij,ij->i", Q, Q)
         xtx_inv = _xtx_inverse(R)
@@ -141,8 +141,8 @@ def fit_ols(
     if not np.isfinite(w).all() or (w < 0).any():
         raise ValueError("weights must be finite and nonnegative")
     sw = np.sqrt(w)
-    Q, R = _checked_qr(sw[:, None] * X)
-    beta = solve_triangular(R, Q.T @ (sw * y))
+    Q, R = np.linalg.qr(sw[:, None] * X)
+    beta = solve_triangular(_checked_r(R), Q.T @ (sw * y))
     residuals = y - X @ beta
     hat = np.einsum("ij,ij->i", Q, Q)
     bread_inv = _xtx_inverse(R)  # (X'WX)^-1
@@ -237,8 +237,8 @@ def fit_logistic(
         # at the zero start the irls weights are uniform, so the first
         # iteration's pivot ratios are those of X itself and double as the
         # design rank check
-        _, R = _checked_qr(
-            np.sqrt(irls_w)[:, None] * X,
+        R = _checked_r(
+            np.linalg.qr(np.sqrt(irls_w)[:, None] * X, mode="r"),
             on_deficient=RankDeficientError if it == 1 else NotConvergedError,
         )
         # (X'WX) step = score, solved through the R factor so saturated rows
@@ -259,7 +259,7 @@ def fit_logistic(
             break
 
     if iterations == 0:
-        _checked_qr(X)  # a zero-iteration exact fit still validates the design
+        _checked_r(np.linalg.qr(X, mode="r"))  # an exact start still checks X
 
     eta = X @ beta
     prob = expit(eta)
@@ -281,7 +281,7 @@ def fit_logistic(
     irls_w = w * prob * (1.0 - prob)
     covariance: np.ndarray | None
     try:
-        _, R = _checked_qr(np.sqrt(irls_w)[:, None] * X)
+        R = _checked_r(np.linalg.qr(np.sqrt(irls_w)[:, None] * X, mode="r"))
     except RankDeficientError:
         covariance = None
     else:
@@ -448,7 +448,7 @@ def weighted_sandwich_covariance(
         bread_w = w * prob * (1.0 - prob)
     else:
         bread_w = w
-    _, R = _checked_qr(np.sqrt(bread_w)[:, None] * X)
+    R = _checked_r(np.linalg.qr(np.sqrt(bread_w)[:, None] * X, mode="r"))
     bread_inv = _xtx_inverse(R)
     meat = (X * (w * resid)[:, None] ** 2).T @ X
     return bread_inv @ meat @ bread_inv
@@ -460,5 +460,5 @@ def wald_ci(point: float, se: float, level: float = 0.95) -> tuple[float, float]
         raise ValueError("standard error must be nonnegative")
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must be inside (0, 1)")
-    z = norm.ppf(0.5 * (1.0 + level))
+    z = ndtri(0.5 * (1.0 + level))  # what scipy.stats.norm.ppf computes
     return point - z * se, point + z * se

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import Dataset
-from .errors import DegenerateStrataError, NoPairsError
+from .errors import DegenerateStrataError, NoPairsError, SeparationError
 from .glm import LogisticFit, fit_logistic
 
 DEFAULT_CALIPER_SD = 0.2
@@ -90,18 +90,16 @@ def match_caliper(
         np.argsort(-ps.probabilities[treated_idx], kind="stable")
     ]
     control_logits = logits[control_idx].astype(float)
-    available = np.ones(control_idx.size, dtype=bool)
 
     pairs: list[tuple[int, int]] = []
     for t in order:
-        if not available.any():
+        if len(pairs) == control_idx.size:
             break
         dist = np.abs(control_logits - logits[t])
-        dist[~available] = np.inf
         j = int(np.argmin(dist))  # first minimum = lowest control index
         if dist[j] <= caliper:
             pairs.append((int(t), int(control_idx[j])))
-            available[j] = False
+            control_logits[j] = np.inf  # a used control is never nearest
 
     if not pairs:
         raise NoPairsError("no control within the caliper for any treated subject")
@@ -111,13 +109,29 @@ def match_caliper(
 def iptw_weights(ps: PropensityScores, treatment: np.ndarray) -> IptwWeights:
     """1/p for treated and 1/(1-p) for controls, with no trimming.
 
-    Computed from the logits, so near-boundary scores give large finite
-    weights instead of overflowing; extreme weights are allowed by design.
+    Computed from the logits, each branch only where used, so near-boundary
+    scores give large finite weights; extreme weights are allowed by design.
+    A used weight that still overflows raises SeparationError.
     """
-    treatment = np.asarray(treatment)
-    eta = ps.logits
-    w = np.where(treatment == 1, 1.0 + np.exp(-eta), 1.0 + np.exp(eta))
+    w = np.abs(signed_inverse_probability(np.asarray(treatment), ps.logits))
+    if not np.isfinite(w).all():
+        raise SeparationError("inverse-probability weight overflows")
     return IptwWeights(w)
+
+
+def signed_inverse_probability(a: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """1/p for treated rows and -1/(1-p) for controls, from the logits.
+
+    Each branch is computed only on the rows that use it, so the unused one
+    cannot overflow; an overflow in a used branch is left as inf for the
+    caller's finiteness check.
+    """
+    treated = np.broadcast_to(a == 1, eta.shape)
+    z = np.empty(eta.shape)
+    with np.errstate(over="ignore"):
+        z[treated] = 1.0 + np.exp(-eta[treated])
+        z[~treated] = -(1.0 + np.exp(eta[~treated]))
+    return z
 
 
 def ps_quintile_dummies(ps: PropensityScores) -> QuintileDummies:

@@ -32,6 +32,28 @@ def greedy_match_oracle(logits, probabilities, treatment, caliper):
     return pairs
 
 
+def mask_match_oracle(logits, probabilities, treatment, caliper):
+    """Vectorised reference matcher that keeps an availability mask instead
+    of marking used controls in the logits as ``match_caliper`` does."""
+    treatment = np.asarray(treatment)
+    treated_idx = np.flatnonzero(treatment == 1)
+    control_idx = np.flatnonzero(treatment == 0)
+    order = treated_idx[np.argsort(-probabilities[treated_idx], kind="stable")]
+    control_logits = logits[control_idx].astype(float)
+    available = np.ones(control_idx.size, dtype=bool)
+    pairs = []
+    for t in order:
+        if not available.any():
+            break
+        dist = np.abs(control_logits - logits[t])
+        dist[~available] = np.inf
+        j = int(np.argmin(dist))
+        if dist[j] <= caliper:
+            pairs.append((int(t), int(control_idx[j])))
+            available[j] = False
+    return pairs
+
+
 def irls_oracle(X, y, tol=1e-12, max_iter=100):
     """Plain Newton-Raphson logistic fit, written independently of the
     library's IRLS (dense solve, probability-space sigmoid)."""

@@ -21,11 +21,14 @@ from smallcausal.estimators import (
     _intercept_design,
     _log_or,
     _q_model_design,
-    _signed_ip_covariate,
     gcomp_rd,
 )
 from smallcausal.glm import IRLS_MAX_ITER, fit_logistic, fit_logistic_batch
-from smallcausal.propensity import PropensityScores, estimate_ps
+from smallcausal.propensity import (
+    PropensityScores,
+    estimate_ps,
+    signed_inverse_probability,
+)
 from smallcausal.simulation import generate, make_scenario
 
 
@@ -275,4 +278,4 @@ class TestNonFiniteGcomp:
         eta = np.random.default_rng(11).normal(scale=3.0, size=50)
         a = (np.arange(50) % 3 == 0).astype(float)
         expected = np.where(a == 1, 1.0 + np.exp(-eta), -(1.0 + np.exp(eta)))
-        assert np.array_equal(_signed_ip_covariate(a, eta), expected)
+        assert np.array_equal(signed_inverse_probability(a, eta), expected)

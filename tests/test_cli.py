@@ -2,10 +2,13 @@ import csv
 import json
 import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import smallcausal
 from smallcausal import simulation
 from smallcausal.cli import RunConfig, main, read_dataset_csv
 from smallcausal.data import Dataset
@@ -23,6 +26,18 @@ def study_counts_csv(path):
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
     return path
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats costs about a second and 38 MB at start-up
+    src = os.path.dirname(os.path.dirname(smallcausal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, smallcausal.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestCalibrate:

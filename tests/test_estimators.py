@@ -435,6 +435,24 @@ class TestEstimateEffects:
         with pytest.raises(ReplicateError, match="ArithmeticError"):
             simulation.run_replicate(spec, ("crude",), "rd", None, 3, 5, 0.1)
 
+    @pytest.mark.parametrize("estimand", [ESTIMAND_RD, ESTIMAND_LOG_OR])
+    def test_iptw_weight_overflow_fails_as_separation(self, monkeypatch, estimand):
+        # a treated subject at logit -800 has 1/p = inf; the control at +800
+        # overflows only in the treated branch, which it does not use
+        data = random_dataset(22, n=60, k=1)
+        logits = np.linspace(-1.0, 1.0, 60)
+        logits[np.flatnonzero(data.treatment == 1)[0]] = -800.0
+        logits[np.flatnonzero(data.treatment == 0)[0]] = 800.0
+        scores = PropensityScores(
+            expit(logits), logits, constant_scores(4, 0.5).source_fit
+        )
+        monkeypatch.setattr(estimators, "estimate_ps", lambda data: scores)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = estimate_effects(data, ("crude", "iptw"), estimand)
+        assert not out["crude"].failed
+        assert out["iptw"].failed and out["iptw"].failure_reason == "Separation"
+
     def test_label_flip_negates_points(self):
         data = random_dataset(18, n=150, k=2)
         flipped = Dataset(

@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_triangular
+from scipy.stats import norm
 
+from smallcausal import glm
+from smallcausal.bootstrap import BootstrapConfig
 from smallcausal.errors import (
     LeverageOneError,
     NotConvergedError,
     RankDeficientError,
 )
+from smallcausal.estimators import OR_METHODS, RD_METHODS
 from smallcausal.glm import (
     fit_logistic,
     fit_ols,
@@ -16,6 +21,7 @@ from smallcausal.glm import (
     wald_ci,
     weighted_sandwich_covariance,
 )
+from smallcausal.simulation import generate, make_scenario, run_replicate
 
 
 def random_design(seed, n=30, k=2, binary_y=False):
@@ -259,3 +265,46 @@ class TestWaldCi:
         assert lo == pytest.approx(0.16 - 1.959963985 * 0.05, abs=1e-9)
         assert hi == pytest.approx(0.16 + 1.959963985 * 0.05, abs=1e-9)
         assert (round(lo, 3), round(hi, 3)) == (0.062, 0.258)
+
+    @pytest.mark.parametrize("level", [0.8, 0.9, 0.95, 0.99])
+    def test_z_is_the_normal_quantile_bit_for_bit(self, level):
+        assert wald_ci(0.0, 1.0, level)[1] == norm.ppf(0.5 * (1.0 + level))
+
+
+class TestOneBlasPool:
+    """Every fit stays on numpy's BLAS: scipy's solves take vectors only, so
+    the thread pool scipy ships beside numpy's is never woken."""
+
+    @pytest.mark.parametrize(
+        "scenario, beta0, n, estimand, methods, bootstrap",
+        [
+            ("covid", None, 1000, "rd", RD_METHODS, None),
+            ("austin", -1.5, 100, "or", OR_METHODS, BootstrapConfig(20)),
+        ],
+    )
+    def test_scipy_solves_get_vectors_only(
+        self, monkeypatch, scenario, beta0, n, estimand, methods, bootstrap
+    ):
+        shapes = []
+
+        def recording_solve(a, b, *args, **kwargs):
+            shapes.append(np.shape(b))
+            return solve_triangular(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(glm, "solve_triangular", recording_solve)
+        spec = make_scenario(scenario, n, 1.0, beta0)
+        result = run_replicate(spec, methods, estimand, bootstrap, 7, 0, 0.0)
+        assert any(not est.failed for est in result.estimates.values())
+        assert shapes and all(len(shape) == 1 for shape in shapes)
+
+    @pytest.mark.parametrize("scenario, beta0", [("covid", None), ("austin", -1.5)])
+    def test_xtx_inverse_matches_the_triangular_solve(self, scenario, beta0):
+        for n, seed in ((100, 0), (1000, 1)):
+            spec = make_scenario(scenario, n, 0.5, beta0)
+            data = generate(spec, np.random.default_rng(seed))[0]
+            X = np.column_stack([np.ones(n), data.treatment, data.covariates])
+            R = np.linalg.qr(X, mode="r")
+            r_inv = solve_triangular(R, np.eye(R.shape[0]))
+            expected = r_inv @ r_inv.T
+            got = glm._xtx_inverse(R)
+            assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()

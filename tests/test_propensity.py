@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from helpers import greedy_match_oracle, irls_oracle
+from helpers import greedy_match_oracle, irls_oracle, mask_match_oracle
 from smallcausal.data import Dataset
-from smallcausal.errors import DegenerateStrataError, NoPairsError
+from smallcausal.errors import DegenerateStrataError, NoPairsError, SeparationError
 from smallcausal.glm import fit_logistic
 from smallcausal.propensity import (
     PropensityScores,
@@ -12,6 +15,7 @@ from smallcausal.propensity import (
     match_caliper,
     ps_quintile_dummies,
 )
+from smallcausal.simulation import generate, make_scenario
 
 
 def make_dataset(rng, n, k=3, confounded=True):
@@ -133,6 +137,34 @@ class TestMatchCaliper:
         ps = scores_from_logits(logits)
         assert match_caliper(ps, treatment).pairs == match_caliper(ps, treatment).pairs
 
+    def test_matches_the_mask_loop_on_scenario_data(self):
+        # austin at beta0 -1.5 is about 80% treated, so its controls run out;
+        # rounded logits tie in both the treated order and the distances; the
+        # 0.01 SD caliper skips treated subjects
+        skipped = ties = 0
+        for scenario, beta0 in (("covid", None), ("austin", -1.5), ("unmeasured", None)):
+            for n, seed in ((100, 0), (100, 1), (1000, 2)):
+                spec = make_scenario(scenario, n, 0.5, beta0)
+                data = generate(spec, np.random.default_rng(seed))[0]
+                fitted = estimate_ps(data).logits
+                for logits in (fitted, np.round(fitted, 1)):
+                    ps = PropensityScores(expit(logits), logits, None)
+                    ties += np.unique(logits).size < n
+                    sd = np.std(logits, ddof=1)
+                    for multiplier in (0.2, 0.01, np.inf):
+                        expected = mask_match_oracle(
+                            logits, ps.probabilities, data.treatment, multiplier * sd
+                        )
+                        if not expected:
+                            with pytest.raises(NoPairsError):
+                                match_caliper(ps, data.treatment, multiplier)
+                            continue
+                        got = match_caliper(ps, data.treatment, multiplier)
+                        assert list(got.pairs) == expected
+                        full = min(data.n_treated, data.n_controls)
+                        skipped += len(expected) < full
+        assert skipped > 0 and ties > 0
+
     def test_distances_within_caliper_and_no_reuse(self):
         rng = np.random.default_rng(9)
         logits = rng.normal(size=60)
@@ -157,6 +189,24 @@ class TestIptwWeights:
         w = iptw_weights(ps, np.array([1.0, 0.0]))
         assert w.weights[0] == pytest.approx(1.25)
         assert w.weights[1] == pytest.approx(5.0)
+
+    def test_unused_branch_overflow_is_silent(self):
+        # a treated subject at logit 800 and a control at -800: the branch
+        # each would overflow in belongs to the other arm
+        logits = np.array([800.0, -800.0, 0.0, 0.0])
+        ps = PropensityScores(expit(logits), logits, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = iptw_weights(ps, np.array([1.0, 0.0, 1.0, 0.0]))
+        assert w.weights.tolist() == [1.0, 1.0, 2.0, 2.0]
+
+    def test_used_branch_overflow_raises_separation(self):
+        logits = np.array([-800.0, 0.0])
+        ps = PropensityScores(expit(logits), logits, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeparationError):
+                iptw_weights(ps, np.array([1.0, 0.0]))
 
     def test_all_weights_exceed_one(self):
         rng = np.random.default_rng(10)
