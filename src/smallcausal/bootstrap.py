@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset
-from .errors import BootstrapCollapseError, EstimationError
+from .errors import BootstrapCollapseError
 
 #: a batch block holds about this many doubles per (resamples, n, columns)
 #: array, with the data's columns as the width; it bounds the batch's memory
@@ -32,52 +32,30 @@ class BootstrapConfig:
 
 def bootstrap_percentile_ci(
     data: Dataset,
-    estimator: Callable[[Dataset], float],
+    estimator: Callable[[np.ndarray], np.ndarray],
     config: BootstrapConfig,
     rng: np.random.Generator,
-    *,
-    batch: Callable[[Dataset, np.ndarray], tuple[np.ndarray, np.ndarray]]
-    | None = None,
 ) -> tuple[float, float]:
     """Percentile interval over row resamples of the data.
 
-    Each of the B resamples consumes its own child stream spawned up front
-    from ``rng``, so the interval is bit-identical however the evaluations
-    are scheduled.  Resamples where the estimator raises an EstimationError
-    or returns a non-finite value are dropped; more than
-    ``max_failure_fraction`` of them dropped raises BootstrapCollapseError.
-
-    ``batch(data, indices)``, when given, evaluates a ``(b, n)`` block of
-    resample indices at once and returns ``(values, settled)``.  Every
-    resample it does not settle with a finite value goes through
-    ``estimator(data.take(indices))`` as without ``batch``, so the scalar
-    estimator makes every drop decision.
+    Each of the B resamples draws its row indices from its own child stream
+    spawned up front from ``rng``, so the interval is bit-identical however
+    the resamples are blocked.  ``estimator`` takes a ``(b, n)`` block of
+    resample indices and returns the ``(b,)`` values; a non-finite value
+    drops its resample.  More than ``max_failure_fraction`` of them dropped
+    raises BootstrapCollapseError.
     """
     n = data.n_subjects
     streams = rng.spawn(config.replications)
     n_blocks = math.ceil(len(streams) * n * (data.n_covariates + 2) / BATCH_DOUBLES)
     block = math.ceil(len(streams) / n_blocks)  # blocks of near-equal size
-    points = []
-    failures = 0
-    for start in range(0, len(streams), block):
-        chunk = streams[start : start + block]
-        indices = np.stack([child.integers(0, n, size=n) for child in chunk])
-        if batch is not None:
-            values, settled = batch(data, indices)
-            settled = settled & np.isfinite(values)
-            points.extend(values[settled].tolist())
-            indices = indices[~settled]
-        for idx in indices:
-            try:
-                value = float(estimator(data.take(idx)))
-            except EstimationError:
-                failures += 1
-                continue
-            if math.isfinite(value):
-                points.append(value)
-            else:
-                failures += 1
-    if failures > config.max_failure_fraction * config.replications or not points:
+    values = np.concatenate([
+        estimator(np.stack([c.integers(0, n, size=n) for c in streams[i : i + block]]))
+        for i in range(0, len(streams), block)
+    ])
+    points = values[np.isfinite(values)]
+    failures = values.size - points.size
+    if failures > config.max_failure_fraction * config.replications or not points.size:
         raise BootstrapCollapseError(
             f"{failures} of {config.replications} bootstrap replicates failed"
         )

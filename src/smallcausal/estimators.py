@@ -33,6 +33,7 @@ from .errors import (
     SeparationError,
 )
 from .glm import (
+    PLATEAU,
     fit_logistic,
     fit_logistic_batch,
     fit_ols,
@@ -318,87 +319,70 @@ def _gcomp_means(
 
 def _gcomp_batch_means(
     data: Dataset, q_spec: str, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_gcomp_means` for every resample of a ``(b, n)`` index block.
 
     A resample is its row counts, so the propensity and Q-models are
-    count-weighted fits on the original rows.  Returns ``(m1, m0,
-    settled)``; a resample is unsettled when it is single-arm, has fewer
-    than 5 distinct logits (``dr_quintiles``), a fit does not settle (see
-    :func:`fit_logistic_batch`) or a design or mean is not finite.
+    count-weighted fits on the original rows.  Returns ``(m1, m0)``, NaN
+    for a dropped resample: one that is single-arm, has fewer than 5
+    distinct logits (``dr_quintiles``), has a propensity or Q fit that
+    fails (a non-finite fitted design among them; see
+    :func:`fit_logistic_batch`) or a NaN counterfactual mean.  An overflowed
+    counterfactual covariate is kept, as in :func:`_gcomp_means`.
     """
     b, n = indices.shape
     offsets = n * np.arange(b)[:, None]
     counts = np.bincount((indices + offsets).ravel(), minlength=b * n)
     counts = counts.reshape(b, n).astype(float)
     n_treated = counts @ data.treatment
-    settled = (n_treated > 0) & (n_treated < n)
+    kept = (n_treated > 0) & (n_treated < n)
     logits = dummies = None
     if q_spec != "plain":
         X_ps = _intercept_design(*data.covariates.T)
-        gamma, ok = fit_logistic_batch(X_ps, data.treatment, counts)
-        settled &= ok
+        gamma, status, _ = fit_logistic_batch(X_ps, data.treatment, counts)
+        kept &= status <= PLATEAU
         logits = gamma @ X_ps.T
     if q_spec == "dr_quintiles":
         expanded = np.take_along_axis(logits, indices, axis=1)
-        dummies, _, n_distinct = quintile_strata(logits, expanded)
-        settled &= n_distinct >= 5
+        dummies, n_distinct = quintile_strata(logits, expanded)
+        kept &= n_distinct >= 5
 
     def design(treatment: np.ndarray) -> np.ndarray:
         # plain: one (n, p) design for every resample; otherwise (b, n, p)
         return _q_model_design(data, q_spec, treatment, logits, dummies)
 
-    beta, ok = fit_logistic_batch(design(data.treatment), data.outcome, counts)
-    settled &= ok
+    beta, status, _ = fit_logistic_batch(design(data.treatment), data.outcome, counts)
+    kept &= status <= PLATEAU
     means = []
     for a in (np.ones(n), np.zeros(n)):
-        X = design(a)
-        settled &= np.isfinite(X).all(axis=(-2, -1))  # the scalar path decides
         with np.errstate(over="ignore", invalid="ignore"):
-            eta = np.matmul(X, beta[:, :, None])[:, :, 0]
-        means.append((counts * expit(eta)).sum(axis=1) / n)
-    m1, m0 = means
-    settled &= np.isfinite(m1) & np.isfinite(m0)
-    return m1, m0, settled
+            eta = np.matmul(design(a), beta[:, :, None])[:, :, 0]
+        means.append(np.where(kept, (counts * expit(eta)).sum(axis=1) / n, np.nan))
+    return means[0], means[1]
 
 
 def _gcomp_ci(
     data: Dataset,
     q_spec: str,
-    contrast: Callable[[float, float], float],
+    contrast: Callable[[np.ndarray, np.ndarray], np.ndarray],
     bootstrap: BootstrapConfig | None,
     rng: np.random.Generator | None,
 ) -> tuple[float, float] | None:
     """Percentile interval of ``contrast(m1, m0)``; None without bootstrap.
 
-    Every resample refits the whole pipeline, propensity model included.
-    Resamples are fitted a block at a time by :func:`_gcomp_batch_means`;
-    the unsettled ones are rerun one by one, and that scalar path decides
-    every failure.
+    Every resample refits the whole pipeline, propensity model included, a
+    block at a time by :func:`_gcomp_batch_means`; a NaN contrast drops the
+    resample.
     """
     if bootstrap is None:
         return None
     if rng is None:
         raise ValueError("bootstrap interval needs a random stream")
-
-    def resample_effect(resample: Dataset) -> float:
-        if resample.n_treated == 0 or resample.n_controls == 0:
-            raise RankDeficientError("single-arm data: treatment is constant")
-        ps = None if q_spec == "plain" else estimate_ps(resample)
-        return contrast(*_gcomp_means(resample, q_spec, ps))
-
-    def resample_batch(data: Dataset, indices: np.ndarray):
-        m1, m0, settled = _gcomp_batch_means(data, q_spec, indices)
-        values = np.full(len(indices), np.nan)
-        for j in np.flatnonzero(settled):
-            try:
-                values[j] = contrast(float(m1[j]), float(m0[j]))
-            except EstimationError:
-                settled[j] = False
-        return values, settled
-
     return bootstrap_percentile_ci(
-        data, resample_effect, bootstrap, rng, batch=resample_batch
+        data,
+        lambda indices: contrast(*_gcomp_batch_means(data, q_spec, indices)),
+        bootstrap,
+        rng,
     )
 
 
@@ -523,11 +507,13 @@ def _match_conditional_or(data: Dataset, matched: MatchedSample):
     return point, se, wald_ci(point, se)
 
 
-def _log_or(m1: float, m0: float) -> float:
-    """Log odds ratio of two counterfactual means."""
-    if min(m1, m0) <= 0.0 or max(m1, m0) >= 1.0:
-        raise ExtremeOrError("counterfactual mean on the boundary")
-    return math.log(m1) - math.log1p(-m1) - math.log(m0) + math.log1p(-m0)
+def _log_or(m1, m0):
+    """Log odds ratio of two counterfactual means (or arrays of them); NaN
+    when a mean is on the boundary 0 or 1, or NaN itself."""
+    inside = (np.minimum(m1, m0) > 0.0) & (np.maximum(m1, m0) < 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_or = np.log(m1) - np.log1p(-m1) - np.log(m0) + np.log1p(-m0)
+    return np.where(inside, log_or, np.nan)
 
 
 def _gcomp_or(
@@ -539,7 +525,10 @@ def _gcomp_or(
 ):
     # the extreme-OR rule applies to the point only, before any resample
     # stream is spawned; resamples drop on the boundary check alone
-    point = _or_point_guard(_log_or(*_gcomp_means(data, q_spec, ps)))
+    point = float(_log_or(*_gcomp_means(data, q_spec, ps)))
+    if math.isnan(point):  # the means are never NaN here
+        raise ExtremeOrError("counterfactual mean on the boundary")
+    point = _or_point_guard(point)
     return point, None, _gcomp_ci(data, q_spec, _log_or, bootstrap, rng)
 
 

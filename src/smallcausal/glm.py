@@ -3,6 +3,10 @@
 Everything here is a pure function of its inputs.  Fits are immutable
 dataclasses and safe to share across threads.  Rank problems raise instead of
 silently dropping columns, because the simulation harness counts failures.
+
+Every logistic fit runs through one IRLS kernel, :func:`fit_logistic_batch`,
+which fits a stack of count-weighted resamples and returns a status code per
+row.  :func:`fit_logistic` is its one-row call and raises on a failure code.
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ SEPARATION_PROB_EPS = 1e-10
 
 LEVERAGE_EPS = 1e-12
 
+# fit_logistic_batch status codes, one per row; the first two are usable fits
+CONVERGED, PLATEAU, RANK_DEFICIENT, NOT_CONVERGED, NON_FINITE = range(5)
+
 
 @dataclass(frozen=True)
 class LinearFit:
@@ -51,7 +58,6 @@ class LinearFit:
     residuals: np.ndarray
     hat_diagonals: np.ndarray
     covariance: np.ndarray
-    covariance_kind: str  # "HC0" | "HC3" | "weighted-sandwich"
     weights: np.ndarray | None = None
     xtx_inverse: np.ndarray | None = field(repr=False, default=None)  # unweighted
 
@@ -68,9 +74,7 @@ class LogisticFit:
 
     coefficients: np.ndarray
     covariance: np.ndarray | None
-    converged: bool
     iterations: int
-    max_abs_score: float
     separation_flag: bool
     probabilities: np.ndarray = field(repr=False, default=None)
     residuals: np.ndarray = field(repr=False, default=None)
@@ -90,11 +94,11 @@ def _as_design(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _checked_r(R: np.ndarray, on_deficient: type[Exception] = RankDeficientError):
+def _checked_r(R: np.ndarray) -> np.ndarray:
     """A QR's R factor (``mode="r"`` where Q is unused), rank-checked by pivots."""
     piv = np.abs(np.diag(R))
     if piv.size == 0 or piv.max() == 0.0 or piv.min() < PIVOT_RTOL * piv.max():
-        raise on_deficient("design matrix is numerically rank deficient")
+        raise RankDeficientError("design matrix is numerically rank deficient")
     return R
 
 
@@ -133,7 +137,7 @@ def fit_ols(
         xtx_inv = _xtx_inverse(R)
         meat = (X * residuals[:, None] ** 2).T @ X
         cov = xtx_inv @ meat @ xtx_inv
-        return LinearFit(beta, residuals, hat, cov, "HC0", xtx_inverse=xtx_inv)
+        return LinearFit(beta, residuals, hat, cov, xtx_inverse=xtx_inv)
 
     w = np.asarray(weights, dtype=float)
     if w.shape != y.shape:
@@ -148,7 +152,7 @@ def fit_ols(
     bread_inv = _xtx_inverse(R)  # (X'WX)^-1
     meat = (X * (w * residuals)[:, None] ** 2).T @ X
     cov = bread_inv @ meat @ bread_inv
-    return LinearFit(beta, residuals, hat, cov, "weighted-sandwich", weights=w)
+    return LinearFit(beta, residuals, hat, cov, weights=w)
 
 
 def hc3_covariance(fit: LinearFit, X: np.ndarray) -> np.ndarray:
@@ -178,31 +182,28 @@ def _binomial_deviance(y: np.ndarray, prob: np.ndarray, w: np.ndarray) -> np.nda
     return -2.0 * (w * ll_terms).sum(axis=-1)
 
 
-def _plateaued(deviance, deviance_prev, margin: float = 1.0):
-    """The deviance-plateau rule; ``margin`` < 1 tightens it."""
-    return abs(deviance - deviance_prev) <= margin * PLATEAU_RTOL * (
-        abs(deviance) + 0.1
-    )
+def _plateaued(deviance, deviance_prev):
+    """The deviance-plateau rule."""
+    return abs(deviance - deviance_prev) <= PLATEAU_RTOL * (abs(deviance) + 0.1)
+
+
+_FAILURES = {
+    RANK_DEFICIENT: (RankDeficientError, "design matrix is numerically rank deficient"),
+    NOT_CONVERGED: (NotConvergedError, "IRLS did not converge"),
+    NON_FINITE: (ValueError, "design matrix contains non-finite values"),
+}
 
 
 def fit_logistic(
-    X: np.ndarray,
-    y: np.ndarray,
-    weights: np.ndarray | None = None,
-    max_iter: int = IRLS_MAX_ITER,
-    tol: float = IRLS_TOL,
+    X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None
 ) -> LogisticFit:
-    """Logit-link binomial fit by IRLS from a zero start.
+    """Logit-link binomial fit: the one-row call of :func:`fit_logistic_batch`.
 
-    Converged once the max absolute coefficient change drops to ``tol`` or
-    the max absolute score component is numerically zero.  A fit that is
-    still walking at the
-    iteration cap is accepted as converged when its deviance has plateaued
-    (relative change below ``PLATEAU_RTOL`` per iteration, the deviance-based
-    criterion GLM software uses); such boundary fits come back with
+    A fit accepted at the deviance plateau comes back with
     ``separation_flag`` set rather than raising, since several estimators can
     use their predictions even when the coefficients are not interpretable.
-    Anything else at the cap raises NotConvergedError.
+    The failure codes raise: RankDeficientError, NotConvergedError, or
+    ValueError for a non-finite design.
     """
     X = _as_design(X)
     y = np.asarray(y, dtype=float)
@@ -219,58 +220,15 @@ def fit_logistic(
         if not np.isfinite(w).all() or (w < 0).any():
             raise ValueError("weights must be finite and nonnegative")
 
-    n, p = X.shape
-    beta = np.zeros(p)
-    converged = False
-    iterations = 0
-    deviance_prev = None
-    deviance_plateaued = False
-
-    for it in range(1, max_iter + 1):
-        eta = X @ beta
-        prob = expit(eta)
+    (beta,), (status,), (iterations,) = fit_logistic_batch(X, y, w[None])
+    prob = expit(X @ beta)
+    if status in _FAILURES:
+        error, message = _FAILURES[status]
         score = X.T @ (w * (y - prob))
-        if np.abs(score).max() <= IRLS_SCORE_TOL:
-            converged = True
-            break
-        irls_w = w * prob * (1.0 - prob)
-        # at the zero start the irls weights are uniform, so the first
-        # iteration's pivot ratios are those of X itself and double as the
-        # design rank check
-        R = _checked_r(
-            np.linalg.qr(np.sqrt(irls_w)[:, None] * X, mode="r"),
-            on_deficient=RankDeficientError if it == 1 else NotConvergedError,
+        raise error(
+            f"{message} after {iterations} iterations "
+            f"(max |score| = {np.abs(score).max():.3g})"
         )
-        # (X'WX) step = score, solved through the R factor so saturated rows
-        # (irls weight exactly 0) still contribute their score
-        half = solve_triangular(R, score, trans=1)
-        step = solve_triangular(R, half)
-        if not np.isfinite(step).all():
-            raise NotConvergedError("IRLS step is non-finite")
-        beta = beta + step
-        iterations = it
-        if it >= max_iter - 1:  # plateau detection needs the final pair only
-            deviance = float(_binomial_deviance(y, expit(X @ beta), w))
-            if deviance_prev is not None:
-                deviance_plateaued = _plateaued(deviance, deviance_prev)
-            deviance_prev = deviance
-        if np.abs(step).max() <= tol:
-            converged = True
-            break
-
-    if iterations == 0:
-        _checked_r(np.linalg.qr(X, mode="r"))  # an exact start still checks X
-
-    eta = X @ beta
-    prob = expit(eta)
-    score = X.T @ (w * (y - prob))
-    max_abs_score = float(np.abs(score).max())
-    if not converged and not deviance_plateaued:
-        raise NotConvergedError(
-            f"IRLS did not converge in {max_iter} iterations "
-            f"(max |score| = {max_abs_score:.3g})"
-        )
-    converged = True
 
     separated = bool(
         np.abs(beta).max() > SEPARATION_COEF_BOUND
@@ -295,9 +253,7 @@ def fit_logistic(
     return LogisticFit(
         coefficients=beta,
         covariance=covariance,
-        converged=converged,
-        iterations=iterations,
-        max_abs_score=max_abs_score,
+        iterations=int(iterations),
         separation_flag=separated,
         probabilities=prob,
         residuals=y - prob,
@@ -323,113 +279,158 @@ def _weighted_column_sums(X: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _qr_steps(
     X: np.ndarray, irls_w: np.ndarray, score: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Newton steps and the pivot-ratio check through the QR of ``sqrt(w)X``,
-    as :func:`fit_logistic` takes them; returns ``(step, failed)``."""
+    """Newton steps and the pivot-ratio check through the QR of ``sqrt(w)X``;
+    returns ``(step, failed)``.  ``(X'WX) step = score`` is solved through R,
+    so saturated rows (irls weight exactly 0) still contribute their score."""
     R = np.linalg.qr(np.sqrt(irls_w)[:, :, None] * X, mode="r")
     piv = np.abs(np.diagonal(R, axis1=1, axis2=2))
-    failed = ~(
-        (piv.max(axis=1) > 0.0)
-        & (piv.min(axis=1) >= 10 * PIVOT_RTOL * piv.max(axis=1))
-    )
-    R[failed] = np.eye(R.shape[-1])  # a harmless solve; the row is dropped
-    # solved through R so saturated rows (irls weight exactly 0) still
-    # contribute their score
+    top = piv.max(axis=1)
+    failed = ~((top > 0.0) & (piv.min(axis=1) >= PIVOT_RTOL * top))
+    if failed.any():
+        R[failed] = np.eye(R.shape[-1])  # a harmless solve; the row has failed
+    if len(R) == 1:
+        # a single fit solves on vectors with scipy, not with numpy's batched
+        # solve, which rounds differently: greedy matching decides exact
+        # distance ties by rounding, so the propensity fit's last bits matter
+        half = solve_triangular(R[0], score[0], trans=1, check_finite=False)
+        return solve_triangular(R[0], half, check_finite=False)[None], failed
     half = np.linalg.solve(np.swapaxes(R, 1, 2), score[:, :, None])
     return np.linalg.solve(R, half)[:, :, 0], failed
 
 
+def _gram_steps(
+    X: np.ndarray, outer: np.ndarray | None, irls_w: np.ndarray, score: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps through the Cholesky of the weighted Gram ``X'WX``; with
+    a shared design the Gram is one product with its row ``outer`` products.
+    ``diag(L)`` equals ``|diag(R)|`` of the QR of ``sqrt(W)X`` in exact
+    arithmetic but carries the Gram's rounding, about ``sqrt((n + p) eps)``
+    of the largest pivot.  So a row below that pivot ratio, or every row
+    when the batched Cholesky fails, takes the QR step.  Returns ``(step,
+    failed)``."""
+    n, p = X.shape[-2:]
+    if outer is not None:
+        gram = (irls_w @ outer).reshape(-1, p, p)
+    else:
+        gram = (np.swapaxes(X, 1, 2) * irls_w[:, None, :]) @ X
+    use_qr = np.ones(len(gram), dtype=bool)
+    try:
+        piv = np.diagonal(np.linalg.cholesky(gram), axis1=1, axis2=2)
+        rtol = math.sqrt((n + p) * np.finfo(float).eps)
+        use_qr = ~(piv.min(axis=1) >= rtol * piv.max(axis=1))
+    except np.linalg.LinAlgError:  # raised for the whole stack
+        pass
+    gram[use_qr] = np.eye(p)  # a harmless solve; the QR step replaces it
+    step = np.linalg.solve(gram, score[:, :, None])[:, :, 0]
+    failed = np.zeros(len(gram), dtype=bool)
+    if use_qr.any():
+        step[use_qr], failed[use_qr] = _qr_steps(
+            X if outer is not None else X[use_qr], irls_w[use_qr], score[use_qr]
+        )
+    return step, failed
+
+
 def fit_logistic_batch(
     X: np.ndarray, y: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frequency-weighted logistic fits of a stack of resamples, by one IRLS.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frequency-weighted logistic fits of a stack of resamples, by one IRLS
+    from a zero start.
 
     ``X`` is one ``(n, p)`` design shared by every resample or a ``(b, n,
-    p)`` stack, ``y`` broadcasts against ``(b, n)`` and ``counts[j, i]`` is
-    how often row ``i`` appears in resample ``j``.  The MLE on the duplicated
-    rows equals the count-weighted MLE on the original rows, so row ``j``
-    reproduces ``fit_logistic(X[j][idx], y[idx])`` up to rounding.  The stop
-    rules are those of :func:`fit_logistic`.
+    p)`` stack, ``y`` is the ``(n,)`` response and ``counts[j, i]`` is how
+    often row ``i`` appears in resample ``j`` (or any nonnegative prior
+    weight).  The MLE on the duplicated rows equals the count-weighted MLE on
+    the original rows, so row ``j`` fits ``X[j][idx], y[idx]``.  A
+    non-finite design entry matters only in a row with a positive count.
 
-    Each Newton step solves the weighted Gram ``X'WX``, factored by
-    Cholesky; with a shared design the Gram is one product with the row
-    outer products of ``X``.  ``diag(L)`` equals ``|diag(R)|`` of the QR in
-    exact arithmetic, but it carries the Gram's rounding, about
-    ``sqrt((n + p) eps)`` of the largest pivot.  So a row whose Cholesky
-    pivot ratio is below that bound, or every row when the batched Cholesky
-    fails, takes the QR step and the QR pivot check instead.
+    A row converges once its max absolute coefficient change drops to
+    ``IRLS_TOL`` or its max absolute score component to ``IRLS_SCORE_TOL``.
+    A row still walking at ``IRLS_MAX_ITER`` is accepted when its deviance
+    has plateaued (relative change below ``PLATEAU_RTOL`` in the last
+    iteration, the criterion GLM software uses).
 
-    Returns ``(coefficients, settled)``.  A row is settled only when it is
-    far from every failure rule of the scalar fit: its design is finite,
-    every pivot ratio is at least ``10 * PIVOT_RTOL``, every step is finite,
-    and it converges, or plateaus at the cap by half the scalar margin.
-    Callers refit unsettled rows with :func:`fit_logistic`, which decides
-    their fate; their coefficients come back as zeros.
+    A batch takes Gram steps (:func:`_gram_steps`).  A single fit (``b ==
+    1``) takes the QR step, which is better conditioned and keeps its last
+    bits (:func:`_qr_steps`).  A QR step fails when a pivot falls below
+    ``PIVOT_RTOL`` times the largest.  At the zero start the IRLS weights
+    are the counts, so the first factorisation is the design rank check,
+    even of a row whose score is already zero.
+
+    Returns ``(coefficients, status, iterations)``, each with one entry per
+    row.  ``status`` is ``CONVERGED``, ``PLATEAU``, ``RANK_DEFICIENT`` (the
+    first factorisation failed, or ``n < p``), ``NOT_CONVERGED`` (a later
+    factorisation failed, a step was not finite, or the cap was reached
+    without a plateau) or ``NON_FINITE`` (the design).  The coefficients of
+    a failed row are its last iterate.
     """
     X = np.asarray(X, dtype=float)
     counts = np.asarray(counts, dtype=float)
     b, n = counts.shape
     p = X.shape[-1]
     shared = X.ndim == 2
-    y = np.broadcast_to(np.asarray(y, dtype=float), counts.shape)
+    y = np.asarray(y, dtype=float)
     beta = np.zeros((b, p))
-    finite = np.isfinite(X).all(axis=(-2, -1))  # one flag for a shared design
-    settled = np.broadcast_to(finite & (n >= p), (b,)).copy()
-    if shared:
+    iterations = np.zeros(b, dtype=int)
+    # NOT_CONVERGED marks the rows still iterating, and stays at the cap
+    status = np.full(b, RANK_DEFICIENT if n < p else NOT_CONVERGED)
+    finite = np.isfinite(X)
+    if not finite.all():
+        status[(~finite.all(axis=-1) & (counts > 0)).any(axis=-1)] = NON_FINITE
+        X = np.where(finite, X, 0.0)  # an unused row then adds exact zeros
+    outer = None
+    if shared and b > 1:
         outer = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
-    cholesky_rtol = math.sqrt((n + p) * np.finfo(float).eps)
-    deviance_prev = np.full(b, np.nan)
     # the rows still iterating, and their slices of every input
-    rows = np.flatnonzero(settled)
-    Xr = X if shared or rows.size == b else X[rows]
-    wr, yr, br = counts[rows], y[rows], beta[rows]
+    rows = np.flatnonzero(status == NOT_CONVERGED)
+    Xr, wr, br = X, counts, beta
+    if rows.size < b:
+        Xr = X if shared else X[rows]
+        wr, br = counts[rows], beta[rows]
+    deviance_prev = np.full(rows.size, np.nan)
     for it in range(1, IRLS_MAX_ITER + 1):
         if rows.size == 0:
             break
         prob = expit(_linear_predictors(Xr, br))
-        score = _weighted_column_sums(Xr, wr * (yr - prob))
+        score = _weighted_column_sums(Xr, wr * (y - prob))
         converged = np.abs(score).max(axis=1) <= IRLS_SCORE_TOL
-        # every iterating row is factorised, so the first factorisation is
-        # the design rank check whether or not the score stops the fit
         irls_w = wr * prob * (1.0 - prob)
-        if shared:
-            gram = (irls_w @ outer).reshape(-1, p, p)
+        if b > 1:
+            step, singular = _gram_steps(Xr, outer, irls_w, score)
         else:
-            gram = (np.swapaxes(Xr, 1, 2) * irls_w[:, None, :]) @ Xr
-        try:
-            piv = np.diagonal(np.linalg.cholesky(gram), axis1=1, axis2=2)
-            use_qr = ~(piv.min(axis=1) >= cholesky_rtol * piv.max(axis=1))
-        except np.linalg.LinAlgError:  # raised for the whole stack
-            use_qr = np.ones(rows.size, dtype=bool)
-        gram[use_qr] = np.eye(p)  # a harmless solve; the QR step replaces it
-        step = np.linalg.solve(gram, score[:, :, None])[:, :, 0]
-        failed = np.zeros(rows.size, dtype=bool)
-        if use_qr.any():
-            step[use_qr], failed[use_qr] = _qr_steps(
-                Xr if shared else Xr[use_qr], irls_w[use_qr], score[use_qr]
-            )
-        step[converged | failed] = 0.0
-        failed |= ~np.isfinite(step).all(axis=1)
-        step[failed] = 0.0
+            step, singular = _qr_steps(Xr, irls_w, score)
+        if it > 1:
+            singular &= ~converged  # a zero score stops the fit first
+        else:
+            converged &= ~singular
+        stopped = converged | singular
+        step[stopped] = 0.0
+        size = np.abs(step).max(axis=1)  # NaN or inf for a non-finite step
+        diverged = ~np.isfinite(size)
+        step[diverged] = 0.0
         br += step
-        if it >= IRLS_MAX_ITER - 1:
-            prob = expit(_linear_predictors(Xr, br))
-            deviance = _binomial_deviance(yr, prob, wr)
-            if it == IRLS_MAX_ITER:
-                # a scalar fit near the plateau bound may fall either side,
-                # so only a clear plateau settles here
-                converged |= _plateaued(deviance, deviance_prev[rows], margin=0.5)
-            deviance_prev[rows] = deviance
-        converged |= np.abs(step).max(axis=1) <= IRLS_TOL
-        converged &= ~failed
-        beta[rows[converged]] = br[converged]
-        settled[rows[failed]] = False
-        keep = ~(converged | failed)
-        if not keep.all():
-            rows, wr, yr, br = (a[keep] for a in (rows, wr, yr, br))
-            if not shared:
-                Xr = Xr[keep]
-    settled[rows] = False  # still walking at the cap
-    return beta, settled
+        stopped |= diverged  # the rows that took no step
+        done = stopped | (size <= IRLS_TOL)
+        if it >= IRLS_MAX_ITER - 1:  # the plateau rule needs the final pair
+            deviance = _binomial_deviance(y, expit(_linear_predictors(Xr, br)), wr)
+            plateau = _plateaued(deviance, deviance_prev)
+            deviance_prev = deviance
+        at_cap = it == IRLS_MAX_ITER
+        if not (at_cap or done.any()):
+            continue
+        code = np.where(singular | diverged, NOT_CONVERGED, CONVERGED)
+        if it == 1:
+            code[singular] = RANK_DEFICIENT
+        if at_cap:
+            code[~done] = np.where(plateau, PLATEAU, NOT_CONVERGED)[~done]
+            done[:] = True
+        beta[rows[done]] = br[done]
+        status[rows[done]] = code[done]
+        iterations[rows[done]] = it - stopped[done]
+        keep = ~done
+        rows, wr, br, deviance_prev = (a[keep] for a in (rows, wr, br, deviance_prev))
+        if not shared:
+            Xr = Xr[keep]
+    return beta, status, iterations
 
 
 def weighted_sandwich_covariance(

@@ -45,7 +45,6 @@ class IptwWeights:
 @dataclass(frozen=True)
 class QuintileDummies:
     dummies: np.ndarray  # (n, 4); lowest stratum is the omitted reference
-    cutpoints: np.ndarray  # 20/40/60/80 percentiles of the logits
 
 
 def estimate_ps(data: Dataset) -> PropensityScores:
@@ -144,25 +143,25 @@ def ps_quintile_dummies(ps: PropensityScores) -> QuintileDummies:
     logits = ps.logits
     if logits.size < 5:
         raise DegenerateStrataError("need at least 5 subjects for quintiles")
-    dummies, cutpoints, n_distinct = quintile_strata(logits, logits)
+    dummies, n_distinct = quintile_strata(logits, logits)
     if n_distinct < 5:
         raise DegenerateStrataError("fewer than 5 distinct logit values")
-    return QuintileDummies(dummies, cutpoints)
+    return QuintileDummies(dummies)
 
 
 def quintile_strata(
     values: np.ndarray, sample: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The quintile rule of :func:`ps_quintile_dummies`, on the last axis.
 
     Returns the four stratum dummies of each of ``values`` (shape
     ``values.shape + (4,)``) among the type-7 quintile cut points of
-    ``sample``, those cut points, and the number of distinct values in
-    ``sample``.  Leading axes stack independent samples.
+    ``sample``, and the number of distinct values in ``sample``.  Leading
+    axes stack independent samples.
     """
     ordered = np.sort(sample, axis=-1)
     n_distinct = 1 + (np.diff(ordered, axis=-1) != 0).sum(axis=-1)
     cutpoints = np.moveaxis(np.quantile(ordered, QUINTILES, axis=-1), 0, -1)
     stratum = (values[..., None] > cutpoints[..., None, :]).sum(axis=-1)  # 0..4
     dummies = (stratum[..., None] == np.arange(1, 5)).astype(float)
-    return dummies, cutpoints, n_distinct
+    return dummies, n_distinct

@@ -23,13 +23,24 @@ from smallcausal.estimators import (
     _q_model_design,
     gcomp_rd,
 )
-from smallcausal.glm import IRLS_MAX_ITER, fit_logistic, fit_logistic_batch
+from smallcausal.glm import (
+    CONVERGED,
+    IRLS_MAX_ITER,
+    NON_FINITE,
+    NOT_CONVERGED,
+    PLATEAU,
+    RANK_DEFICIENT,
+    fit_logistic,
+    fit_logistic_batch,
+)
 from smallcausal.propensity import (
     PropensityScores,
     estimate_ps,
     signed_inverse_probability,
 )
 from smallcausal.simulation import generate, make_scenario
+
+from helpers import irls_oracle
 
 
 def scenario_data(scenario, seed, beta0=None, n=100):
@@ -43,11 +54,13 @@ def resample_counts(indices, n):
 
 def batch_ps_fits(data, indices, shared=True):
     """Batched PS fits of the resamples, on the ``(n, p)`` design or on its
-    ``(b, n, p)`` broadcast."""
+    ``(b, n, p)`` broadcast: the design, the coefficients and which fits the
+    kernel accepts."""
     X = _intercept_design(*data.covariates.T)
     counts = resample_counts(indices, data.n_subjects)
     design = X if shared else np.broadcast_to(X, (len(indices),) + X.shape)
-    return X, fit_logistic_batch(design, data.treatment, counts)
+    beta, status, _ = fit_logistic_batch(design, data.treatment, counts)
+    return X, (beta, status <= PLATEAU)
 
 
 class TestFitLogisticBatch:
@@ -87,10 +100,11 @@ class TestFitLogisticBatch:
         piv = np.abs(np.diag(np.linalg.qr(X, mode="r")))
         X[:, -1] *= ratio * piv.max() / piv[-1]
         indices = np.random.default_rng(2).integers(0, 100, size=(20, 100))
-        beta, settled = fit_logistic_batch(
+        beta, status, _ = fit_logistic_batch(
             X, data.treatment, resample_counts(indices, 100)
         )
-        assert settled.tolist() == [fits] * 20
+        assert (status <= PLATEAU).tolist() == [fits] * 20
+        assert status.tolist() == [CONVERGED if fits else RANK_DEFICIENT] * 20
         for j, idx in enumerate(indices):
             if not fits:
                 with pytest.raises(RankDeficientError):
@@ -146,11 +160,98 @@ class TestFitLogisticBatch:
         X[:, :, 1] = np.arange(6.0)
         X[1, 0, 1] = np.inf
         y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
-        beta, settled = fit_logistic_batch(X, y, np.ones((2, 6)))
-        assert settled.tolist() == [True, False]
+        beta, status, _ = fit_logistic_batch(X, y, np.ones((2, 6)))
+        assert (status <= PLATEAU).tolist() == [True, False]
         np.testing.assert_allclose(
             beta[0], fit_logistic(X[0], y).coefficients, rtol=0, atol=1e-10
         )
+
+
+class TestStatusCodes:
+    """One constructed input per status code of the IRLS kernel, and the
+    exception :func:`fit_logistic` raises for each failure code."""
+
+    # complete separation on x: a boundary walk whose deviance plateaus
+    SEPARATED_X = np.column_stack(
+        [np.ones(6), [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]]
+    )
+    SEPARATED_Y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+
+    def test_all_zero_column_is_rank_deficient(self):
+        X = np.column_stack([np.ones(8), np.arange(8.0), np.zeros(8)])
+        y = np.tile([0.0, 1.0], 4)
+        _, status, iterations = fit_logistic_batch(X, y, np.ones((1, 8)))
+        assert status.tolist() == [RANK_DEFICIENT]
+        assert iterations.tolist() == [0]
+        with pytest.raises(RankDeficientError):
+            fit_logistic(X, y)
+
+    def test_fewer_rows_than_columns_is_rank_deficient(self):
+        X = np.array([[1.0, 0.0, 2.0], [1.0, 1.0, 3.0]])
+        _, status, _ = fit_logistic_batch(X, [0.0, 1.0], np.ones((1, 2)))
+        assert status.tolist() == [RANK_DEFICIENT]
+
+    def test_separated_walk_plateaus_at_the_cap(self):
+        X, y = self.SEPARATED_X, self.SEPARATED_Y
+        _, status, iterations = fit_logistic_batch(X, y, np.ones((1, 6)))
+        assert status.tolist() == [PLATEAU]
+        assert iterations.tolist() == [IRLS_MAX_ITER]
+        fit = fit_logistic(X, y)
+        assert fit.separation_flag and fit.iterations == IRLS_MAX_ITER
+
+    def test_heavy_separated_walk_does_not_plateau(self):
+        # weights of 1e12 keep the deviance far above the plateau's 0.1
+        # floor, so it still falls by a constant share per iteration
+        X, y = self.SEPARATED_X, self.SEPARATED_Y
+        w = np.full(6, 1e12)
+        _, status, iterations = fit_logistic_batch(X, y, w[None])
+        assert status.tolist() == [NOT_CONVERGED]
+        assert iterations.tolist() == [IRLS_MAX_ITER]
+        with pytest.raises(NotConvergedError):
+            fit_logistic(X, y, weights=w)
+
+    def test_later_pivot_failure_does_not_converge(self):
+        # the walk saturates the rows that carry the last column, so a later
+        # factorisation fails the pivot check; the first one passes
+        X = np.array([
+            [1.0, 0.6, -0.2], [1.0, -17.4, -0.3], [1.0, 0.6, -0.1],
+            [1.0, -1.2, 0.1], [1.0, -1.6, 1.5],
+        ])
+        y = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
+        w = np.array([1.0, 3.0, 1.0, 3.0, 3.0])
+        _, status, iterations = fit_logistic_batch(X, y, w[None])
+        assert status.tolist() == [NOT_CONVERGED]
+        assert 0 < iterations[0] < IRLS_MAX_ITER
+        with pytest.raises(NotConvergedError):
+            fit_logistic(X, y, weights=w)
+
+    def test_non_finite_design_entry(self):
+        X = np.column_stack([np.ones(6), np.arange(6.0)])
+        X[0, 1] = np.inf
+        y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+        counts = np.ones((2, 6))
+        counts[1, 0] = 0.0  # the second resample leaves the bad row out
+        beta, status, _ = fit_logistic_batch(X, y, counts)
+        assert status.tolist() == [NON_FINITE, CONVERGED]
+        np.testing.assert_allclose(
+            beta[1], fit_logistic(X[1:], y[1:]).coefficients, rtol=0, atol=1e-10
+        )
+        with pytest.raises(ValueError):
+            fit_logistic(X, y)
+
+    def test_converged_rows_match_the_oracle_on_covid_resamples(self):
+        data = scenario_data("covid", 12)
+        indices = np.random.default_rng(13).integers(0, 100, size=(40, 100))
+        X = _intercept_design(*data.covariates.T)
+        beta, status, _ = fit_logistic_batch(
+            X, data.treatment, resample_counts(indices, 100)
+        )
+        assert (status == CONVERGED).sum() >= 35
+        for j in np.flatnonzero(status == CONVERGED):
+            idx = indices[j]
+            np.testing.assert_allclose(
+                beta[j], irls_oracle(X[idx], data.treatment[idx]), rtol=0, atol=1e-8
+            )
 
 
 def scalar_ci(data, q_spec, contrast, config, rng):
@@ -163,9 +264,14 @@ def scalar_ci(data, q_spec, contrast, config, rng):
             if resample.n_treated in (0, n):
                 raise RankDeficientError("single-arm")
             ps = None if q_spec == "plain" else estimate_ps(resample)
-            values.append(contrast(*_gcomp_means(resample, q_spec, ps)))
+            value = float(contrast(*_gcomp_means(resample, q_spec, ps)))
         except EstimationError:
             dropped += 1
+            continue
+        if np.isnan(value):  # a log odds ratio on the boundary
+            dropped += 1
+        else:
+            values.append(value)
     lo, hi = np.quantile(values, config.percentiles)
     return (lo, hi), dropped
 
@@ -175,18 +281,16 @@ def counted_ci(monkeypatch, data, q_spec, contrast, config, rng):
     real = bootstrap_module.bootstrap_percentile_ci
     dropped = []
 
-    def spy(data, estimator, config, rng, *, batch=None):
-        def counting(resample):
-            try:
-                return estimator(resample)
-            except EstimationError:
-                dropped.append(1)
-                raise
+    def spy(data, estimator, config, rng):
+        def counting(indices):
+            values = estimator(indices)
+            dropped.append(int(np.isnan(values).sum()))
+            return values
 
-        return real(data, counting, config, rng, batch=batch)
+        return real(data, counting, config, rng)
 
     monkeypatch.setattr(estimators, "bootstrap_percentile_ci", spy)
-    return _gcomp_ci(data, q_spec, contrast, config, rng), len(dropped)
+    return _gcomp_ci(data, q_spec, contrast, config, rng), sum(dropped)
 
 
 class TestBatchedGcompCi:

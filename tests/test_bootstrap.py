@@ -4,7 +4,7 @@ from scipy.stats import chi2
 
 from smallcausal.bootstrap import BootstrapConfig, bootstrap_percentile_ci
 from smallcausal.data import Dataset
-from smallcausal.errors import BootstrapCollapseError, EstimationError
+from smallcausal.errors import BootstrapCollapseError
 from smallcausal.streams import derive_substream
 
 
@@ -20,7 +20,7 @@ def tiny_dataset(n, rng):
 def test_constant_estimator_degenerate_interval():
     data = tiny_dataset(20, np.random.default_rng(0))
     ci = bootstrap_percentile_ci(
-        data, lambda d: 3.25, BootstrapConfig(replications=50),
+        data, lambda idx: np.full(len(idx), 3.25), BootstrapConfig(replications=50),
         np.random.default_rng(1),
     )
     assert ci == (3.25, 3.25)
@@ -34,7 +34,7 @@ def test_mean_interval_width_near_normal_theory():
     data = tiny_dataset(n, rng)
     ci = bootstrap_percentile_ci(
         data,
-        lambda d: d.outcome.mean(),
+        lambda idx: data.outcome[idx].mean(axis=1),
         BootstrapConfig(replications=2000),
         np.random.default_rng(3),
     )
@@ -45,7 +45,7 @@ def test_mean_interval_width_near_normal_theory():
 
 def test_reproducible_bit_exact():
     data = tiny_dataset(30, np.random.default_rng(4))
-    est = lambda d: d.outcome.mean() - d.treatment.mean()
+    est = lambda idx: (data.outcome[idx] - data.treatment[idx]).mean(axis=1)
     cfg = BootstrapConfig(replications=4)
     first = bootstrap_percentile_ci(data, est, cfg, derive_substream(9, "x", 0, "boot"))
     second = bootstrap_percentile_ci(data, est, cfg, derive_substream(9, "x", 0, "boot"))
@@ -56,7 +56,7 @@ def test_lower_bounded_by_upper():
     data = tiny_dataset(25, np.random.default_rng(5))
     ci = bootstrap_percentile_ci(
         data,
-        lambda d: d.outcome.mean(),
+        lambda idx: data.outcome[idx].mean(axis=1),
         BootstrapConfig(replications=200),
         np.random.default_rng(6),
     )
@@ -67,11 +67,12 @@ def test_collapse_when_most_replicates_fail():
     data = tiny_dataset(10, np.random.default_rng(7))
     calls = {"n": 0}
 
-    def flaky(d):
-        calls["n"] += 1
-        if calls["n"] % 4 != 0:
-            raise EstimationError("boom")
-        return 0.0
+    def flaky(idx):
+        values = []
+        for _ in idx:
+            calls["n"] += 1
+            values.append(np.nan if calls["n"] % 4 != 0 else 0.0)
+        return np.array(values)
 
     with pytest.raises(BootstrapCollapseError):
         bootstrap_percentile_ci(
@@ -99,45 +100,47 @@ def test_config_validation():
         BootstrapConfig(percentiles=(0.9, 0.1))
 
 
-def nan_on_every_third(data, calls):
-    calls["n"] += 1
-    return np.nan if calls["n"] % 3 == 0 else data.outcome.mean()
+def nan_on_every_third(data, indices, calls):
+    values = data.outcome[indices].mean(axis=1)
+    for j in range(len(values)):
+        calls["n"] += 1
+        if calls["n"] % 3 == 0:
+            values[j] = np.nan
+    return values
 
 
-def settle_everything_as_nan(data, indices):
-    return np.full(len(indices), np.nan), np.ones(len(indices), dtype=bool)
-
-
-@pytest.mark.parametrize("batch", [None, settle_everything_as_nan])
-def test_non_finite_resamples_are_dropped(batch):
+@pytest.mark.parametrize("non_finite", [np.nan, np.inf])
+def test_non_finite_resamples_are_dropped(non_finite):
     data = tiny_dataset(30, np.random.default_rng(10))
     calls = {"n": 0}
+
+    def estimator(indices):
+        values = nan_on_every_third(data, indices, calls)
+        return np.where(np.isnan(values), non_finite, values)
+
     ci = bootstrap_percentile_ci(
-        data, lambda d: nan_on_every_third(d, calls),
-        BootstrapConfig(replications=60), np.random.default_rng(11), batch=batch,
+        data, estimator, BootstrapConfig(replications=60), np.random.default_rng(11)
     )
     assert np.isfinite(ci).all()
     assert calls["n"] == 60
     with pytest.raises(BootstrapCollapseError):
         bootstrap_percentile_ci(
-            data, lambda d: nan_on_every_third(d, calls),
+            data, estimator,
             BootstrapConfig(replications=60, max_failure_fraction=0.3),
-            np.random.default_rng(11), batch=batch,
+            np.random.default_rng(11),
         )
 
 
-def test_batch_values_and_scalar_fallback_make_one_interval():
+def test_block_values_match_a_loop_over_resamples():
     data = tiny_dataset(30, np.random.default_rng(12))
-    mean = lambda d: d.outcome.mean()
-
-    def half_batch(d, indices):
-        values = d.outcome[indices].mean(axis=1)
-        settled = np.arange(len(indices)) % 2 == 0
-        return np.where(settled, values, -1.0), settled
-
     cfg = BootstrapConfig(replications=50)
-    plain = bootstrap_percentile_ci(data, mean, cfg, np.random.default_rng(13))
-    batched = bootstrap_percentile_ci(
-        data, mean, cfg, np.random.default_rng(13), batch=half_batch
+    block = bootstrap_percentile_ci(
+        data, lambda idx: data.outcome[idx].mean(axis=1), cfg,
+        np.random.default_rng(13),
     )
-    assert batched == pytest.approx(plain, abs=1e-15)
+    # the same resamples, one at a time in their stream order
+    means = [
+        data.take(child.integers(0, 30, size=30)).outcome.mean()
+        for child in np.random.default_rng(13).spawn(50)
+    ]
+    assert block == pytest.approx(tuple(np.quantile(means, cfg.percentiles)), abs=1e-15)
