@@ -1,0 +1,76 @@
+"""One BLAS thread per process.
+
+numpy and scipy each load their own OpenBLAS, and each sizes its thread pool
+to the machine.  The fits here are small, so a pool thread woken by a QR
+factorisation or a matrix product does little work and then busy-waits
+beside the main thread: one process burns two cores for one core of work,
+and ``simulate --workers`` processes crowd each other out.
+:func:`cap_blas_threads` sets every loaded OpenBLAS to one thread, so
+parallelism comes only from ``--workers``.  The cap changed no output byte
+in any run compared (see CHANGES.md).
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+from collections.abc import Callable
+
+# (setter, getter) symbols of the OpenBLAS builds in numpy's wheels
+# (64-bit integers, suffixed) and scipy's wheels (32-bit, unsuffixed)
+OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
+
+
+def loaded_openblas() -> list[tuple[str, Callable[[int], None], Callable[[], int]]]:
+    """(path, set_threads, get_threads) of each known OpenBLAS loaded here.
+
+    Reads the process's memory map, so it finds libraries only on Linux;
+    elsewhere, and for an OpenBLAS without a known setter, it finds none.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {
+                line.split(maxsplit=5)[5].strip()
+                for line in fh
+                if "openblas" in line.rsplit("/", 1)[-1]
+            }
+    except OSError:
+        return []
+    found = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)  # already loaded: dlopen returns its handle
+        except OSError:  # e.g. a mapped file since deleted or replaced
+            continue
+        for setter, getter in OPENBLAS_SYMBOLS:
+            if hasattr(lib, setter) and hasattr(lib, getter):
+                set_threads, get_threads = getattr(lib, setter), getattr(lib, getter)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                found.append((path, set_threads, get_threads))
+                break
+    return found
+
+
+def cap_blas_threads() -> list[dict] | None:
+    """Set every loaded OpenBLAS to one thread.
+
+    Returns, per library, its file name and its thread count before and
+    after, or None when no known OpenBLAS is loaded (nothing is changed).
+    Also the initializer of ``run_study``'s worker processes.
+    """
+    report = []
+    for path, set_threads, get_threads in loaded_openblas():
+        before = get_threads()
+        set_threads(1)
+        report.append(
+            {
+                "library": os.path.basename(path),
+                "threads_before": before,
+                "threads_after": get_threads(),
+            }
+        )
+    return report or None

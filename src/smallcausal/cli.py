@@ -26,6 +26,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from .blas import cap_blas_threads
 from .bootstrap import BootstrapConfig
 from .data import Dataset
 from .errors import NotBracketedError
@@ -362,7 +363,7 @@ def _print_summary(summary: MetricsSummary, methods: tuple[str, ...]) -> None:
         )
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig, blas: list[dict] | None) -> int:
     if (cfg.beta_trt is None) == (cfg.target_effect is None):
         raise CliError("simulate needs exactly one of --beta-trt / --target-effect")
     # wall seconds of each set-up stage; None for a stage that did not run
@@ -412,6 +413,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "bootstrap_refits_full_pipeline": True,
             "matching_order": "descending propensity, ties by index",
             "setup_seconds": setup_seconds,
+            "blas": blas,
         },
     )
     print(f"scenario={cfg.scenario} n={cfg.n} estimand={cfg.estimand} "
@@ -594,6 +596,7 @@ def cmd_summarize(cfg: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    blas = cap_blas_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -601,7 +604,7 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.command == "calibrate":
             return cmd_calibrate(cfg)
         if cfg.command == "simulate":
-            return cmd_simulate(cfg)
+            return cmd_simulate(cfg, blas)
         if cfg.command == "analyze":
             return cmd_analyze(cfg)
         if cfg.command == "summarize":

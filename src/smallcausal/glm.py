@@ -105,7 +105,9 @@ def _checked_r(R: np.ndarray) -> np.ndarray:
 def _xtx_inverse(R: np.ndarray) -> np.ndarray:
     """(M'M)^-1 from the R factor of M's QR decomposition."""
     # numpy, not scipy: a matrix right-hand side to scipy's solve_triangular
-    # wakes the BLAS thread pool scipy ships beside numpy's, and it spins
+    # woke the BLAS thread pool scipy ships beside numpy's, and it spun.  Both
+    # pools now run one thread (blas.cap_blas_threads); numpy stays because
+    # scipy would move every covariance, so every SE, at rounding level
     r_inv = np.linalg.inv(R)
     return r_inv @ r_inv.T
 

@@ -71,10 +71,13 @@ def match_caliper(
 
     Treated subjects are processed in descending propensity order (ties by
     original index); each takes the unused control with the smallest absolute
-    logit distance, skipping when the nearest exceeds the caliper.  Distance
-    ties go to the lower control index.  The caliper is
-    ``caliper_sd_multiplier`` times the sample SD (denominator n-1) of all n
-    logits.
+    logit distance, skipping when the nearest exceeds the caliper.  Distances
+    are compared as computed, and an equal computed distance goes to the
+    lower control index.  A tie in exact arithmetic (discrete covariates can
+    put a treated subject midway between two controls) is therefore decided
+    by the rounding of the fitted logits, and can go to either control.  The
+    caliper is ``caliper_sd_multiplier`` times the sample SD (denominator
+    n-1) of all n logits.
     """
     treatment = np.asarray(treatment)
     treated_idx = np.flatnonzero(treatment == 1)

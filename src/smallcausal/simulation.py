@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .blas import cap_blas_threads
 from .bootstrap import BootstrapConfig
 from .data import Dataset
 from .errors import EstimationError, NotBracketedError, ReplicateError
@@ -480,7 +481,8 @@ def run_study(
     """Run ``n_replicates`` independent replicates, optionally in parallel.
 
     Results are collected in replicate order, so output is identical for any
-    worker count.
+    worker count.  Each worker process runs its BLAS on one thread, under
+    any start method, so the workers are the only parallelism.
     """
     tasks = [
         (spec, methods, estimand, bootstrap, master_seed, i, true_effect)
@@ -489,7 +491,7 @@ def run_study(
     if workers <= 1:
         results = [_replicate_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(workers, initializer=cap_blas_threads) as pool:
             chunk = max(1, n_replicates // (workers * 8))
             results = list(pool.map(_replicate_task, tasks, chunksize=chunk))
     results.sort(key=lambda r: r.replicate_index)
