@@ -35,24 +35,41 @@ def bootstrap_percentile_ci(
     estimator: Callable[[np.ndarray], np.ndarray],
     config: BootstrapConfig,
     rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Percentile interval over row resamples of the data.
+) -> tuple[float, float] | list[tuple[float, float] | BootstrapCollapseError]:
+    """Percentile intervals over row resamples of the data.
 
-    Each of the B resamples draws its row indices from its own child stream
-    spawned up front from ``rng``, so the interval is bit-identical however
-    the resamples are blocked.  ``estimator`` takes a ``(b, n)`` block of
-    resample indices and returns the ``(b,)`` values; a non-finite value
-    drops its resample.  More than ``max_failure_fraction`` of them dropped
-    raises BootstrapCollapseError.
+    The B resamples are the rows of one ``(B, n)`` index draw from ``rng``,
+    handed to ``estimator`` in ``(b, n)`` blocks, so the draw does not
+    depend on how the resamples are blocked.  ``estimator`` returns the
+    ``(b,)`` values of one statistic, or the ``(b, k)`` values of k
+    statistics that share the resamples; a non-finite value drops its
+    resample for that statistic.  Returns ``(lo, hi)`` for one statistic,
+    and more than ``max_failure_fraction`` of its resamples dropped raises
+    BootstrapCollapseError.  For k statistics it returns a list of k
+    entries, each ``(lo, hi)`` or the BootstrapCollapseError of that
+    statistic alone.
     """
-    n = data.n_subjects
-    streams = rng.spawn(config.replications)
-    n_blocks = math.ceil(len(streams) * n * (data.n_covariates + 2) / BATCH_DOUBLES)
-    block = math.ceil(len(streams) / n_blocks)  # blocks of near-equal size
+    n, replications = data.n_subjects, config.replications
+    indices = rng.integers(0, n, size=(replications, n))
+    n_blocks = math.ceil(replications * n * (data.n_covariates + 2) / BATCH_DOUBLES)
+    block = math.ceil(replications / n_blocks)  # blocks of near-equal size
     values = np.concatenate([
-        estimator(np.stack([c.integers(0, n, size=n) for c in streams[i : i + block]]))
-        for i in range(0, len(streams), block)
+        estimator(indices[i : i + block]) for i in range(0, replications, block)
     ])
+    if values.ndim == 1:
+        return _percentile_interval(values, config)
+    intervals = []
+    for column in values.T:
+        try:
+            intervals.append(_percentile_interval(column, config))
+        except BootstrapCollapseError as exc:
+            intervals.append(exc)
+    return intervals
+
+
+def _percentile_interval(
+    values: np.ndarray, config: BootstrapConfig
+) -> tuple[float, float]:
     points = values[np.isfinite(values)]
     failures = values.size - points.size
     if failures > config.max_failure_fraction * config.replications or not points.size:

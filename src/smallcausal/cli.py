@@ -239,6 +239,19 @@ def _write_meta(path_prefix: str, cfg: RunConfig, extra: dict) -> None:
     _write_json(path_prefix + "_meta.json", meta)
 
 
+def _failure_counts(
+    results: list[ReplicateResult], methods: tuple[str, ...]
+) -> dict[str, dict[str, int]]:
+    """Method -> failure-reason tag -> number of replicates it failed."""
+    counts: dict[str, dict[str, int]] = {m: {} for m in methods}
+    for res in results:
+        for m in methods:
+            reason = res.estimates[m].failure_reason
+            if reason is not None:
+                counts[m][reason] = counts[m].get(reason, 0) + 1
+    return counts
+
+
 def _json_text(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -414,6 +427,7 @@ def cmd_simulate(cfg: RunConfig, blas: list[dict] | None) -> int:
             "matching_order": "descending propensity, ties by index",
             "setup_seconds": setup_seconds,
             "blas": blas,
+            "failures": _failure_counts(results, methods),
         },
     )
     print(f"scenario={cfg.scenario} n={cfg.n} estimand={cfg.estimand} "

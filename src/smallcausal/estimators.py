@@ -7,7 +7,8 @@ like are caught and recorded as a failed estimate with a reason tag, so a
 simulation replicate always yields one estimate per requested method.
 
 Each method is one row of the registry ``METHODS``: its id, its estimand,
-whether it needs a propensity score or a matched sample, and how it is run.
+whether it needs a propensity score or a matched sample, how it is run and,
+for g-computation, its Q-model.
 ``RD_METHODS``, ``OR_METHODS``, :func:`shared_inputs`, :func:`or_estimate`,
 :func:`estimate_effects` and the command line all read that table, so adding
 a method means adding one row (and the function it calls).
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -64,13 +65,16 @@ _LOG_OR_FAILURE = math.log(OR_FAILURE_THRESHOLD)
 class Method:
     """One registry row.
 
-    ``fn(data, ps, matched, bootstrap, rng)`` runs the method.  A
-    risk-difference row returns the estimate of the method's public function
-    or raises an EstimationError (an overflowing ``iptw`` weight).  An
-    odds-ratio row returns ``(point, se, ci)`` or raises an EstimationError,
-    and is run by :func:`or_estimate`.  Functions are looked
-    up by module-level name at call time, so rebinding a public estimator
-    (to trace it, say) reaches every dispatch.
+    ``fn(data, ps, matched)`` runs the method without a bootstrap interval.
+    A risk-difference row returns the estimate of the method's public
+    function or raises an EstimationError (an overflowing ``iptw`` weight).
+    An odds-ratio row returns ``(point, se, ci)`` or raises an
+    EstimationError, and is run by :func:`or_estimate`.  A g-computation row
+    names its Q-model in ``q_spec``; its interval comes from the bootstrap
+    pass it shares with the other g-computation rows
+    (:func:`_with_gcomp_cis`).  Functions are looked up by module-level name
+    at call time, so rebinding a public estimator (to trace it, say)
+    reaches every dispatch.
     """
 
     id: str
@@ -78,48 +82,47 @@ class Method:
     needs_ps: bool  # matching is built on the score, so matched rows need it
     needs_match: bool
     fn: Callable
+    q_spec: str | None = None
 
 
 _RD, _OR = ESTIMAND_RD, ESTIMAND_LOG_OR
 _ROWS = (
-    Method("crude", _RD, False, False, lambda d, ps, m, b, r: crude_rd(d)),
+    Method("crude", _RD, False, False, lambda d, ps, m: crude_rd(d)),
     Method("cov_adjusted", _RD, False, False,
-           lambda d, ps, m, b, r: covariate_adjusted_rd(d)),
-    Method("ps_covariate", _RD, True, False,
-           lambda d, ps, m, b, r: ps_covariate_rd(d, ps)),
-    Method("matched", _RD, True, True, lambda d, ps, m, b, r: matched_rd(d, m)),
+           lambda d, ps, m: covariate_adjusted_rd(d)),
+    Method("ps_covariate", _RD, True, False, lambda d, ps, m: ps_covariate_rd(d, ps)),
+    Method("matched", _RD, True, True, lambda d, ps, m: matched_rd(d, m)),
     Method("iptw", _RD, True, False,
-           lambda d, ps, m, b, r: iptw_rd(d, iptw_weights(ps, d.treatment))),
-    Method("gcomp", _RD, False, False,
-           lambda d, ps, m, b, r: gcomp_rd(d, "plain", None, b, r)),
+           lambda d, ps, m: iptw_rd(d, iptw_weights(ps, d.treatment))),
+    Method("gcomp", _RD, False, False, lambda d, ps, m: gcomp_rd(d, "plain"),
+           "plain"),
     Method("gcomp_simple_dr", _RD, True, False,
-           lambda d, ps, m, b, r: gcomp_rd(d, "simple_dr", ps, b, r)),
+           lambda d, ps, m: gcomp_rd(d, "simple_dr", ps), "simple_dr"),
     Method("gcomp_dr_quintiles", _RD, True, False,
-           lambda d, ps, m, b, r: gcomp_rd(d, "dr_quintiles", ps, b, r)),
-    Method("aipw", _RD, True, False, lambda d, ps, m, b, r: aipw_rd(d, ps)),
+           lambda d, ps, m: gcomp_rd(d, "dr_quintiles", ps), "dr_quintiles"),
+    Method("aipw", _RD, True, False, lambda d, ps, m: aipw_rd(d, ps)),
     Method("crude", _OR, False, False,
-           lambda d, ps, m, b, r: _logistic_or(
-               _intercept_design(d.treatment), d.outcome)),
+           lambda d, ps, m: _logistic_or(_intercept_design(d.treatment), d.outcome)),
     Method("cov_adjusted", _OR, False, False,
-           lambda d, ps, m, b, r: _logistic_or(
+           lambda d, ps, m: _logistic_or(
                _intercept_design(d.treatment, *d.covariates.T), d.outcome)),
     Method("ps_covariate", _OR, True, False,
-           lambda d, ps, m, b, r: _logistic_or(
+           lambda d, ps, m: _logistic_or(
                _intercept_design(d.treatment, ps.probabilities), d.outcome)),
     Method("match_unadjusted", _OR, True, True,
-           lambda d, ps, m, b, r: _match_unadjusted_or(d, m)),
+           lambda d, ps, m: _match_unadjusted_or(d, m)),
     Method("match_conditional", _OR, True, True,
-           lambda d, ps, m, b, r: _match_conditional_or(d, m)),
+           lambda d, ps, m: _match_conditional_or(d, m)),
     Method("iptw", _OR, True, False,
-           lambda d, ps, m, b, r: _logistic_or(
+           lambda d, ps, m: _logistic_or(
                _intercept_design(d.treatment), d.outcome,
                iptw_weights(ps, d.treatment).weights)),
-    Method("gcomp", _OR, False, False,
-           lambda d, ps, m, b, r: _gcomp_or(d, "plain", None, b, r)),
+    Method("gcomp", _OR, False, False, lambda d, ps, m: _gcomp_or(d, "plain", None),
+           "plain"),
     Method("gcomp_simple_dr", _OR, True, False,
-           lambda d, ps, m, b, r: _gcomp_or(d, "simple_dr", ps, b, r)),
+           lambda d, ps, m: _gcomp_or(d, "simple_dr", ps), "simple_dr"),
     Method("gcomp_dr_quintiles", _OR, True, False,
-           lambda d, ps, m, b, r: _gcomp_or(d, "dr_quintiles", ps, b, r)),
+           lambda d, ps, m: _gcomp_or(d, "dr_quintiles", ps), "dr_quintiles"),
 )
 
 #: the registry: estimand -> method id -> row; CSV rows follow this order
@@ -318,72 +321,113 @@ def _gcomp_means(
 
 
 def _gcomp_batch_means(
-    data: Dataset, q_spec: str, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_gcomp_means` for every resample of a ``(b, n)`` index block.
+    data: Dataset, q_specs: tuple[str, ...], indices: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`_gcomp_means` for every resample of a ``(b, n)`` index block,
+    for each Q-model spec in ``q_specs``.
 
     A resample is its row counts, so the propensity and Q-models are
-    count-weighted fits on the original rows.  Returns ``(m1, m0)``, NaN
-    for a dropped resample: one that is single-arm, has fewer than 5
-    distinct logits (``dr_quintiles``), has a propensity or Q fit that
-    fails (a non-finite fitted design among them; see
-    :func:`fit_logistic_batch`) or a NaN counterfactual mean.  An overflowed
-    counterfactual covariate is kept, as in :func:`_gcomp_means`.
+    count-weighted fits on the original rows.  The counts, the propensity
+    fit and the quintile strata are built once per block and shared by the
+    specs that use them, so each spec gets exactly what it would get alone.
+    Returns ``(m1, m0)`` per spec, NaN for a dropped resample: one that is
+    single-arm, has fewer than 5 distinct logits (``dr_quintiles``), has a
+    propensity or Q fit that fails (a non-finite fitted design among them;
+    see :func:`fit_logistic_batch`) or a NaN counterfactual mean.  An
+    overflowed counterfactual covariate is kept, as in :func:`_gcomp_means`.
     """
     b, n = indices.shape
     offsets = n * np.arange(b)[:, None]
     counts = np.bincount((indices + offsets).ravel(), minlength=b * n)
     counts = counts.reshape(b, n).astype(float)
     n_treated = counts @ data.treatment
-    kept = (n_treated > 0) & (n_treated < n)
+    both_arms = (n_treated > 0) & (n_treated < n)
     logits = dummies = None
-    if q_spec != "plain":
+    if any(q_spec != "plain" for q_spec in q_specs):
         X_ps = _intercept_design(*data.covariates.T)
-        gamma, status, _ = fit_logistic_batch(X_ps, data.treatment, counts)
-        kept &= status <= PLATEAU
+        gamma, ps_status, _ = fit_logistic_batch(X_ps, data.treatment, counts)
         logits = gamma @ X_ps.T
-    if q_spec == "dr_quintiles":
+    if "dr_quintiles" in q_specs:
         expanded = np.take_along_axis(logits, indices, axis=1)
         dummies, n_distinct = quintile_strata(logits, expanded)
-        kept &= n_distinct >= 5
 
-    def design(treatment: np.ndarray) -> np.ndarray:
-        # plain: one (n, p) design for every resample; otherwise (b, n, p)
-        return _q_model_design(data, q_spec, treatment, logits, dummies)
-
-    beta, status, _ = fit_logistic_batch(design(data.treatment), data.outcome, counts)
-    kept &= status <= PLATEAU
     means = []
-    for a in (np.ones(n), np.zeros(n)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            eta = np.matmul(design(a), beta[:, :, None])[:, :, 0]
-        means.append(np.where(kept, (counts * expit(eta)).sum(axis=1) / n, np.nan))
-    return means[0], means[1]
+    for q_spec in q_specs:
+        kept = both_arms
+        if q_spec != "plain":
+            kept = kept & (ps_status <= PLATEAU)
+        if q_spec == "dr_quintiles":
+            kept = kept & (n_distinct >= 5)
+
+        def design(treatment: np.ndarray) -> np.ndarray:
+            # plain: one (n, p) design for every resample; otherwise (b, n, p)
+            return _q_model_design(data, q_spec, treatment, logits, dummies)
+
+        beta, status, _ = fit_logistic_batch(
+            design(data.treatment), data.outcome, counts
+        )
+        kept = kept & (status <= PLATEAU)
+        arm_means = []
+        for a in (np.ones(n), np.zeros(n)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                eta = np.matmul(design(a), beta[:, :, None])[:, :, 0]
+            arm_means.append(
+                np.where(kept, (counts * expit(eta)).sum(axis=1) / n, np.nan)
+            )
+        means.append((arm_means[0], arm_means[1]))
+    return means
 
 
-def _gcomp_ci(
+def _gcomp_cis(
     data: Dataset,
-    q_spec: str,
+    q_specs: tuple[str, ...],
     contrast: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    bootstrap: BootstrapConfig | None,
+    bootstrap: BootstrapConfig,
     rng: np.random.Generator | None,
-) -> tuple[float, float] | None:
-    """Percentile interval of ``contrast(m1, m0)``; None without bootstrap.
+) -> list:
+    """Percentile intervals of ``contrast(m1, m0)`` for each Q-model spec,
+    from one bootstrap pass over one index draw from ``rng``.
 
     Every resample refits the whole pipeline, propensity model included, a
     block at a time by :func:`_gcomp_batch_means`; a NaN contrast drops the
-    resample.
+    resample for its spec.  One entry per spec: ``(lo, hi)``, or the
+    BootstrapCollapseError of that spec alone.
     """
-    if bootstrap is None:
-        return None
     if rng is None:
         raise ValueError("bootstrap interval needs a random stream")
-    return bootstrap_percentile_ci(
-        data,
-        lambda indices: contrast(*_gcomp_batch_means(data, q_spec, indices)),
-        bootstrap,
-        rng,
-    )
+
+    def estimator(indices: np.ndarray) -> np.ndarray:
+        return np.stack(
+            [contrast(m1, m0) for m1, m0 in _gcomp_batch_means(data, q_specs, indices)],
+            axis=1,
+        )
+
+    return bootstrap_percentile_ci(data, estimator, bootstrap, rng)
+
+
+def _with_gcomp_cis(
+    data: Dataset,
+    estimates: list[EffectEstimate],
+    bootstrap: BootstrapConfig | None,
+    rng: np.random.Generator | None,
+) -> list[EffectEstimate]:
+    """The successful g-computation estimates of one estimand, each with its
+    percentile interval from the one bootstrap pass they share.
+
+    A collapsed interval fails its own method only.  Without bootstrap or
+    without estimates nothing is drawn from ``rng``.
+    """
+    if bootstrap is None or not estimates:
+        return estimates
+    estimand = estimates[0].estimand
+    q_specs = tuple(METHODS[estimand][est.method].q_spec for est in estimates)
+    contrast = operator.sub if estimand == ESTIMAND_RD else _log_or
+    cis = _gcomp_cis(data, q_specs, contrast, bootstrap, rng)
+    return [
+        _failed(estimand, est.method, ci) if isinstance(ci, EstimationError)
+        else replace(est, ci=ci)
+        for est, ci in zip(estimates, cis)
+    ]
 
 
 def gcomp_rd(
@@ -400,17 +444,18 @@ def gcomp_rd(
     ``simple_dr`` (adds the signed inverse-probability covariate) or
     ``dr_quintiles`` (adds four score-quintile dummies).  The interval, when
     requested, is a percentile bootstrap that refits the whole pipeline
-    (propensity model included) inside each resample.
+    (propensity model included) inside each resample; it is the interval
+    :func:`estimate_effects` gives the method with an equal ``rng``.
     """
     method = "gcomp" if q_spec == "plain" else "gcomp_" + q_spec
     if q_spec != "plain" and ps is None:
         raise ValueError(f"{method} requires propensity scores")
     try:
         m1, m0 = _gcomp_means(data, q_spec, ps)
-        ci = _gcomp_ci(data, q_spec, operator.sub, bootstrap, rng)
     except EstimationError as exc:
         return _failed(ESTIMAND_RD, method, exc)
-    return EffectEstimate(ESTIMAND_RD, method, m1 - m0, None, ci)
+    estimate = EffectEstimate(ESTIMAND_RD, method, m1 - m0)
+    return _with_gcomp_cis(data, [estimate], bootstrap, rng)[0]
 
 
 def aipw_rd(data: Dataset, ps: PropensityScores) -> EffectEstimate:
@@ -516,20 +561,13 @@ def _log_or(m1, m0):
     return np.where(inside, log_or, np.nan)
 
 
-def _gcomp_or(
-    data: Dataset,
-    q_spec: str,
-    ps: PropensityScores | None,
-    bootstrap: BootstrapConfig | None,
-    rng: np.random.Generator | None,
-):
-    # the extreme-OR rule applies to the point only, before any resample
-    # stream is spawned; resamples drop on the boundary check alone
+def _gcomp_or(data: Dataset, q_spec: str, ps: PropensityScores | None):
+    # the extreme-OR rule applies to the point only, so a method it fails
+    # never enters the bootstrap pass; resamples drop on the boundary check
     point = float(_log_or(*_gcomp_means(data, q_spec, ps)))
     if math.isnan(point):  # the means are never NaN here
         raise ExtremeOrError("counterfactual mean on the boundary")
-    point = _or_point_guard(point)
-    return point, None, _gcomp_ci(data, q_spec, _log_or, bootstrap, rng)
+    return _or_point_guard(point), None, None
 
 
 def or_estimate(
@@ -544,6 +582,8 @@ def or_estimate(
 
     Any method whose back-transformed point estimate reaches an odds ratio of
     3000 is recorded as an ExtremeOR failure before interval construction.
+    A g-computation method's bootstrap interval is the one
+    :func:`estimate_effects` gives it with an equal ``rng``.
     """
     row = METHODS[ESTIMAND_LOG_OR].get(_OR_ALIASES.get(method, method))
     if row is None:
@@ -554,10 +594,13 @@ def or_estimate(
     elif row.needs_ps and ps is None:
         raise ValueError(f"{row.id} requires propensity scores")
     try:
-        point, se, ci = row.fn(data, ps, matched, bootstrap, rng)
+        point, se, ci = row.fn(data, ps, matched)
     except EstimationError as exc:
         return _failed(ESTIMAND_LOG_OR, row.id, exc)
-    return EffectEstimate(ESTIMAND_LOG_OR, row.id, point, se, ci)
+    estimate = EffectEstimate(ESTIMAND_LOG_OR, row.id, point, se, ci)
+    if row.q_spec is None:
+        return estimate
+    return _with_gcomp_cis(data, [estimate], bootstrap, rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +646,11 @@ def estimate_effects(
     """Run every requested method on one dataset, in the requested order.
 
     A method whose propensity score or matched sample could not be built
-    fails with that reason and never touches ``rng``.  A successful estimate
-    with a non-finite point, SE or CI endpoint raises ArithmeticError.
+    fails with that reason.  Every point comes first; then the g-computation
+    methods whose point succeeded share one bootstrap pass over one index
+    draw from ``rng``, so each interval is the one the method gets alone.  A
+    successful estimate with a non-finite point, SE or CI endpoint raises
+    ArithmeticError.
     """
     registry = METHODS[estimand]
     unknown = set(methods) - set(registry)
@@ -622,13 +668,20 @@ def estimate_effects(
         elif row.needs_ps and ps is None:
             results[method] = _failed(estimand, method, ps_error)
         elif estimand == ESTIMAND_LOG_OR:
-            results[method] = or_estimate(data, method, ps, matched, bootstrap, rng)
+            results[method] = or_estimate(data, method, ps, matched)
         else:
             try:
-                results[method] = row.fn(data, ps, matched, bootstrap, rng)
+                results[method] = row.fn(data, ps, matched)
             except EstimationError as exc:  # from building the method's input
                 results[method] = _failed(estimand, method, exc)
-        _check_finite(results[method])
+    pending = [
+        est for est in results.values()
+        if registry[est.method].q_spec is not None and not est.failed
+    ]
+    for est in _with_gcomp_cis(data, pending, bootstrap, rng):
+        results[est.method] = est
+    for est in results.values():
+        _check_finite(est)
     return results
 
 

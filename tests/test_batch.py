@@ -16,7 +16,7 @@ from smallcausal.errors import (
     RankDeficientError,
 )
 from smallcausal.estimators import (
-    _gcomp_ci,
+    _gcomp_cis,
     _gcomp_means,
     _intercept_design,
     _log_or,
@@ -258,8 +258,8 @@ def scalar_ci(data, q_spec, contrast, config, rng):
     """The g-computation bootstrap as an explicit loop of scalar fits."""
     n = data.n_subjects
     values, dropped = [], 0
-    for child in rng.spawn(config.replications):
-        resample = data.take(child.integers(0, n, size=n))
+    for indices in rng.integers(0, n, size=(config.replications, n)):
+        resample = data.take(indices)
         try:
             if resample.n_treated in (0, n):
                 raise RankDeficientError("single-arm")
@@ -274,6 +274,12 @@ def scalar_ci(data, q_spec, contrast, config, rng):
             values.append(value)
     lo, hi = np.quantile(values, config.percentiles)
     return (lo, hi), dropped
+
+
+def _gcomp_ci(data, q_spec, contrast, config, rng):
+    """The bootstrap pass with one Q-model spec: its one interval."""
+    (ci,) = _gcomp_cis(data, (q_spec,), contrast, config, rng)
+    return ci
 
 
 def counted_ci(monkeypatch, data, q_spec, contrast, config, rng):

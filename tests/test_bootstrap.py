@@ -81,12 +81,11 @@ def test_collapse_when_most_replicates_fail():
 
 
 def test_resample_indices_uniform_chisquare():
-    # pool a million index draws from the same spawn scheme the CI uses
+    # pool a million index draws from the same (B, n) scheme the CI uses
     n = 100
     rng = np.random.default_rng(9)
     counts = np.zeros(n)
-    for child in rng.spawn(10_000):
-        idx = child.integers(0, n, size=100)
+    for idx in rng.integers(0, n, size=(10_000, 100)):
         counts += np.bincount(idx, minlength=n)
     total = counts.sum()
     stat = ((counts - total / n) ** 2 / (total / n)).sum()
@@ -138,9 +137,9 @@ def test_block_values_match_a_loop_over_resamples():
         data, lambda idx: data.outcome[idx].mean(axis=1), cfg,
         np.random.default_rng(13),
     )
-    # the same resamples, one at a time in their stream order
+    # the same resamples, one at a time in the rows of their one draw
     means = [
-        data.take(child.integers(0, 30, size=30)).outcome.mean()
-        for child in np.random.default_rng(13).spawn(50)
+        data.take(idx).outcome.mean()
+        for idx in np.random.default_rng(13).integers(0, 30, size=(50, 30))
     ]
     assert block == pytest.approx(tuple(np.quantile(means, cfg.percentiles)), abs=1e-15)

@@ -215,6 +215,25 @@ class TestSimulate:
         setup = json.loads((tmp_path / "b_meta.json").read_text())["setup_seconds"]
         assert setup["calibration"] is None and setup["truth_oracle"] >= 0.0
 
+    def test_failure_counts_in_meta(self, tmp_path):
+        rc = run_cli(
+            "simulate", "--scenario", "austin", "--beta0", "-1.5", "--n", "40",
+            "--estimand", "or", "--replicates", "6", "--bootstrap", "0",
+            "--beta-trt", "1.0", "--workers", "1", "--oracle-datasets", "5",
+            "--oracle-size", "2000", "--out", str(tmp_path / "f"),
+        )
+        assert rc == 0
+        failures = json.loads((tmp_path / "f_meta.json").read_text())["failures"]
+        with open(tmp_path / "f_replicates.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        expected = {row["method"]: {} for row in rows}
+        for row in rows:
+            if row["failed"] == "true":
+                tags = expected[row["method"]]
+                tags[row["failure_reason"]] = tags.get(row["failure_reason"], 0) + 1
+        assert failures == expected
+        assert sum(sum(tags.values()) for tags in failures.values()) > 0
+
     def test_unexpected_replicate_error_names_the_replicate(self, tmp_path, monkeypatch):
         generate = simulation.generate
         calls = []
