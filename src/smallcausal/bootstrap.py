@@ -11,9 +11,10 @@ import numpy as np
 from .data import Dataset
 from .errors import BootstrapCollapseError
 
-#: a batch block holds about this many doubles per (resamples, n, columns)
-#: array, with the data's columns as the width; it bounds the batch's memory
-BATCH_DOUBLES = 2**16
+#: a batch block holds about this many doubles per (resamples, n) array; it
+#: bounds the batch's memory, whose widest arrays are the (resamples, 4, n)
+#: stratum indicators of the dr_quintiles Q-model and their weighted copy
+BATCH_DOUBLES = 2**14
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ def bootstrap_percentile_ci(
     """
     n, replications = data.n_subjects, config.replications
     indices = rng.integers(0, n, size=(replications, n))
-    n_blocks = math.ceil(replications * n * (data.n_covariates + 2) / BATCH_DOUBLES)
+    n_blocks = math.ceil(replications * n / BATCH_DOUBLES)
     block = math.ceil(replications / n_blocks)  # blocks of near-equal size
     values = np.concatenate([
         estimator(indices[i : i + block]) for i in range(0, replications, block)

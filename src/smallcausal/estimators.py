@@ -39,6 +39,7 @@ from .glm import (
     fit_logistic_batch,
     fit_ols,
     hc3_covariance,
+    linear_predictors,
     wald_ci,
 )
 from .propensity import (
@@ -275,23 +276,21 @@ def _q_model_design(
     """Design for the outcome (Q) model under actual or counterfactual A.
 
     ``logits`` (``simple_dr``) or ``dummies`` (``dr_quintiles``) carry the
-    propensity columns; with a stack of them, shaped ``(b, n)`` or
-    ``(b, n, 4)``, the design is the ``(b, n, p)`` stack.
+    propensity columns.
     """
     a = np.asarray(treatment, float)
     X = _intercept_design(a, *data.covariates.T)
     if q_spec == "simple_dr":
         # signed inverse-probability covariate, recomputed under the
         # counterfactual treatment when predicting
-        extra = signed_inverse_probability(a, logits)[..., None]
+        extra = signed_inverse_probability(a, logits)[:, None]
     elif q_spec == "dr_quintiles":
         extra = dummies
     elif q_spec == "plain":
         return X
     else:
         raise ValueError(f"unknown Q-model spec: {q_spec!r}")
-    X = np.broadcast_to(X, extra.shape[:-1] + X.shape[-1:])
-    return np.concatenate([X, extra], axis=-1)
+    return np.concatenate([X, extra], axis=1)
 
 
 def _gcomp_means(
@@ -342,15 +341,25 @@ def _gcomp_batch_means(
     counts = counts.reshape(b, n).astype(float)
     n_treated = counts @ data.treatment
     both_arms = (n_treated > 0) & (n_treated < n)
-    logits = dummies = None
+    logits = strata = None
     if any(q_spec != "plain" for q_spec in q_specs):
         X_ps = _intercept_design(*data.covariates.T)
         gamma, ps_status, _ = fit_logistic_batch(X_ps, data.treatment, counts)
         logits = gamma @ X_ps.T
     if "dr_quintiles" in q_specs:
         expanded = np.take_along_axis(logits, indices, axis=1)
-        dummies, n_distinct = quintile_strata(logits, expanded)
+        strata, n_distinct = quintile_strata(logits, expanded)
 
+    def resample_part(q_spec: str, treatment: np.ndarray) -> dict:
+        # the Q design's per-resample part under the treatment; the shared
+        # block is the plain design
+        if q_spec == "simple_dr":
+            return {"column": signed_inverse_probability(treatment, logits)}
+        if q_spec == "dr_quintiles":
+            return {"strata": strata}
+        return {}
+
+    X = _intercept_design(data.treatment, *data.covariates.T)
     means = []
     for q_spec in q_specs:
         kept = both_arms
@@ -358,19 +367,18 @@ def _gcomp_batch_means(
             kept = kept & (ps_status <= PLATEAU)
         if q_spec == "dr_quintiles":
             kept = kept & (n_distinct >= 5)
-
-        def design(treatment: np.ndarray) -> np.ndarray:
-            # plain: one (n, p) design for every resample; otherwise (b, n, p)
-            return _q_model_design(data, q_spec, treatment, logits, dummies)
-
         beta, status, _ = fit_logistic_batch(
-            design(data.treatment), data.outcome, counts
+            X, data.outcome, counts, **resample_part(q_spec, data.treatment)
         )
         kept = kept & (status <= PLATEAU)
         arm_means = []
-        for a in (np.ones(n), np.zeros(n)):
+        for a in (1.0, 0.0):
+            X_a = X.copy()
+            X_a[:, 1] = a
             with np.errstate(over="ignore", invalid="ignore"):
-                eta = np.matmul(design(a), beta[:, :, None])[:, :, 0]
+                eta = linear_predictors(
+                    X_a, beta, **resample_part(q_spec, np.full(n, a))
+                )
             arm_means.append(
                 np.where(kept, (counts * expit(eta)).sum(axis=1) / n, np.nan)
             )

@@ -263,19 +263,61 @@ def fit_logistic(
     )
 
 
-def _linear_predictors(X: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """``(b, n)`` linear predictors of a shared ``(n, p)`` or a ``(b, n, p)``
-    design."""
-    if X.ndim == 2:
-        return coefficients @ X.T
-    return (X @ coefficients[:, :, None])[:, :, 0]
+def _resample_columns(
+    column: np.ndarray | None, strata: np.ndarray | None
+) -> np.ndarray | None:
+    """The per-resample columns of a batch as one ``(b, k, n)`` array:
+    ``column`` as one column, or ``strata`` (a stratum index 0..4) as the
+    indicators of strata 1..4, stratum 0 being the reference.  None for
+    neither.  Either way a design row is nonzero in at most one of them."""
+    if column is not None:
+        return np.asarray(column, dtype=float)[:, None, :]
+    if strata is not None:
+        return (strata[:, None, :] == np.arange(1, 5)[:, None]).astype(float)
+    return None
 
 
-def _weighted_column_sums(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``(b, p)`` sums ``v[j] @ X[j]`` of a shared or a stacked design."""
-    if X.ndim == 2:
-        return v @ X
-    return (v[:, None, :] @ X)[:, 0]
+def _dense(X: np.ndarray, E: np.ndarray | None) -> np.ndarray:
+    """The shared block ``X`` followed by the per-resample columns ``E``
+    as a ``(b, n, p)`` stack, or ``X`` itself without them."""
+    if E is None:
+        return X
+    shared = np.broadcast_to(X, (len(E),) + X.shape)
+    return np.concatenate([shared, np.swapaxes(E, 1, 2)], axis=2)
+
+
+def _linear_predictors(
+    X: np.ndarray, E: np.ndarray | None, coefficients: np.ndarray
+) -> np.ndarray:
+    """``(b, n)`` linear predictors of the shared ``(n, p_A)`` block ``X``
+    followed by the per-resample columns ``E``."""
+    p_A = X.shape[1]
+    eta = coefficients[:, :p_A] @ X.T
+    if E is not None:
+        eta += np.matmul(coefficients[:, None, p_A:], E)[:, 0]
+    return eta
+
+
+def linear_predictors(
+    X: np.ndarray,
+    coefficients: np.ndarray,
+    column: np.ndarray | None = None,
+    strata: np.ndarray | None = None,
+) -> np.ndarray:
+    """``(b, n)`` linear predictors of ``(b, p)`` coefficients on the
+    designs :func:`fit_logistic_batch` takes, given the same way."""
+    return _linear_predictors(X, _resample_columns(column, strata), coefficients)
+
+
+def _weighted_column_sums(
+    X: np.ndarray, E: np.ndarray | None, v: np.ndarray
+) -> np.ndarray:
+    """``(b, p)`` sums ``v[j] @ X_j`` over the designs of the shared block
+    ``X`` followed by the per-resample columns ``E``."""
+    sums = v @ X
+    if E is None:
+        return sums
+    return np.concatenate([sums, np.matmul(E, v[:, :, None])[:, :, 0]], axis=1)
 
 
 def _qr_steps(
@@ -300,50 +342,86 @@ def _qr_steps(
     return np.linalg.solve(R, half)[:, :, 0], failed
 
 
+def _cholesky_diagonals(gram: np.ndarray) -> np.ndarray:
+    """``diag(L)`` of the Cholesky factor of each Gram in the stack, NaN for
+    a Gram that is not numerically positive definite.  numpy raises for the
+    whole stack when one factorisation fails, so a raising stack is bisected
+    down to its failing rows; a row's factor does not depend on its stack."""
+    try:
+        return np.diagonal(np.linalg.cholesky(gram), axis1=1, axis2=2)
+    except np.linalg.LinAlgError:
+        if len(gram) == 1:
+            return np.full(gram.shape[:2], np.nan)
+        half = len(gram) // 2
+        return np.concatenate(
+            [_cholesky_diagonals(gram[:half]), _cholesky_diagonals(gram[half:])]
+        )
+
+
 def _gram_steps(
-    X: np.ndarray, outer: np.ndarray | None, irls_w: np.ndarray, score: np.ndarray
+    X: np.ndarray,
+    upper: tuple[np.ndarray, np.ndarray],
+    outer: np.ndarray,
+    E: np.ndarray | None,
+    irls_w: np.ndarray,
+    score: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Newton steps through the Cholesky of the weighted Gram ``X'WX``; with
-    a shared design the Gram is one product with its row ``outer`` products.
+    """Newton steps through the Cholesky of the weighted Gram ``X'WX``.
+
+    The Gram is built from blocks in the design's column order: the shared
+    block's ``A'WA`` from its row ``outer`` products on the ``upper``
+    triangle, the cross block ``A'WE`` as one product and, since a design
+    row is nonzero in at most one per-resample column, a diagonal ``E'WE``.
     ``diag(L)`` equals ``|diag(R)|`` of the QR of ``sqrt(W)X`` in exact
     arithmetic but carries the Gram's rounding, about ``sqrt((n + p) eps)``
-    of the largest pivot.  So a row below that pivot ratio, or every row
-    when the batched Cholesky fails, takes the QR step.  Returns ``(step,
-    failed)``."""
-    n, p = X.shape[-2:]
-    if outer is not None:
-        gram = (irls_w @ outer).reshape(-1, p, p)
-    else:
-        gram = (np.swapaxes(X, 1, 2) * irls_w[:, None, :]) @ X
-    use_qr = np.ones(len(gram), dtype=bool)
-    try:
-        piv = np.diagonal(np.linalg.cholesky(gram), axis1=1, axis2=2)
-        rtol = math.sqrt((n + p) * np.finfo(float).eps)
-        use_qr = ~(piv.min(axis=1) >= rtol * piv.max(axis=1))
-    except np.linalg.LinAlgError:  # raised for the whole stack
-        pass
+    of the largest pivot.  So a row below that pivot ratio, or whose
+    Cholesky fails, takes the QR step on its own dense design.  Returns
+    ``(step, failed)``."""
+    (b, n), (p_A, p) = irls_w.shape, (X.shape[1], score.shape[1])
+    gram = np.zeros((b, p, p))
+    gram[:, upper[0], upper[1]] = gram[:, upper[1], upper[0]] = irls_w @ outer
+    if E is not None:
+        weighted = E * irls_w[:, None, :]
+        cross = (weighted.reshape(-1, n) @ X).reshape(b, -1, p_A)
+        gram[:, p_A:, :p_A] = cross
+        gram[:, :p_A, p_A:] = np.swapaxes(cross, 1, 2)
+        extra = np.arange(p_A, p)
+        gram[:, extra, extra] = np.einsum("bkn,bkn->bk", weighted, E)
+    piv = _cholesky_diagonals(gram)
+    rtol = math.sqrt((n + p) * np.finfo(float).eps)
+    use_qr = ~(piv.min(axis=1) >= rtol * piv.max(axis=1))  # NaN: not factorised
     gram[use_qr] = np.eye(p)  # a harmless solve; the QR step replaces it
     step = np.linalg.solve(gram, score[:, :, None])[:, :, 0]
-    failed = np.zeros(len(gram), dtype=bool)
+    failed = np.zeros(b, dtype=bool)
     if use_qr.any():
         step[use_qr], failed[use_qr] = _qr_steps(
-            X if outer is not None else X[use_qr], irls_w[use_qr], score[use_qr]
+            _dense(X, None if E is None else E[use_qr]),
+            irls_w[use_qr],
+            score[use_qr],
         )
     return step, failed
 
 
 def fit_logistic_batch(
-    X: np.ndarray, y: np.ndarray, counts: np.ndarray
+    X: np.ndarray,
+    y: np.ndarray,
+    counts: np.ndarray,
+    column: np.ndarray | None = None,
+    strata: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frequency-weighted logistic fits of a stack of resamples, by one IRLS
     from a zero start.
 
-    ``X`` is one ``(n, p)`` design shared by every resample or a ``(b, n,
-    p)`` stack, ``y`` is the ``(n,)`` response and ``counts[j, i]`` is how
-    often row ``i`` appears in resample ``j`` (or any nonnegative prior
-    weight).  The MLE on the duplicated rows equals the count-weighted MLE on
-    the original rows, so row ``j`` fits ``X[j][idx], y[idx]``.  A
-    non-finite design entry matters only in a row with a positive count.
+    ``y`` is the ``(n,)`` response and ``counts[j, i]`` is how often row
+    ``i`` appears in resample ``j`` (or any nonnegative prior weight).  The
+    MLE on the duplicated rows equals the count-weighted MLE on the original
+    rows, so row ``j`` fits ``X_j[idx], y[idx]``.  The design ``X_j`` of
+    resample ``j`` is the ``(n, p_A)`` block ``X`` shared by every resample,
+    followed by at most one per-resample part: ``column[j]`` of a ``(b, n)``
+    column, or the four indicators of strata 1..4 of ``strata[j]``, a
+    ``(b, n)`` stratum index 0..4.  No ``(b, n, p)`` design is built, except
+    for a row that takes the QR step.  A non-finite design entry matters
+    only in a row with a positive count.
 
     A row converges once its max absolute coefficient change drops to
     ``IRLS_TOL`` or its max absolute score component to ``IRLS_SCORE_TOL``.
@@ -351,55 +429,63 @@ def fit_logistic_batch(
     has plateaued (relative change below ``PLATEAU_RTOL`` in the last
     iteration, the criterion GLM software uses).
 
-    A batch takes Gram steps (:func:`_gram_steps`).  A single fit (``b ==
-    1``) takes the QR step, which is better conditioned and keeps its last
-    bits (:func:`_qr_steps`).  A QR step fails when a pivot falls below
+    A batch takes Gram steps (:func:`_gram_steps`); only its rows near or
+    below the rank threshold take the QR step.  A single fit (``b == 1``)
+    takes the QR step, which is better conditioned and keeps its last bits
+    (:func:`_qr_steps`).  A QR step fails when a pivot falls below
     ``PIVOT_RTOL`` times the largest.  At the zero start the IRLS weights
     are the counts, so the first factorisation is the design rank check,
     even of a row whose score is already zero.
 
     Returns ``(coefficients, status, iterations)``, each with one entry per
-    row.  ``status`` is ``CONVERGED``, ``PLATEAU``, ``RANK_DEFICIENT`` (the
-    first factorisation failed, or ``n < p``), ``NOT_CONVERGED`` (a later
-    factorisation failed, a step was not finite, or the cap was reached
-    without a plateau) or ``NON_FINITE`` (the design).  The coefficients of
-    a failed row are its last iterate.
+    row; the coefficients follow the design's column order.  ``status`` is
+    ``CONVERGED``, ``PLATEAU``, ``RANK_DEFICIENT`` (the first factorisation
+    failed, or ``n < p``), ``NOT_CONVERGED`` (a later factorisation failed,
+    a step was not finite, or the cap was reached without a plateau) or
+    ``NON_FINITE`` (the design).  The coefficients of a failed row are its
+    last iterate.
     """
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("the shared design block must be 2-dimensional")
     counts = np.asarray(counts, dtype=float)
+    E = _resample_columns(column, strata)
     b, n = counts.shape
-    p = X.shape[-1]
-    shared = X.ndim == 2
+    p = X.shape[1] + (0 if E is None else E.shape[1])
     y = np.asarray(y, dtype=float)
     beta = np.zeros((b, p))
     iterations = np.zeros(b, dtype=int)
     # NOT_CONVERGED marks the rows still iterating, and stays at the cap
     status = np.full(b, RANK_DEFICIENT if n < p else NOT_CONVERGED)
-    finite = np.isfinite(X)
+    finite = np.isfinite(X).all(axis=1)
+    if E is not None:
+        finite = finite & np.isfinite(E).all(axis=1)
     if not finite.all():
-        status[(~finite.all(axis=-1) & (counts > 0)).any(axis=-1)] = NON_FINITE
-        X = np.where(finite, X, 0.0)  # an unused row then adds exact zeros
-    outer = None
-    if shared and b > 1:
-        outer = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
+        status[(~finite & (counts > 0)).any(axis=-1)] = NON_FINITE
+        # an unused row then adds exact zeros
+        X = np.where(np.isfinite(X), X, 0.0)
+        E = None if E is None else np.where(np.isfinite(E), E, 0.0)
+    if b > 1:
+        upper = np.triu_indices(X.shape[1])
+        outer = X[:, upper[0]] * X[:, upper[1]]
     # the rows still iterating, and their slices of every input
     rows = np.flatnonzero(status == NOT_CONVERGED)
-    Xr, wr, br = X, counts, beta
+    Er, wr, br = E, counts, beta
     if rows.size < b:
-        Xr = X if shared else X[rows]
         wr, br = counts[rows], beta[rows]
+        Er = None if E is None else E[rows]
     deviance_prev = np.full(rows.size, np.nan)
     for it in range(1, IRLS_MAX_ITER + 1):
         if rows.size == 0:
             break
-        prob = expit(_linear_predictors(Xr, br))
-        score = _weighted_column_sums(Xr, wr * (y - prob))
+        prob = expit(_linear_predictors(X, Er, br))
+        score = _weighted_column_sums(X, Er, wr * (y - prob))
         converged = np.abs(score).max(axis=1) <= IRLS_SCORE_TOL
         irls_w = wr * prob * (1.0 - prob)
         if b > 1:
-            step, singular = _gram_steps(Xr, outer, irls_w, score)
+            step, singular = _gram_steps(X, upper, outer, Er, irls_w, score)
         else:
-            step, singular = _qr_steps(Xr, irls_w, score)
+            step, singular = _qr_steps(_dense(X, Er), irls_w, score)
         if it > 1:
             singular &= ~converged  # a zero score stops the fit first
         else:
@@ -413,7 +499,7 @@ def fit_logistic_batch(
         stopped |= diverged  # the rows that took no step
         done = stopped | (size <= IRLS_TOL)
         if it >= IRLS_MAX_ITER - 1:  # the plateau rule needs the final pair
-            deviance = _binomial_deviance(y, expit(_linear_predictors(Xr, br)), wr)
+            deviance = _binomial_deviance(y, expit(_linear_predictors(X, Er, br)), wr)
             plateau = _plateaued(deviance, deviance_prev)
             deviance_prev = deviance
         at_cap = it == IRLS_MAX_ITER
@@ -430,8 +516,8 @@ def fit_logistic_batch(
         iterations[rows[done]] = it - stopped[done]
         keep = ~done
         rows, wr, br, deviance_prev = (a[keep] for a in (rows, wr, br, deviance_prev))
-        if not shared:
-            Xr = Xr[keep]
+        if Er is not None:
+            Er = Er[keep]
     return beta, status, iterations
 
 

@@ -146,10 +146,10 @@ def ps_quintile_dummies(ps: PropensityScores) -> QuintileDummies:
     logits = ps.logits
     if logits.size < 5:
         raise DegenerateStrataError("need at least 5 subjects for quintiles")
-    dummies, n_distinct = quintile_strata(logits, logits)
+    stratum, n_distinct = quintile_strata(logits, logits)
     if n_distinct < 5:
         raise DegenerateStrataError("fewer than 5 distinct logit values")
-    return QuintileDummies(dummies)
+    return QuintileDummies((stratum[:, None] == np.arange(1, 5)).astype(float))
 
 
 def quintile_strata(
@@ -157,14 +157,12 @@ def quintile_strata(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The quintile rule of :func:`ps_quintile_dummies`, on the last axis.
 
-    Returns the four stratum dummies of each of ``values`` (shape
-    ``values.shape + (4,)``) among the type-7 quintile cut points of
-    ``sample``, and the number of distinct values in ``sample``.  Leading
-    axes stack independent samples.
+    Returns the stratum index 0..4 of each of ``values`` among the type-7
+    quintile cut points of ``sample``, and the number of distinct values in
+    ``sample``.  Leading axes stack independent samples.
     """
     ordered = np.sort(sample, axis=-1)
     n_distinct = 1 + (np.diff(ordered, axis=-1) != 0).sum(axis=-1)
     cutpoints = np.moveaxis(np.quantile(ordered, QUINTILES, axis=-1), 0, -1)
-    stratum = (values[..., None] > cutpoints[..., None, :]).sum(axis=-1)  # 0..4
-    dummies = (stratum[..., None] == np.arange(1, 5)).astype(float)
-    return dummies, n_distinct
+    stratum = (values[..., None] > cutpoints[..., None, :]).sum(axis=-1)
+    return stratum, n_distinct

@@ -71,6 +71,22 @@ def irls_oracle(X, y, tol=1e-12, max_iter=100):
     return beta
 
 
+def dense_design(X, column=None, strata=None):
+    """The ``(b, n, p)`` designs that ``glm.fit_logistic_batch`` fits from a
+    shared block and one per-resample part, written out row by row: the
+    block ``X``, then ``column[j]`` or the dummies of strata 1..4 of
+    ``strata[j]``."""
+    X = np.asarray(X, float)
+    designs = []
+    for j in range(len(column if column is not None else strata)):
+        if column is not None:
+            extra = [[value] for value in column[j]]
+        else:
+            extra = [[float(s == k) for k in (1, 2, 3, 4)] for s in strata[j]]
+        designs.append(np.hstack([X, np.array(extra, float)]))
+    return np.array(designs)
+
+
 def summarize_oracle(points, ci_los, ci_his, failed, true_effect):
     """Metric recomputation with explicit loops (the 'spreadsheet')."""
     errs = []

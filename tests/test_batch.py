@@ -8,7 +8,7 @@ import pytest
 from scipy.special import expit
 
 from smallcausal import bootstrap as bootstrap_module
-from smallcausal import estimators
+from smallcausal import estimators, glm
 from smallcausal.bootstrap import BootstrapConfig
 from smallcausal.errors import (
     EstimationError,
@@ -36,11 +36,12 @@ from smallcausal.glm import (
 from smallcausal.propensity import (
     PropensityScores,
     estimate_ps,
+    quintile_strata,
     signed_inverse_probability,
 )
 from smallcausal.simulation import generate, make_scenario
 
-from helpers import irls_oracle
+from helpers import dense_design, irls_oracle
 
 
 def scenario_data(scenario, seed, beta0=None, n=100):
@@ -54,12 +55,18 @@ def resample_counts(indices, n):
 
 def batch_ps_fits(data, indices, shared=True):
     """Batched PS fits of the resamples, on the ``(n, p)`` design or on its
-    ``(b, n, p)`` broadcast: the design, the coefficients and which fits the
+    first ``p - 1`` columns with the last one given as a per-resample
+    ``(b, n)`` column: the design, the coefficients and which fits the
     kernel accepts."""
     X = _intercept_design(*data.covariates.T)
     counts = resample_counts(indices, data.n_subjects)
-    design = X if shared else np.broadcast_to(X, (len(indices),) + X.shape)
-    beta, status, _ = fit_logistic_batch(design, data.treatment, counts)
+    if shared:
+        beta, status, _ = fit_logistic_batch(X, data.treatment, counts)
+    else:
+        column = np.broadcast_to(X[:, -1], counts.shape)
+        beta, status, _ = fit_logistic_batch(
+            X[:, :-1], data.treatment, counts, column=column
+        )
     return X, (beta, status <= PLATEAU)
 
 
@@ -156,14 +163,16 @@ class TestFitLogisticBatch:
         assert at_cap >= 3
 
     def test_non_finite_design_is_unsettled(self):
-        X = np.ones((2, 6, 2))
-        X[:, :, 1] = np.arange(6.0)
-        X[1, 0, 1] = np.inf
+        column = np.tile(np.arange(6.0), (2, 1))
+        column[1, 0] = np.inf
         y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
-        beta, status, _ = fit_logistic_batch(X, y, np.ones((2, 6)))
+        beta, status, _ = fit_logistic_batch(
+            np.ones((6, 1)), y, np.ones((2, 6)), column=column
+        )
         assert (status <= PLATEAU).tolist() == [True, False]
+        X0 = np.column_stack([np.ones(6), column[0]])
         np.testing.assert_allclose(
-            beta[0], fit_logistic(X[0], y).coefficients, rtol=0, atol=1e-10
+            beta[0], fit_logistic(X0, y).coefficients, rtol=0, atol=1e-10
         )
 
 
@@ -254,6 +263,109 @@ class TestStatusCodes:
             )
 
 
+def q_model_inputs(scenario, beta0, seed, q_spec, b=60):
+    """The shared Q block, response, resample counts and per-resample part
+    of ``b`` resamples of one dataset, as the bootstrap builds them."""
+    data = scenario_data(scenario, seed, beta0=beta0)
+    indices = np.random.default_rng(seed + 1).integers(0, 100, size=(b, 100))
+    counts = resample_counts(indices, 100)
+    X_ps = _intercept_design(*data.covariates.T)
+    logits = fit_logistic_batch(X_ps, data.treatment, counts)[0] @ X_ps.T
+    if q_spec == "simple_dr":
+        part = {"column": signed_inverse_probability(data.treatment, logits)}
+    else:
+        expanded = np.take_along_axis(logits, indices, axis=1)
+        part = {"strata": quintile_strata(logits, expanded)[0]}
+    X = _intercept_design(data.treatment, *data.covariates.T)
+    return X, data.outcome, counts, part
+
+
+class TestStructuredDesigns:
+    """A shared block plus one per-resample part against one-row fits of
+    the dense designs (:func:`helpers.dense_design`)."""
+
+    @pytest.mark.parametrize("q_spec", ["simple_dr", "dr_quintiles"])
+    @pytest.mark.parametrize("scenario,beta0", [("covid", None), ("austin", -1.5)])
+    def test_matches_one_row_fits_of_the_dense_designs(self, scenario, beta0, q_spec):
+        X, y, counts, part = q_model_inputs(scenario, beta0, 21, q_spec)
+        beta, status, iterations = fit_logistic_batch(X, y, counts, **part)
+        dense = dense_design(X, **part)
+        assert dense.shape == (60, 100, beta.shape[1])
+        for j, design in enumerate(dense):
+            (coef,), (code,), (its,) = fit_logistic_batch(design, y, counts[j][None])
+            assert (status[j], iterations[j]) == (code, its)
+            if code == CONVERGED:
+                np.testing.assert_allclose(beta[j], coef, rtol=0, atol=1e-10)
+        assert (status == CONVERGED).sum() >= 30
+
+    def test_inf_column_counts_only_where_drawn(self):
+        X, y, counts, part = q_model_inputs("covid", None, 22, "simple_dr", b=2)
+        column = part["column"].copy()
+        # a row drawn by resample 0 only gets an overflowed covariate
+        i = np.flatnonzero((counts[0] > 0) & (counts[1] == 0))[0]
+        column[:, i] = np.inf
+        beta, status, _ = fit_logistic_batch(X, y, counts, column=column)
+        assert status.tolist() == [NON_FINITE, CONVERGED]
+        rows = np.repeat(np.arange(100), counts[1].astype(int))
+        design = np.column_stack([X, part["column"][1]])[rows]
+        np.testing.assert_allclose(
+            beta[1], fit_logistic(design, y[rows]).coefficients, rtol=0, atol=1e-10
+        )
+
+    def test_empty_stratum_is_rank_deficient(self):
+        X, y, counts, part = q_model_inputs("covid", None, 23, "dr_quintiles", b=3)
+        strata = part["strata"].copy()
+        strata[1][strata[1] == 3] = 2  # nothing left in stratum 3
+        _, status, iterations = fit_logistic_batch(X, y, counts, strata=strata)
+        assert status[1] == RANK_DEFICIENT and iterations[1] == 0
+        _, alone, _ = fit_logistic_batch(X, y, counts[[0, 2]], strata=strata[[0, 2]])
+        assert status[[0, 2]].tolist() == alone.tolist()
+        assert (alone <= PLATEAU).all()
+
+    def test_fewer_rows_than_columns_is_rank_deficient(self):
+        X = np.column_stack([np.ones(4), [0.0, 1.0, 0.0, 1.0]])
+        strata = np.array([[0, 1, 2, 3], [1, 2, 3, 4]])
+        _, status, _ = fit_logistic_batch(
+            X, [0.0, 1.0, 1.0, 0.0], np.ones((2, 4)), strata=strata
+        )
+        assert status.tolist() == [RANK_DEFICIENT] * 2
+
+    @pytest.mark.parametrize("q_spec", [None, "dr_quintiles"])
+    def test_only_the_singular_row_takes_the_qr_step(self, monkeypatch, q_spec):
+        # row 5's Gram is singular, so the batched Cholesky raises for the
+        # stack; the kernel finds that row and gives the QR step to it alone
+        data = scenario_data("covid", 3)
+        n = data.n_subjects
+        rng = np.random.default_rng(4)
+        indices = rng.integers(0, n, size=(12, n))
+        if q_spec is None:
+            X, y, part = _intercept_design(*data.covariates.T), data.treatment, {}
+            # column 3 is the clinical-status-1 dummy; drop every row with it
+            indices[5] = rng.choice(np.flatnonzero(data.covariates[:, 2] == 0), n)
+            counts = resample_counts(indices, n)
+        else:
+            X, y, counts, part = q_model_inputs("covid", None, 3, q_spec, b=12)
+            part["strata"][5][part["strata"][5] == 3] = 2  # stratum 3 empty
+        real = glm._qr_steps
+        seen = []
+
+        def spy(X, irls_w, score):
+            seen.append(irls_w.copy())
+            return real(X, irls_w, score)
+
+        monkeypatch.setattr(glm, "_qr_steps", spy)
+        beta, status, _ = fit_logistic_batch(X, y, counts, **part)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], 0.25 * counts[5:6])  # zero start
+        assert status[5] == RANK_DEFICIENT
+        others = np.arange(12) != 5
+        assert (status[others] <= PLATEAU).all()
+        part = {key: value[others] for key, value in part.items()}
+        without, status_without, _ = fit_logistic_batch(X, y, counts[others], **part)
+        np.testing.assert_array_equal(beta[others], without)
+        assert status_without.tolist() == status[others].tolist()
+
+
 def scalar_ci(data, q_spec, contrast, config, rng):
     """The g-computation bootstrap as an explicit loop of scalar fits."""
     n = data.n_subjects
@@ -328,17 +440,30 @@ class TestBatchedGcompCi:
         assert dropped == expected_dropped
         np.testing.assert_allclose(ci, expected, rtol=0, atol=1e-4)
 
-    def test_same_interval_in_one_block_or_several(self, monkeypatch):
+    @pytest.mark.parametrize("q_spec", ["plain", "simple_dr", "dr_quintiles"])
+    def test_same_interval_in_one_block_or_several(self, monkeypatch, q_spec):
         data = scenario_data("covid", 8)
         config = BootstrapConfig(replications=30)
-        one = _gcomp_ci(
-            data, "dr_quintiles", operator.sub, config, np.random.default_rng(9)
-        )
-        # 7 data columns at n=100: blocks of 4 resamples
-        monkeypatch.setattr(bootstrap_module, "BATCH_DOUBLES", 2800)
+        real = bootstrap_module.bootstrap_percentile_ci
+        blocks = []
+
+        def spy(data, estimator, config, rng):
+            def recording(indices):
+                blocks.append(len(indices))
+                return estimator(indices)
+
+            return real(data, recording, config, rng)
+
+        monkeypatch.setattr(estimators, "bootstrap_percentile_ci", spy)
+        one = _gcomp_ci(data, q_spec, operator.sub, config, np.random.default_rng(9))
+        assert blocks == [30]
+        # 30 resamples of n=100 over 400 doubles a block: 8 blocks of 4 or less
+        monkeypatch.setattr(bootstrap_module, "BATCH_DOUBLES", 400)
+        blocks.clear()
         several = _gcomp_ci(
-            data, "dr_quintiles", operator.sub, config, np.random.default_rng(9)
+            data, q_spec, operator.sub, config, np.random.default_rng(9)
         )
+        assert blocks == [4] * 7 + [2]
         np.testing.assert_allclose(several, one, rtol=0, atol=1e-12)
 
 
