@@ -54,11 +54,9 @@ from .propensity import (
     IptwWeights,
     MatchedSample,
     PropensityScores,
-    QuintileDummies,
     estimate_ps,
     iptw_weights,
     match_caliper,
-    ps_quintile_dummies,
 )
 from .simulation import (
     CounterfactualTruth,

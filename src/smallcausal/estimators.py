@@ -27,14 +27,19 @@ from scipy.special import expit
 from .bootstrap import BootstrapConfig, bootstrap_percentile_ci
 from .data import Dataset
 from .errors import (
+    DegenerateStrataError,
     DegenerateVarianceError,
     EstimationError,
     ExtremeOrError,
+    NotConvergedError,
     RankDeficientError,
     SeparationError,
 )
 from .glm import (
+    NON_FINITE,
+    NOT_CONVERGED,
     PLATEAU,
+    RANK_DEFICIENT,
     fit_logistic,
     fit_logistic_batch,
     fit_ols,
@@ -49,7 +54,6 @@ from .propensity import (
     estimate_ps,
     iptw_weights,
     match_caliper,
-    ps_quintile_dummies,
     quintile_strata,
     signed_inverse_probability,
 )
@@ -185,11 +189,15 @@ def _ols_rd(X: np.ndarray, y: np.ndarray, method: str) -> EffectEstimate:
     """OLS treatment coefficient with an HC3 Wald interval."""
     try:
         fit = fit_ols(X, y)
-        cov = hc3_covariance(fit, X)
+        variance = float(hc3_covariance(fit, X)[1, 1])
+        # a design that only just passes the pivot check (a column nearly
+        # the treatment) can round this below zero
+        if not 0.0 <= variance < math.inf:
+            raise DegenerateVarianceError("HC3 variance is negative or not finite")
     except EstimationError as exc:
         return _failed(ESTIMAND_RD, method, exc)
     point = float(fit.coefficients[1])
-    se = float(np.sqrt(cov[1, 1]))
+    se = math.sqrt(variance)
     return EffectEstimate(ESTIMAND_RD, method, point, se, wald_ci(point, se))
 
 
@@ -266,57 +274,79 @@ def iptw_rd(data: Dataset, weights: IptwWeights) -> EffectEstimate:
     return EffectEstimate(ESTIMAND_RD, "iptw", point, se, wald_ci(point, se))
 
 
-def _q_model_design(
+def _q_means(
     data: Dataset,
     q_spec: str,
-    treatment: np.ndarray,
+    counts: np.ndarray,
     logits: np.ndarray | None,
-    dummies: np.ndarray | None,
-) -> np.ndarray:
-    """Design for the outcome (Q) model under actual or counterfactual A.
+    strata: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Q-model of ``q_spec`` fitted per row of the ``(b, n)`` counts,
+    and its counterfactual outcome means.
 
-    ``logits`` (``simple_dr``) or ``dummies`` (``dr_quintiles``) carry the
-    propensity columns.
+    The design is the treatment and covariates plus the signed
+    inverse-probability covariate of the ``(b, n)`` ``logits``, recomputed
+    under the counterfactual treatment (``simple_dr``), or the dummies of
+    the ``(b, n)`` stratum index ``strata`` (``dr_quintiles``).  Returns
+    ``(m1, m0, status)`` per row, ``status`` from :func:`fit_logistic_batch`.
+    An overflowed counterfactual covariate keeps its limit 0 or 1.
     """
-    a = np.asarray(treatment, float)
-    X = _intercept_design(a, *data.covariates.T)
-    if q_spec == "simple_dr":
-        # signed inverse-probability covariate, recomputed under the
-        # counterfactual treatment when predicting
-        extra = signed_inverse_probability(a, logits)[:, None]
-    elif q_spec == "dr_quintiles":
-        extra = dummies
-    elif q_spec == "plain":
-        return X
-    else:
+    if q_spec not in ("plain", "simple_dr", "dr_quintiles"):
         raise ValueError(f"unknown Q-model spec: {q_spec!r}")
-    return np.concatenate([X, extra], axis=1)
+
+    def resample_part(treatment: np.ndarray) -> dict:
+        # the Q design's per-resample part under the treatment; the shared
+        # block is the plain design
+        if q_spec == "simple_dr":
+            return {"column": signed_inverse_probability(treatment, logits)}
+        if q_spec == "dr_quintiles":
+            return {"strata": strata}
+        return {}
+
+    n = counts.shape[1]
+    X = _intercept_design(data.treatment, *data.covariates.T)
+    beta, status, _ = fit_logistic_batch(
+        X, data.outcome, counts, **resample_part(data.treatment)
+    )
+    means = []
+    for a in (np.ones(n), np.zeros(n)):
+        X_a = _intercept_design(a, *data.covariates.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            eta = linear_predictors(X_a, beta, **resample_part(a))
+        means.append((counts * expit(eta)).sum(axis=1) / n)
+    return means[0], means[1], status
 
 
 def _gcomp_means(
     data: Dataset, q_spec: str, ps: PropensityScores | None
 ) -> tuple[float, float]:
-    """Counterfactual outcome means from a Q-model fitted on the given PS.
+    """Counterfactual outcome means from a Q-model fitted on the given PS:
+    the one-row call of :func:`_q_means`, every count 1.
 
-    A fitted design that is not finite, or a mean that is NaN, raises
-    SeparationError (a separated propensity or Q-model fit).  An overflowed
-    counterfactual covariate is kept: its prediction is the limit 0 or 1.
+    Fewer than 5 distinct logits (``dr_quintiles``) raise
+    DegenerateStrataError; a Q fit that fails raises RankDeficientError or
+    NotConvergedError; a fitted design that is not finite, or a mean that
+    is NaN, raises SeparationError (a separated propensity or Q-model fit).
     """
-    logits = None if ps is None else ps.logits
-    dummies = ps_quintile_dummies(ps).dummies if q_spec == "dr_quintiles" else None
-    X = _q_model_design(data, q_spec, data.treatment, logits, dummies)
-    if not np.isfinite(X).all():
+    logits = strata = None
+    if q_spec != "plain":
+        logits = ps.logits[None]
+    if q_spec == "dr_quintiles":
+        strata, (n_distinct,) = quintile_strata(logits, logits)
+        if n_distinct < 5:
+            raise DegenerateStrataError("fewer than 5 distinct logit values")
+    (m1,), (m0,), (status,) = _q_means(
+        data, q_spec, np.ones((1, data.n_subjects)), logits, strata
+    )
+    if status == NON_FINITE:
         raise SeparationError("outcome-model design is not finite")
-    fit = fit_logistic(X, data.outcome)
-    ones = np.ones(data.n_subjects)
-    means = []
-    for a in (ones, np.zeros_like(ones)):
-        X_a = _q_model_design(data, q_spec, a, logits, dummies)
-        with np.errstate(over="ignore", invalid="ignore"):
-            means.append(float(expit(X_a @ fit.coefficients).mean()))
-    if math.isnan(means[0]) or math.isnan(means[1]):
+    if status == RANK_DEFICIENT:
+        raise RankDeficientError("outcome-model design is rank deficient")
+    if status == NOT_CONVERGED:
+        raise NotConvergedError("outcome-model IRLS did not converge")
+    if math.isnan(m1) or math.isnan(m0):
         raise SeparationError("counterfactual mean is not finite")
-    return means[0], means[1]
+    return float(m1), float(m0)
 
 
 def _gcomp_batch_means(
@@ -332,8 +362,7 @@ def _gcomp_batch_means(
     Returns ``(m1, m0)`` per spec, NaN for a dropped resample: one that is
     single-arm, has fewer than 5 distinct logits (``dr_quintiles``), has a
     propensity or Q fit that fails (a non-finite fitted design among them;
-    see :func:`fit_logistic_batch`) or a NaN counterfactual mean.  An
-    overflowed counterfactual covariate is kept, as in :func:`_gcomp_means`.
+    see :func:`fit_logistic_batch`) or a NaN counterfactual mean.
     """
     b, n = indices.shape
     offsets = n * np.arange(b)[:, None]
@@ -350,16 +379,6 @@ def _gcomp_batch_means(
         expanded = np.take_along_axis(logits, indices, axis=1)
         strata, n_distinct = quintile_strata(logits, expanded)
 
-    def resample_part(q_spec: str, treatment: np.ndarray) -> dict:
-        # the Q design's per-resample part under the treatment; the shared
-        # block is the plain design
-        if q_spec == "simple_dr":
-            return {"column": signed_inverse_probability(treatment, logits)}
-        if q_spec == "dr_quintiles":
-            return {"strata": strata}
-        return {}
-
-    X = _intercept_design(data.treatment, *data.covariates.T)
     means = []
     for q_spec in q_specs:
         kept = both_arms
@@ -367,22 +386,9 @@ def _gcomp_batch_means(
             kept = kept & (ps_status <= PLATEAU)
         if q_spec == "dr_quintiles":
             kept = kept & (n_distinct >= 5)
-        beta, status, _ = fit_logistic_batch(
-            X, data.outcome, counts, **resample_part(q_spec, data.treatment)
-        )
+        m1, m0, status = _q_means(data, q_spec, counts, logits, strata)
         kept = kept & (status <= PLATEAU)
-        arm_means = []
-        for a in (1.0, 0.0):
-            X_a = X.copy()
-            X_a[:, 1] = a
-            with np.errstate(over="ignore", invalid="ignore"):
-                eta = linear_predictors(
-                    X_a, beta, **resample_part(q_spec, np.full(n, a))
-                )
-            arm_means.append(
-                np.where(kept, (counts * expit(eta)).sum(axis=1) / n, np.nan)
-            )
-        means.append((arm_means[0], arm_means[1]))
+        means.append((np.where(kept, m1, np.nan), np.where(kept, m0, np.nan)))
     return means
 
 
@@ -527,8 +533,9 @@ def _or_point_guard(point: float) -> float:
             raise ExtremeOrError("infinite odds ratio")
         raise DegenerateVarianceError("log odds ratio is not finite")
     if point >= _LOG_OR_FAILURE:
+        # stated as a log: exp overflows beyond a log odds ratio of ~709.8
         raise ExtremeOrError(
-            f"odds ratio {math.exp(point):.3g} at or above {OR_FAILURE_THRESHOLD:g}"
+            f"log odds ratio {point:.6g} at or above log({OR_FAILURE_THRESHOLD:g})"
         )
     return point
 

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import Dataset
-from .errors import DegenerateStrataError, NoPairsError, SeparationError
+from .errors import NoPairsError, SeparationError
 from .glm import LogisticFit, fit_logistic
 
 DEFAULT_CALIPER_SD = 0.2
@@ -40,11 +40,6 @@ class MatchedSample:
 @dataclass(frozen=True)
 class IptwWeights:
     weights: np.ndarray  # 1/p for treated, 1/(1-p) for controls; all > 1
-
-
-@dataclass(frozen=True)
-class QuintileDummies:
-    dummies: np.ndarray  # (n, 4); lowest stratum is the omitted reference
 
 
 def estimate_ps(data: Dataset) -> PropensityScores:
@@ -136,30 +131,16 @@ def signed_inverse_probability(a: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return z
 
 
-def ps_quintile_dummies(ps: PropensityScores) -> QuintileDummies:
-    """Four dummies for the upper quintile strata of the logit score.
-
-    Cutpoints are the 20/40/60/80 sample percentiles (linear interpolation
-    between order statistics); membership is left-closed (value <= cutpoint
-    falls in the lower stratum); the lowest stratum is the omitted reference.
-    """
-    logits = ps.logits
-    if logits.size < 5:
-        raise DegenerateStrataError("need at least 5 subjects for quintiles")
-    stratum, n_distinct = quintile_strata(logits, logits)
-    if n_distinct < 5:
-        raise DegenerateStrataError("fewer than 5 distinct logit values")
-    return QuintileDummies((stratum[:, None] == np.arange(1, 5)).astype(float))
-
-
 def quintile_strata(
     values: np.ndarray, sample: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The quintile rule of :func:`ps_quintile_dummies`, on the last axis.
+    """Quintile strata of the logit score, on the last axis.
 
-    Returns the stratum index 0..4 of each of ``values`` among the type-7
-    quintile cut points of ``sample``, and the number of distinct values in
-    ``sample``.  Leading axes stack independent samples.
+    Returns the stratum index 0..4 of each of ``values`` among the
+    20/40/60/80 sample percentiles of ``sample`` (linear interpolation
+    between order statistics), and the number of distinct values in
+    ``sample``.  Membership is left-closed: a value at a cut point falls in
+    the lower stratum.  Leading axes stack independent samples.
     """
     ordered = np.sort(sample, axis=-1)
     n_distinct = 1 + (np.diff(ordered, axis=-1) != 0).sum(axis=-1)

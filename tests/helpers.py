@@ -5,7 +5,13 @@ These deliberately re-derive results with the most literal code possible
 paths they check.
 """
 
+import math
+
 import numpy as np
+from scipy.special import expit
+
+from smallcausal.errors import DegenerateStrataError, SeparationError
+from smallcausal.glm import fit_logistic
 
 
 def greedy_match_oracle(logits, probabilities, treatment, caliper):
@@ -85,6 +91,55 @@ def dense_design(X, column=None, strata=None):
             extra = [[float(s == k) for k in (1, 2, 3, 4)] for s in strata[j]]
         designs.append(np.hstack([X, np.array(extra, float)]))
     return np.array(designs)
+
+
+def gcomp_design(data, q_spec, treatment, logits=None):
+    """The dense ``(n, p)`` Q-model design of ``q_spec`` under ``treatment``,
+    written out column by column: intercept, treatment, covariates, then
+    the signed inverse probability 1/p or -1/(1-p) of the logit
+    (``simple_dr``), or the dummies of the upper four type-7 quintile strata
+    of the logits, a value at a cut point falling below it
+    (``dr_quintiles``)."""
+    n = data.n_subjects
+    a = np.asarray(treatment, float)
+    columns = [np.ones(n), a, *data.covariates.T]
+    if q_spec == "simple_dr":
+        with np.errstate(over="ignore"):
+            columns.append(
+                np.where(a == 1, 1.0 + np.exp(-logits), -(1.0 + np.exp(logits)))
+            )
+    elif q_spec == "dr_quintiles":
+        cuts = np.quantile(logits, [0.2, 0.4, 0.6, 0.8])
+        stratum = [sum(value > cut for cut in cuts) for value in logits]
+        for k in (1, 2, 3, 4):
+            columns.append(np.array([float(s == k) for s in stratum]))
+    return np.column_stack(columns)
+
+
+def gcomp_oracle(data, q_spec, logits=None):
+    """Dense g-computation: :func:`gcomp_design` fitted with ``fit_logistic``
+    and its mean predictions with everyone treated and with no one treated.
+
+    Returns ``(m1, m0, iterations)``, ``iterations`` of the Q fit (a fit
+    accepted on the deviance plateau stops at the cap).  Raises the
+    EstimationError whose tag the point records: DegenerateStrata for fewer
+    than 5 distinct logits, Separation for a non-finite fitted design or a
+    NaN mean, and whatever ``fit_logistic`` raises.
+    """
+    if q_spec == "dr_quintiles" and len(set(logits.tolist())) < 5:
+        raise DegenerateStrataError("fewer than 5 distinct logit values")
+    X = gcomp_design(data, q_spec, data.treatment, logits)
+    if not np.isfinite(X).all():
+        raise SeparationError("outcome-model design is not finite")
+    fit = fit_logistic(X, data.outcome)
+    means = []
+    for a in (1.0, 0.0):
+        X_a = gcomp_design(data, q_spec, np.full(data.n_subjects, a), logits)
+        with np.errstate(over="ignore", invalid="ignore"):
+            means.append(float(expit(X_a @ fit.coefficients).mean()))
+    if math.isnan(means[0]) or math.isnan(means[1]):
+        raise SeparationError("counterfactual mean is not finite")
+    return means[0], means[1], fit.iterations
 
 
 def summarize_oracle(points, ci_los, ci_his, failed, true_effect):

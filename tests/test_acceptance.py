@@ -26,7 +26,6 @@ from smallcausal.propensity import (
     estimate_ps,
     iptw_weights,
     match_caliper,
-    ps_quintile_dummies,
 )
 from smallcausal.simulation import (
     ReplicateResult,

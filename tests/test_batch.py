@@ -1,5 +1,6 @@
 """The batched g-computation bootstrap against the scalar path it replaces."""
 
+import math
 import operator
 import warnings
 
@@ -16,12 +17,15 @@ from smallcausal.errors import (
     RankDeficientError,
 )
 from smallcausal.estimators import (
+    ESTIMAND_LOG_OR,
+    ESTIMAND_RD,
+    OR_FAILURE_THRESHOLD,
     _gcomp_cis,
     _gcomp_means,
     _intercept_design,
     _log_or,
-    _q_model_design,
     gcomp_rd,
+    or_estimate,
 )
 from smallcausal.glm import (
     CONVERGED,
@@ -41,7 +45,7 @@ from smallcausal.propensity import (
 )
 from smallcausal.simulation import generate, make_scenario
 
-from helpers import dense_design, irls_oracle
+from helpers import dense_design, gcomp_design, gcomp_oracle, irls_oracle
 
 
 def scenario_data(scenario, seed, beta0=None, n=100):
@@ -366,8 +370,61 @@ class TestStructuredDesigns:
         assert status_without.tolist() == status[others].tolist()
 
 
+def oracle_point(data, q_spec, logits, estimand):
+    """The point and failure tag of :func:`helpers.gcomp_oracle` for the
+    estimand, and whether its Q fit ran to the iteration cap (a fit
+    accepted on the deviance plateau does)."""
+    try:
+        m1, m0, iterations = gcomp_oracle(data, q_spec, logits)
+    except EstimationError as exc:
+        return None, exc.reason, False
+    at_cap = iterations == IRLS_MAX_ITER
+    if estimand == ESTIMAND_RD:
+        return m1 - m0, None, at_cap
+    if not (0.0 < m1 < 1.0 and 0.0 < m0 < 1.0):
+        return None, "ExtremeOR", at_cap
+    point = math.log(m1 / (1.0 - m1)) - math.log(m0 / (1.0 - m0))
+    if point >= math.log(OR_FAILURE_THRESHOLD):
+        return None, "ExtremeOR", at_cap
+    return point, None, at_cap
+
+
+class TestPointAgainstDenseOracle:
+    """Each g-computation point, the one-row call of the batched Q-model
+    path, against the dense oracle."""
+
+    @pytest.mark.parametrize(
+        "scenario,beta0,n,beta_trt",
+        [("covid", None, 100, 0.5), ("austin", -1.5, 100, 1.0), ("austin", -1.5, 40, 1.0)],
+    )
+    def test_tags_and_points_match(self, scenario, beta0, n, beta_trt):
+        spec = make_scenario(scenario, n, beta_trt, beta0)
+        tags, compared = set(), 0
+        for seed in range(20):
+            data = generate(spec, np.random.default_rng(seed))[0]
+            ps = estimate_ps(data)
+            for q_spec in ("plain", "simple_dr", "dr_quintiles"):
+                logits = None if q_spec == "plain" else ps.logits
+                method = "gcomp" if q_spec == "plain" else "gcomp_" + q_spec
+                for estimand in (ESTIMAND_RD, ESTIMAND_LOG_OR):
+                    if estimand == ESTIMAND_RD:
+                        est = gcomp_rd(data, q_spec, ps)
+                    else:
+                        est = or_estimate(data, method, ps)
+                    point, tag, at_cap = oracle_point(data, q_spec, logits, estimand)
+                    assert est.failure_reason == tag, (seed, method, estimand)
+                    tags.add(tag)
+                    if tag is None and not at_cap:
+                        assert est.point == pytest.approx(point, rel=0, abs=1e-10)
+                        compared += 1
+        assert compared >= 40
+        if n == 40:
+            assert {"ExtremeOR", "NotConverged", "RankDeficient"} <= tags
+
+
 def scalar_ci(data, q_spec, contrast, config, rng):
-    """The g-computation bootstrap as an explicit loop of scalar fits."""
+    """The g-computation bootstrap as an explicit loop of dense scalar fits
+    (:func:`helpers.gcomp_oracle`)."""
     n = data.n_subjects
     values, dropped = [], 0
     for indices in rng.integers(0, n, size=(config.replications, n)):
@@ -375,8 +432,8 @@ def scalar_ci(data, q_spec, contrast, config, rng):
         try:
             if resample.n_treated in (0, n):
                 raise RankDeficientError("single-arm")
-            ps = None if q_spec == "plain" else estimate_ps(resample)
-            value = float(contrast(*_gcomp_means(resample, q_spec, ps)))
+            logits = None if q_spec == "plain" else estimate_ps(resample).logits
+            value = float(contrast(*gcomp_oracle(resample, q_spec, logits)[:2]))
         except EstimationError:
             dropped += 1
             continue
@@ -501,9 +558,9 @@ class TestNonFiniteGcomp:
         logits = np.linspace(-2.0, 1.0, data.n_subjects)
         logits[i] = 800.0
         m1, m0 = _gcomp_means(data, "simple_dr", self.scores(data, logits))
-        X = _q_model_design(data, "simple_dr", data.treatment, logits, None)
+        X = gcomp_design(data, "simple_dr", data.treatment, logits)
         coef = fit_logistic(X, data.outcome).coefficients
-        X0 = _q_model_design(data, "simple_dr", np.zeros(60), logits, None)
+        X0 = gcomp_design(data, "simple_dr", np.zeros(60), logits)
         assert X0[i, -1] == -np.inf and np.isfinite(np.delete(X0, i, axis=0)).all()
         prediction = expit(np.delete(X0, i, axis=0) @ coef)
         limit = 1.0 if coef[-1] < 0 else 0.0

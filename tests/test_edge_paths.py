@@ -6,10 +6,11 @@ import pytest
 
 from smallcausal.bootstrap import BootstrapConfig
 from smallcausal.data import Dataset
-from smallcausal.errors import EstimationError
+from smallcausal.errors import EstimationError, ExtremeOrError
 from smallcausal.estimators import (
     ESTIMAND_LOG_OR,
     ESTIMAND_RD,
+    _or_point_guard,
     crude_rd,
     estimate_effects,
     gcomp_rd,
@@ -24,6 +25,7 @@ from smallcausal.propensity import (
     iptw_weights,
     match_caliper,
 )
+from smallcausal.simulation import generate, make_scenario
 from smallcausal.streams import derive_substream
 
 
@@ -74,6 +76,28 @@ class TestFailureTags:
             rng=derive_substream(3, "edge", 0, "boot"),
         )
         assert est.failed and est.failure_reason == "BootstrapCollapse"
+
+    @staticmethod
+    def austin_n40(seed, replicate):
+        """A replicate's dataset of the austin scenario, intercept -1.5,
+        n=40 and treatment coefficient 1, as ``simulate`` draws it."""
+        spec = make_scenario("austin", 40, 1.0, -1.5)
+        return generate(spec, derive_substream(seed, spec.scenario_id, replicate, "data"))[0]
+
+    def test_negative_hc3_variance_tag(self):
+        # the score is nearly the treatment, so [1, a, PS] passes the pivot
+        # check (ratio 3.2e-10) but its HC3 variance rounds below zero
+        data = self.austin_n40(22, 4)
+        est = ps_covariate_rd(data, estimate_ps(data))
+        assert est.failed and est.failure_reason == "DegenerateVariance"
+
+    def test_extreme_or_beyond_the_exp_range(self):
+        with pytest.raises(ExtremeOrError):
+            _or_point_guard(800.0)
+        # a plateau fit with a treatment coefficient near 1.3e9
+        data = self.austin_n40(21, 0)
+        est = or_estimate(data, "ps_covariate", ps=estimate_ps(data))
+        assert est.failed and est.failure_reason == "ExtremeOR"
 
     def test_degenerate_strata_tag(self):
         # nine identical logits cannot form five strata

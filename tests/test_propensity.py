@@ -6,14 +6,14 @@ from scipy.special import expit
 
 from helpers import greedy_match_oracle, irls_oracle, mask_match_oracle
 from smallcausal.data import Dataset
-from smallcausal.errors import DegenerateStrataError, NoPairsError, SeparationError
+from smallcausal.errors import NoPairsError, SeparationError
 from smallcausal.glm import fit_logistic
 from smallcausal.propensity import (
     PropensityScores,
     estimate_ps,
     iptw_weights,
     match_caliper,
-    ps_quintile_dummies,
+    quintile_strata,
 )
 from smallcausal.simulation import generate, make_scenario
 
@@ -216,35 +216,30 @@ class TestIptwWeights:
         assert (w.weights > 1.0).all()
 
 
-class TestQuintileDummies:
+class TestQuintileStrata:
     def test_even_split(self):
         logits = np.arange(1.0, 11.0)
-        ps = scores_from_logits(logits)
-        q = ps_quintile_dummies(ps)
-        counts = [int((q.dummies.sum(axis=1) == 0).sum())] + [
-            int(q.dummies[:, j].sum()) for j in range(4)
-        ]
-        assert counts == [2, 2, 2, 2, 2]
+        stratum, n_distinct = quintile_strata(logits, logits)
+        assert [int((stratum == s).sum()) for s in range(5)] == [2, 2, 2, 2, 2]
+        assert n_distinct == 10
 
-    def test_degenerate_raises(self):
-        ps = scores_from_logits(np.zeros(20))
-        with pytest.raises(DegenerateStrataError):
-            ps_quintile_dummies(ps)
+    def test_degenerate_has_one_distinct_value(self):
+        # gcomp_dr_quintiles fails such scores as DegenerateStrata
+        logits = np.zeros(20)
+        assert quintile_strata(logits, logits)[1] == 1
 
-    def test_row_sums_binary(self):
+    def test_one_stratum_per_subject(self):
         rng = np.random.default_rng(11)
-        ps = scores_from_logits(rng.normal(size=57))
-        q = ps_quintile_dummies(ps)
-        assert set(np.unique(q.dummies.sum(axis=1))) <= {0.0, 1.0}
-        assert q.dummies.shape == (57, 4)
+        logits = rng.normal(size=57)
+        stratum, _ = quintile_strata(logits, logits)
+        assert stratum.shape == (57,)
+        assert set(np.unique(stratum)) <= {0, 1, 2, 3, 4}
 
     def test_sizes_match_sort_oracle(self):
         rng = np.random.default_rng(12)
         logits = rng.normal(size=100)
-        ps = scores_from_logits(logits)
-        q = ps_quintile_dummies(ps)
-        stratum_of = q.dummies @ np.arange(1, 5)
-        sizes = [int((stratum_of == s).sum()) for s in range(5)]
+        stratum, _ = quintile_strata(logits, logits)
+        sizes = [int((stratum == s).sum()) for s in range(5)]
         # sort-based oracle: strata are consecutive blocks of the sorted order
         order = np.argsort(logits)
         oracle_sizes = [0] * 5
