@@ -223,6 +223,16 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raise CliError(f"scenario must be one of {SCENARIO_IDS}")
     if cfg.oracle_datasets < 1 or cfg.oracle_size < 1:
         raise CliError("--oracle-datasets and --oracle-size must be at least 1")
+    if cfg.n_replicates < 1:
+        raise CliError("--replicates must be at least 1")
+    if cfg.bootstrap_b != 0 and cfg.bootstrap_b < 2:
+        raise CliError("--bootstrap must be 0 (no intervals) or at least 2")
+    try:
+        workers_ok = cfg.workers == "auto" or int(cfg.workers) >= 1
+    except (TypeError, ValueError):
+        workers_ok = False
+    if not workers_ok:
+        raise CliError('--workers must be "auto" or at least 1')
     return cfg
 
 

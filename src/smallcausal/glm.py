@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit, ndtri
 
 from .errors import (
@@ -102,6 +102,21 @@ def _checked_r(R: np.ndarray) -> np.ndarray:
     return R
 
 
+def _solve_r(R: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """``R x = b``, or ``R' x = b`` for ``trans=1``, on the upper triangle of
+    a C-ordered ``R`` with a nonzero diagonal (the rest is not read) and a
+    vector ``b``: the LAPACK call scipy's ``solve_triangular`` makes for
+    them, without its wrapper."""
+    return dtrtrs(R.T, b, lower=1, trans=1 - trans)[0]
+
+
+def _least_squares(Q: np.ndarray, R: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``R^-1 Q'z`` from a reduced QR, rank-checked by pivots; a non-finite
+    ``R`` or ``Q'z`` (an overflow inside the QR) raises ValueError."""
+    R, rhs = np.asarray_chkfinite(_checked_r(R)), np.asarray_chkfinite(Q.T @ z)
+    return _solve_r(R, rhs)
+
+
 def _xtx_inverse(R: np.ndarray) -> np.ndarray:
     """(M'M)^-1 from the R factor of M's QR decomposition."""
     # numpy, not scipy: a matrix right-hand side to scipy's solve_triangular
@@ -133,7 +148,7 @@ def fit_ols(
 
     if weights is None:
         Q, R = np.linalg.qr(X)
-        beta = solve_triangular(_checked_r(R), Q.T @ y)
+        beta = _least_squares(Q, R, y)
         residuals = y - X @ beta
         hat = np.einsum("ij,ij->i", Q, Q)
         xtx_inv = _xtx_inverse(R)
@@ -148,7 +163,7 @@ def fit_ols(
         raise ValueError("weights must be finite and nonnegative")
     sw = np.sqrt(w)
     Q, R = np.linalg.qr(sw[:, None] * X)
-    beta = solve_triangular(_checked_r(R), Q.T @ (sw * y))
+    beta = _least_squares(Q, R, sw * y)
     residuals = y - X @ beta
     hat = np.einsum("ij,ij->i", Q, Q)
     bread_inv = _xtx_inverse(R)  # (X'WX)^-1
@@ -326,18 +341,25 @@ def _qr_steps(
     """Newton steps and the pivot-ratio check through the QR of ``sqrt(w)X``;
     returns ``(step, failed)``.  ``(X'WX) step = score`` is solved through R,
     so saturated rows (irls weight exactly 0) still contribute their score."""
-    R = np.linalg.qr(np.sqrt(irls_w)[:, :, None] * X, mode="r")
+    M = np.sqrt(irls_w)[:, :, None] * X
+    if len(M) == 1:
+        # mode="raw" skips the triu copy: the top block of the factored
+        # matrix holds R in its upper triangle, the only part trtrs reads
+        R = np.swapaxes(np.linalg.qr(M, mode="raw")[0], 1, 2)[:, : M.shape[2]]
+    else:
+        R = np.linalg.qr(M, mode="r")
     piv = np.abs(np.diagonal(R, axis1=1, axis2=2))
     top = piv.max(axis=1)
     failed = ~((top > 0.0) & (piv.min(axis=1) >= PIVOT_RTOL * top))
     if failed.any():
         R[failed] = np.eye(R.shape[-1])  # a harmless solve; the row has failed
     if len(R) == 1:
-        # a single fit solves on vectors with scipy, not with numpy's batched
-        # solve, which rounds differently: greedy matching decides exact
-        # distance ties by rounding, so the propensity fit's last bits matter
-        half = solve_triangular(R[0], score[0], trans=1, check_finite=False)
-        return solve_triangular(R[0], half, check_finite=False)[None], failed
+        # a single fit solves on vectors with LAPACK's trtrs, not with
+        # numpy's batched solve, which rounds differently: greedy matching
+        # decides exact distance ties by rounding, so the propensity fit's
+        # last bits matter
+        half = _solve_r(R[0], score[0], trans=1)
+        return _solve_r(R[0], half)[None], failed
     half = np.linalg.solve(np.swapaxes(R, 1, 2), score[:, :, None])
     return np.linalg.solve(R, half)[:, :, 0], failed
 
@@ -468,6 +490,8 @@ def fit_logistic_batch(
     if b > 1:
         upper = np.triu_indices(X.shape[1])
         outer = X[:, upper[0]] * X[:, upper[1]]
+    else:
+        dense = _dense(X, E)  # the design of every QR step
     # the rows still iterating, and their slices of every input
     rows = np.flatnonzero(status == NOT_CONVERGED)
     Er, wr, br = E, counts, beta
@@ -485,7 +509,7 @@ def fit_logistic_batch(
         if b > 1:
             step, singular = _gram_steps(X, upper, outer, Er, irls_w, score)
         else:
-            step, singular = _qr_steps(_dense(X, Er), irls_w, score)
+            step, singular = _qr_steps(dense, irls_w, score)
         if it > 1:
             singular &= ~converged  # a zero score stops the fit first
         else:

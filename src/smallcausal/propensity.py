@@ -3,6 +3,7 @@ matched pairs, inverse-probability weights, and quintile strata."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,12 +68,22 @@ def match_caliper(
     Treated subjects are processed in descending propensity order (ties by
     original index); each takes the unused control with the smallest absolute
     logit distance, skipping when the nearest exceeds the caliper.  Distances
-    are compared as computed, and an equal computed distance goes to the
-    lower control index.  A tie in exact arithmetic (discrete covariates can
-    put a treated subject midway between two controls) is therefore decided
-    by the rounding of the fitted logits, and can go to either control.  The
-    caliper is ``caliper_sd_multiplier`` times the sample SD (denominator
-    n-1) of all n logits.
+    are compared as computed, ``abs(control - treated)``, and an equal
+    computed distance goes to the lower control index.  A tie in exact
+    arithmetic (discrete covariates can put a treated subject midway between
+    two controls) is therefore decided by the rounding of the fitted logits,
+    and can go to either control.  The caliper is ``caliper_sd_multiplier``
+    times the sample SD (denominator n-1) of all n logits; a non-finite logit
+    makes it NaN, so no pair forms.
+
+    The search is exact, not a scan of every control.  The controls are
+    grouped by logit value in ascending order, each value holding its unused
+    controls lowest index first.  A treated subject bisects into the values
+    still holding a control.  A computed distance does not decrease away from
+    the treated logit on either side, so the nearest value on each side gives
+    the minimum, and the values sharing it are contiguous: they are scanned
+    outward while their computed distance equals it, and the lowest control
+    index among them wins.  Matching stops once every control is used.
     """
     treatment = np.asarray(treatment)
     treated_idx = np.flatnonzero(treatment == 1)
@@ -87,16 +98,38 @@ def match_caliper(
         np.argsort(-ps.probabilities[treated_idx], kind="stable")
     ]
     control_logits = logits[control_idx].astype(float)
+    by_value = np.argsort(control_logits, kind="stable")  # ties by index
+    ranked = control_logits[by_value]
+    starts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+    bounds = [0, *starts.tolist(), len(ranked)]
+    # the values still holding a control, and each one's unused controls
+    # (subject indices), highest first so that pop() takes the lowest
+    free = ranked[bounds[:-1]].tolist()
+    positions = control_idx[by_value].tolist()
+    unused = [positions[a:b][::-1] for a, b in zip(bounds, bounds[1:])]
 
     pairs: list[tuple[int, int]] = []
-    for t in order:
-        if len(pairs) == control_idx.size:
+    for t, logit in zip(order.tolist(), logits[order].tolist()):
+        if not free:
             break
-        dist = np.abs(control_logits - logits[t])
-        j = int(np.argmin(dist))  # first minimum = lowest control index
-        if dist[j] <= caliper:
-            pairs.append((int(t), int(control_idx[j])))
-            control_logits[j] = np.inf  # a used control is never nearest
+        hi = bisect_left(free, logit)
+        lo = hi - 1
+        below = abs(free[lo] - logit) if lo >= 0 else np.inf
+        above = abs(free[hi] - logit) if hi < len(free) else np.inf
+        nearest = min(below, above)
+        if not nearest <= caliper:
+            continue
+        while lo >= 0 and abs(free[lo] - logit) == nearest:
+            lo -= 1
+        while hi < len(free) and abs(free[hi] - logit) == nearest:
+            hi += 1
+        k = lo + 1
+        for v in range(lo + 2, hi):
+            if unused[v][-1] < unused[k][-1]:
+                k = v
+        pairs.append((t, unused[k].pop()))
+        if not unused[k]:
+            del free[k], unused[k]
 
     if not pairs:
         raise NoPairsError("no control within the caliper for any treated subject")

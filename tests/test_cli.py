@@ -10,7 +10,13 @@ import pytest
 
 import smallcausal
 from smallcausal import simulation
-from smallcausal.cli import RunConfig, main, read_dataset_csv
+from smallcausal.cli import (
+    RunConfig,
+    build_parser,
+    load_config,
+    main,
+    read_dataset_csv,
+)
 from smallcausal.data import Dataset
 from smallcausal.errors import ReplicateError
 from smallcausal.estimators import estimate_effects, ESTIMAND_RD
@@ -169,6 +175,36 @@ class TestSimulate:
         assert rc == 2
         assert "crude" in capsys.readouterr().err
         assert not (tmp_path / "d_replicates.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--workers", "foo"),
+            ("--workers", "-3"),
+            ("--workers", "0"),
+            ("--bootstrap", "1"),
+            ("--bootstrap", "-5"),
+            ("--replicates", "0"),
+        ],
+    )
+    def test_bad_run_sizes_refused(self, tmp_path, capsys, flag, value):
+        sizes = {"--replicates": "2", "--bootstrap": "0", "--workers": "1"}
+        sizes[flag] = value
+        rc = run_cli(
+            "simulate", "--scenario", "covid", "--n", "40", "--beta-trt", "0",
+            "--methods", "crude", *(item for pair in sizes.items() for item in pair),
+            "--out", str(tmp_path / "b"),
+        )
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "b_replicates.csv").exists()
+
+    def test_no_bootstrap_and_auto_workers_stay_valid(self):
+        args = build_parser().parse_args(
+            ["simulate", "--bootstrap", "0", "--workers", "auto"]
+        )
+        cfg = load_config(args)
+        assert cfg.bootstrap_b == 0 and cfg.workers == "auto"
 
     def test_auto_workers_follow_cpu_affinity(self, monkeypatch):
         cfg = RunConfig("simulate", workers="auto")

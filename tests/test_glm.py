@@ -74,6 +74,17 @@ class TestFitOls:
         with pytest.raises(RankDeficientError):
             fit_ols(np.ones((2, 3)), np.zeros(2))
 
+    @pytest.mark.parametrize(
+        "X, y",
+        [
+            (np.ones((4, 1)), np.full(4, 1e308)),  # Q'y overflows
+            (np.full((3, 1), 1e308), np.ones(3)),  # so does R
+        ],
+    )
+    def test_overflow_inside_the_qr_raises(self, X, y):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs"):
+            fit_ols(X, y)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_residuals_orthogonal_to_design(self, seed):
@@ -276,9 +287,38 @@ class TestWaldCi:
         assert wald_ci(0.0, 1.0, level)[1] == norm.ppf(0.5 * (1.0 + level))
 
 
+class TestSolveR:
+    """``glm._solve_r`` calls LAPACK's trtrs as scipy's solve_triangular
+    does for a C-ordered upper triangle, so both give the same bits."""
+
+    @pytest.mark.parametrize("scenario, beta0", [("covid", None), ("austin", -1.5)])
+    @pytest.mark.parametrize("n", [100, 1000])
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_bit_identical_to_solve_triangular(self, scenario, beta0, n, trans):
+        rng = np.random.default_rng(n)
+        data = generate(make_scenario(scenario, n, 0.5, beta0), rng)[0]
+        X = np.column_stack([np.ones(n), data.treatment, data.covariates])
+        M = (np.sqrt(rng.uniform(0.05, 0.25, n))[:, None] * X)[None]
+        # the reduced R of fit_ols; the stacked R of a weighted design, and
+        # the top block of its raw QR as the one-row QR step reads it, with
+        # Householder vectors below the diagonal; a 1 x 1 R, which scipy
+        # also sees as Fortran ordered
+        factors = [
+            np.linalg.qr(X)[1],
+            np.linalg.qr(M, mode="r")[0],
+            np.swapaxes(np.linalg.qr(M, mode="raw")[0], 1, 2)[0, : X.shape[1]],
+            np.linalg.qr(X[:, :1], mode="r"),
+        ]
+        for R in factors:
+            b = rng.normal(size=len(R)) * 10.0 ** rng.integers(-3, 4)
+            np.testing.assert_array_equal(
+                glm._solve_r(R, b, trans), solve_triangular(R, b, trans=trans)
+            )
+
+
 class TestOneBlasPool:
-    """Every fit stays on numpy's BLAS: scipy's solves take vectors only, so
-    the thread pool scipy ships beside numpy's is never woken."""
+    """Every fit stays on numpy's BLAS: the triangular solves take vectors
+    only, so the thread pool scipy ships beside numpy's is never woken."""
 
     @pytest.mark.parametrize(
         "scenario, beta0, n, estimand, methods, bootstrap",
@@ -292,11 +332,13 @@ class TestOneBlasPool:
     ):
         shapes = []
 
-        def recording_solve(a, b, *args, **kwargs):
-            shapes.append(np.shape(b))
-            return solve_triangular(a, b, *args, **kwargs)
+        solve_r = glm._solve_r
 
-        monkeypatch.setattr(glm, "solve_triangular", recording_solve)
+        def recording_solve(R, b, *args, **kwargs):
+            shapes.append(np.shape(b))
+            return solve_r(R, b, *args, **kwargs)
+
+        monkeypatch.setattr(glm, "_solve_r", recording_solve)
         spec = make_scenario(scenario, n, 1.0, beta0)
         result = run_replicate(spec, methods, estimand, bootstrap, 7, 0, 0.0)
         assert any(not est.failed for est in result.estimates.values())

@@ -1,7 +1,9 @@
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import expit
 
 from helpers import greedy_match_oracle, irls_oracle, mask_match_oracle
@@ -16,6 +18,7 @@ from smallcausal.propensity import (
     quintile_strata,
 )
 from smallcausal.simulation import generate, make_scenario
+from smallcausal.streams import derive_substream
 
 
 def make_dataset(rng, n, k=3, confounded=True):
@@ -164,6 +167,85 @@ class TestMatchCaliper:
                         full = min(data.n_treated, data.n_controls)
                         skipped += len(expected) < full
         assert skipped > 0 and ties > 0
+
+    @pytest.mark.parametrize(
+        "replicate, treated, won, lost, n_pairs, digest",
+        [
+            (13, 315, 30, 182, 352,
+             "50c0c17290dccda9addf003901765b7168f27713041fb952c04ec8b03c5ac548"),
+            (31, 417, 691, 496, 392,
+             "9ed837fcec28ca7381427204766b5a4dc9ee4a7d8d63e5d07fde4680a504d14d"),
+        ],
+    )
+    def test_pairs_pinned_where_rounding_decides_a_tie(
+        self, replicate, treated, won, lost, n_pairs, digest
+    ):
+        # simulate --scenario covid --n 1000 --beta-trt 0 --seed 2007: the
+        # treated subject sits midway between two controls in exact
+        # arithmetic.  At replicate 13 the computed distances are equal and
+        # the lower index wins; at replicate 31 rounding puts the higher
+        # index nearer.  The sha256 of the pairs' repr pins every pair.
+        spec = make_scenario("covid", 1000, 0.0, None)
+        rng = derive_substream(2007, "covid", replicate, "data")
+        data = generate(spec, rng)[0]
+        ps = estimate_ps(data)
+        logits = ps.logits
+        gap_won = abs(logits[won] - logits[treated])
+        gap_lost = abs(logits[lost] - logits[treated])
+        assert gap_won <= gap_lost <= gap_won + 1e-12
+        matched = match_caliper(ps, data.treatment)
+        assert dict(matched.pairs)[treated] == won
+        assert matched.n_pairs == n_pairs
+        assert hashlib.sha256(repr(matched.pairs).encode()).hexdigest() == digest
+        caliper = matched.caliper_width
+        assert list(matched.pairs) == mask_match_oracle(
+            logits, ps.probabilities, data.treatment, caliper
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-8, 8), st.booleans()), min_size=2, max_size=40
+        ),
+        st.sampled_from([0.1, 0.3, 1.0]),
+        st.sampled_from([0.01, 0.2, np.inf]),
+    )
+    def test_matches_the_mask_loop_on_a_coarse_grid(
+        self, subjects, step, multiplier
+    ):
+        # logits on a grid of half steps: control values repeat, treated
+        # subjects sit midway between controls, and on the 0.1 and 0.3 grids
+        # the rounding of the products decides those ties
+        half_steps, treated = zip(*subjects)
+        assume(any(treated) and not all(treated))
+        logits = np.array(half_steps) * (step / 2)
+        treatment = np.array(treated, dtype=float)
+        ps = PropensityScores(expit(logits), logits, None)
+        caliper = multiplier * float(np.std(logits, ddof=1))
+        expected = mask_match_oracle(logits, ps.probabilities, treatment, caliper)
+        if not expected:
+            with pytest.raises(NoPairsError):
+                match_caliper(ps, treatment, multiplier)
+        else:
+            assert list(match_caliper(ps, treatment, multiplier).pairs) == expected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 1])  # a treated or a control logit
+    def test_non_finite_logit_forms_no_pair(self, bad, where):
+        # a non-finite logit makes the caliper (a multiple of the SD of all
+        # logits) NaN, so the mask loop finds no pair and matching refuses
+        logits = np.array([0.1, 0.5, -0.2, 0.3, 0.1, 0.45])
+        treatment = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+        logits[where] = bad
+        ps = PropensityScores(expit(logits), logits, None)
+        for multiplier in (0.01, 0.2, np.inf):
+            with np.errstate(invalid="ignore"):  # the SD of an inf
+                caliper = multiplier * float(np.std(logits, ddof=1))
+                assert mask_match_oracle(
+                    logits, ps.probabilities, treatment, caliper
+                ) == []
+                with pytest.raises(NoPairsError):
+                    match_caliper(ps, treatment, multiplier)
 
     def test_distances_within_caliper_and_no_reuse(self):
         rng = np.random.default_rng(9)
