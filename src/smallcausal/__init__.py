@@ -30,16 +30,9 @@ from .estimators import (
     RD_METHODS,
     EffectEstimate,
     MatchedCounts,
-    aipw_rd,
-    covariate_adjusted_rd,
-    crude_rd,
+    estimate_effect,
     estimate_effects,
-    gcomp_rd,
-    iptw_rd,
     matched_counts,
-    matched_rd,
-    or_estimate,
-    ps_covariate_rd,
 )
 from .glm import (
     LinearFit,

@@ -30,16 +30,9 @@ from .blas import cap_blas_threads
 from .bootstrap import BootstrapConfig
 from .data import Dataset
 from .errors import NotBracketedError
-from .estimators import (
-    ESTIMAND_LOG_OR,
-    ESTIMAND_RD,
-    METHODS,
-    EffectEstimate,
-    estimate_effects,
-)
+from .estimators import METHODS, EffectEstimate, estimate_effects
 from .simulation import (
     SCENARIO_IDS,
-    MethodMetrics,
     MetricsSummary,
     ReplicateResult,
     calibrate_beta_trt,
@@ -113,7 +106,7 @@ class RunConfig:
         return max(1, int(self.workers))
 
     def resolved_methods(self) -> tuple[str, ...]:
-        registry = METHODS[self.estimand_tag()]
+        registry = METHODS[self.estimand]
         if not self.methods:
             return tuple(registry)
         unknown = set(self.methods) - set(registry)
@@ -125,9 +118,6 @@ class RunConfig:
         if repeated:
             raise CliError(f"methods requested more than once: {repeated}")
         return tuple(self.methods)
-
-    def estimand_tag(self) -> str:
-        return ESTIMAND_RD if self.estimand == "rd" else ESTIMAND_LOG_OR
 
 
 def fmt(value) -> str:
@@ -223,6 +213,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raise CliError(f"scenario must be one of {SCENARIO_IDS}")
     if cfg.oracle_datasets < 1 or cfg.oracle_size < 1:
         raise CliError("--oracle-datasets and --oracle-size must be at least 1")
+    if cfg.n < 2:
+        raise CliError("--n must be at least 2")
     if cfg.n_replicates < 1:
         raise CliError("--replicates must be at least 1")
     if cfg.bootstrap_b != 0 and cfg.bootstrap_b < 2:
@@ -335,11 +327,11 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     return 0
 
 
-def _estimate_row(replicate: int, est: EffectEstimate, estimand: str) -> list[str]:
+def _estimate_row(replicate: int, est: EffectEstimate) -> list[str]:
     return [
         str(replicate),
         est.method,
-        estimand,
+        est.estimand,
         fmt(est.point),
         fmt(est.se),
         fmt(est.ci[0]) if est.ci else "",
@@ -352,9 +344,7 @@ def _estimate_row(replicate: int, est: EffectEstimate, estimand: str) -> list[st
 def _summary_rows(summary: MetricsSummary, methods: tuple[str, ...]) -> list[list[str]]:
     rows = []
     for m in methods:
-        mm = summary.per_method.get(m)
-        if mm is None:
-            mm = MethodMetrics(None, None, None, None, None, 0, 0)
+        mm = summary.per_method[m]
         rows.append(
             [
                 m,
@@ -373,9 +363,7 @@ def _print_summary(summary: MetricsSummary, methods: tuple[str, ...]) -> None:
     header = f"{'method':20s} {'mean_bias':>11s} {'rmse':>9s} {'mae':>9s} {'coverage':>9s} {'ci_len':>9s} {'fail':>5s}"
     print(header)
     for m in methods:
-        mm = summary.per_method.get(m)
-        if mm is None:
-            continue
+        mm = summary.per_method[m]
 
         def cell(v, width=9):
             return f"{v:>{width}.4f}" if v is not None else " " * (width - 2) + "--"
@@ -419,7 +407,7 @@ def cmd_simulate(cfg: RunConfig, blas: list[dict] | None) -> int:
 
     rep_path = cfg.out + "_replicates.csv"
     _write_csv(rep_path, REPLICATE_COLUMNS, (
-        _estimate_row(res.replicate_index, res.estimates[m], cfg.estimand)
+        _estimate_row(res.replicate_index, res.estimates[m])
         for res in results
         for m in methods
     ))
@@ -515,7 +503,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
         raise CliError("analyze needs --data CSV")
     data = read_dataset_csv(cfg.data, cfg.categorical)
     methods = cfg.resolved_methods()
-    registry = METHODS[cfg.estimand_tag()]
+    registry = METHODS[cfg.estimand]
     ps_methods = sorted(m for m in methods if registry[m].needs_ps)
     if data.n_covariates == 0 and ps_methods:
         raise CliError(
@@ -527,10 +515,10 @@ def cmd_analyze(cfg: RunConfig) -> int:
     )
     rng = derive_substream(cfg.master_seed, "analyze", 0, "bootstrap")
     estimates = estimate_effects(
-        data, methods, cfg.estimand_tag(), bootstrap=bootstrap, rng=rng
+        data, methods, cfg.estimand, bootstrap=bootstrap, rng=rng
     )
     _write_csv(cfg.out + "_estimates.csv", REPLICATE_COLUMNS, (
-        _estimate_row(0, estimates[m], cfg.estimand) for m in methods
+        _estimate_row(0, estimates[m]) for m in methods
     ))
     report = {
         "estimand": cfg.estimand,
@@ -580,19 +568,15 @@ def cmd_summarize(cfg: RunConfig) -> int:
     rows = read_replicates_csv(cfg.replicates_csv)
     by_replicate: dict[int, dict[str, EffectEstimate]] = {}
     methods: list[str] = []
-    estimand_tag = ESTIMAND_RD
     for row in rows:
         idx = int(row["replicate"])
         method = row["method"]
         if method not in methods:
             methods.append(method)
-        estimand_tag = (
-            ESTIMAND_RD if row["estimand"] == "rd" else ESTIMAND_LOG_OR
-        )
         failed = row["failed"] == "true"
         if failed:
             est = EffectEstimate(
-                estimand_tag, method, None, failed=True,
+                row["estimand"], method, None, failed=True,
                 failure_reason=row["failure_reason"] or "unknown",
             )
         else:
@@ -600,7 +584,7 @@ def cmd_summarize(cfg: RunConfig) -> int:
             if row["ci_lo"] != "" and row["ci_hi"] != "":
                 ci = (float(row["ci_lo"]), float(row["ci_hi"]))
             est = EffectEstimate(
-                estimand_tag,
+                row["estimand"],
                 method,
                 float(row["point"]),
                 float(row["se"]) if row["se"] != "" else None,

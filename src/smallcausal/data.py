@@ -64,12 +64,3 @@ class Dataset:
     @property
     def n_controls(self) -> int:
         return self.n_subjects - self.n_treated
-
-    def take(self, indices: np.ndarray) -> "Dataset":
-        """Row subset/resample (used by the bootstrap)."""
-        return Dataset(
-            self.covariates[indices],
-            self.treatment[indices],
-            self.outcome[indices],
-            self.covariate_kinds,
-        )

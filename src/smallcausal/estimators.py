@@ -7,11 +7,11 @@ like are caught and recorded as a failed estimate with a reason tag, so a
 simulation replicate always yields one estimate per requested method.
 
 Each method is one row of the registry ``METHODS``: its id, its estimand,
-whether it needs a propensity score or a matched sample, how it is run and,
-for g-computation, its Q-model.
-``RD_METHODS``, ``OR_METHODS``, :func:`shared_inputs`, :func:`or_estimate`,
-:func:`estimate_effects` and the command line all read that table, so adding
-a method means adding one row (and the function it calls).
+whether it needs a propensity score or a matched sample, its body and, for
+g-computation, its Q-model.  ``RD_METHODS``, ``OR_METHODS``,
+:func:`shared_inputs`, :func:`estimate_effect`, :func:`estimate_effects` and
+the command line all read that table, so adding a method means adding one
+row (and the body it calls).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .glm import (
     wald_ci,
 )
 from .propensity import (
-    IptwWeights,
     MatchedSample,
     PropensityScores,
     estimate_ps,
@@ -58,8 +57,9 @@ from .propensity import (
     signed_inverse_probability,
 )
 
-ESTIMAND_RD = "risk_difference"
-ESTIMAND_LOG_OR = "log_odds_ratio"
+#: estimand ids, as the command line and the CSVs spell them
+ESTIMAND_RD = "rd"
+ESTIMAND_LOG_OR = "or"
 
 #: a back-transformed odds ratio at/above this is recorded as a failure
 OR_FAILURE_THRESHOLD = 3000.0
@@ -70,16 +70,14 @@ _LOG_OR_FAILURE = math.log(OR_FAILURE_THRESHOLD)
 class Method:
     """One registry row.
 
-    ``fn(data, ps, matched)`` runs the method without a bootstrap interval.
-    A risk-difference row returns the estimate of the method's public
-    function or raises an EstimationError (an overflowing ``iptw`` weight).
-    An odds-ratio row returns ``(point, se, ci)`` or raises an
-    EstimationError, and is run by :func:`or_estimate`.  A g-computation row
-    names its Q-model in ``q_spec``; its interval comes from the bootstrap
-    pass it shares with the other g-computation rows
-    (:func:`_with_gcomp_cis`).  Functions are looked up by module-level name
-    at call time, so rebinding a public estimator (to trace it, say)
-    reaches every dispatch.
+    ``fn(data, ps, matched)`` is the method's body, run by
+    :func:`estimate_effect`: it returns ``(point, se, ci)``, or raises an
+    EstimationError for a statistical failure, for both estimands.  A
+    g-computation row names its Q-model in ``q_spec``; its body returns no
+    interval, which comes from the bootstrap pass it shares with the other
+    g-computation rows (:func:`_with_gcomp_cis`).  A row looks its helpers
+    up by module-level name at call time, so rebinding one (to inject a
+    fault, say) reaches every dispatch.
     """
 
     id: str
@@ -92,20 +90,24 @@ class Method:
 
 _RD, _OR = ESTIMAND_RD, ESTIMAND_LOG_OR
 _ROWS = (
-    Method("crude", _RD, False, False, lambda d, ps, m: crude_rd(d)),
+    Method("crude", _RD, False, False,
+           lambda d, ps, m: _ols_rd(_intercept_design(d.treatment), d.outcome)),
     Method("cov_adjusted", _RD, False, False,
-           lambda d, ps, m: covariate_adjusted_rd(d)),
-    Method("ps_covariate", _RD, True, False, lambda d, ps, m: ps_covariate_rd(d, ps)),
-    Method("matched", _RD, True, True, lambda d, ps, m: matched_rd(d, m)),
+           lambda d, ps, m: _ols_rd(
+               _intercept_design(d.treatment, *d.covariates.T), d.outcome)),
+    Method("ps_covariate", _RD, True, False,
+           lambda d, ps, m: _ols_rd(
+               _intercept_design(d.treatment, ps.probabilities), d.outcome)),
+    Method("matched", _RD, True, True, lambda d, ps, m: _matched_rd(d, m)),
     Method("iptw", _RD, True, False,
-           lambda d, ps, m: iptw_rd(d, iptw_weights(ps, d.treatment))),
-    Method("gcomp", _RD, False, False, lambda d, ps, m: gcomp_rd(d, "plain"),
+           lambda d, ps, m: _iptw_rd(d, iptw_weights(ps, d.treatment).weights)),
+    Method("gcomp", _RD, False, False, lambda d, ps, m: _gcomp_rd(d, "plain", None),
            "plain"),
     Method("gcomp_simple_dr", _RD, True, False,
-           lambda d, ps, m: gcomp_rd(d, "simple_dr", ps), "simple_dr"),
+           lambda d, ps, m: _gcomp_rd(d, "simple_dr", ps), "simple_dr"),
     Method("gcomp_dr_quintiles", _RD, True, False,
-           lambda d, ps, m: gcomp_rd(d, "dr_quintiles", ps), "dr_quintiles"),
-    Method("aipw", _RD, True, False, lambda d, ps, m: aipw_rd(d, ps)),
+           lambda d, ps, m: _gcomp_rd(d, "dr_quintiles", ps), "dr_quintiles"),
+    Method("aipw", _RD, True, False, lambda d, ps, m: _aipw_rd(d, ps)),
     Method("crude", _OR, False, False,
            lambda d, ps, m: _logistic_or(_intercept_design(d.treatment), d.outcome)),
     Method("cov_adjusted", _OR, False, False,
@@ -185,38 +187,18 @@ def _intercept_design(*columns: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _ols_rd(X: np.ndarray, y: np.ndarray, method: str) -> EffectEstimate:
-    """OLS treatment coefficient with an HC3 Wald interval."""
-    try:
-        fit = fit_ols(X, y)
-        variance = float(hc3_covariance(fit, X)[1, 1])
-        # a design that only just passes the pivot check (a column nearly
-        # the treatment) can round this below zero
-        if not 0.0 <= variance < math.inf:
-            raise DegenerateVarianceError("HC3 variance is negative or not finite")
-    except EstimationError as exc:
-        return _failed(ESTIMAND_RD, method, exc)
+def _ols_rd(X: np.ndarray, y: np.ndarray) -> tuple[float, float, tuple[float, float]]:
+    """OLS treatment coefficient with an HC3 Wald interval: the body of the
+    linear-model rows (``crude``, ``cov_adjusted``, ``ps_covariate``)."""
+    fit = fit_ols(X, y)
+    variance = float(hc3_covariance(fit, X)[1, 1])
+    # a design that only just passes the pivot check (a column nearly the
+    # treatment) can round this below zero
+    if not 0.0 <= variance < math.inf:
+        raise DegenerateVarianceError("HC3 variance is negative or not finite")
     point = float(fit.coefficients[1])
     se = math.sqrt(variance)
-    return EffectEstimate(ESTIMAND_RD, method, point, se, wald_ci(point, se))
-
-
-def crude_rd(data: Dataset) -> EffectEstimate:
-    """Linear model of the outcome on treatment alone."""
-    X = _intercept_design(data.treatment)
-    return _ols_rd(X, data.outcome, "crude")
-
-
-def covariate_adjusted_rd(data: Dataset) -> EffectEstimate:
-    """Linear model of the outcome on treatment and all covariates."""
-    X = _intercept_design(data.treatment, *data.covariates.T)
-    return _ols_rd(X, data.outcome, "cov_adjusted")
-
-
-def ps_covariate_rd(data: Dataset, ps: PropensityScores) -> EffectEstimate:
-    """Linear model of the outcome on treatment and the propensity score."""
-    X = _intercept_design(data.treatment, ps.probabilities)
-    return _ols_rd(X, data.outcome, "ps_covariate")
+    return point, se, wald_ci(point, se)
 
 
 def matched_counts(data: Dataset, matched: MatchedSample) -> MatchedCounts:
@@ -226,24 +208,21 @@ def matched_counts(data: Dataset, matched: MatchedSample) -> MatchedCounts:
     return MatchedCounts(b, c, matched.n_pairs)
 
 
-def matched_rd(data: Dataset, matched: MatchedSample) -> EffectEstimate:
+def _matched_rd(data: Dataset, matched: MatchedSample):
     """Discordant-pair risk difference with the paired-proportions variance."""
     counts = matched_counts(data, matched)
     b, c, n = counts.b_discordant, counts.c_discordant, counts.n_pairs
     if b + c == 0:
-        return _failed(
-            ESTIMAND_RD,
-            "matched",
-            DegenerateVarianceError("no discordant pairs"),
-        )
+        raise DegenerateVarianceError("no discordant pairs")
     point = (b - c) / n
     variance = (b + c) / n**2 - (b - c) ** 2 / n**3
     se = math.sqrt(max(variance, 0.0))
-    return EffectEstimate(ESTIMAND_RD, "matched", point, se, wald_ci(point, se))
+    return point, se, wald_ci(point, se)
 
 
-def iptw_rd(data: Dataset, weights: IptwWeights) -> EffectEstimate:
-    """Weighted linear model of the outcome on treatment.
+def _iptw_rd(data: Dataset, w: np.ndarray):
+    """Weighted linear model of the outcome on treatment, with the
+    inverse-probability weights ``w``.
 
     The point estimate is the difference of inverse-probability-weighted arm
     means.  The interval is a Wald interval around a binomial-variance
@@ -258,20 +237,15 @@ def iptw_rd(data: Dataset, weights: IptwWeights) -> EffectEstimate:
     want a conventional robust interval instead can combine the weighted fit
     with :func:`smallcausal.glm.weighted_sandwich_covariance`.
     """
-    X = _intercept_design(data.treatment)
-    w = weights.weights
-    try:
-        fit = fit_ols(X, data.outcome, weights=w)
-        point = float(fit.coefficients[1])
-        mu1 = float(fit.coefficients[0] + fit.coefficients[1])
-        mu0 = float(fit.coefficients[0])
-        var = (mu1 * (1.0 - mu1) + mu0 * (1.0 - mu0)) / float(w @ w)
-        if var < 0:
-            raise DegenerateVarianceError("negative variance heuristic")
-        se = math.sqrt(var)
-    except EstimationError as exc:
-        return _failed(ESTIMAND_RD, "iptw", exc)
-    return EffectEstimate(ESTIMAND_RD, "iptw", point, se, wald_ci(point, se))
+    fit = fit_ols(_intercept_design(data.treatment), data.outcome, weights=w)
+    point = float(fit.coefficients[1])
+    mu1 = float(fit.coefficients[0] + fit.coefficients[1])
+    mu0 = float(fit.coefficients[0])
+    var = (mu1 * (1.0 - mu1) + mu0 * (1.0 - mu0)) / float(w @ w)
+    if var < 0:
+        raise DegenerateVarianceError("negative variance heuristic")
+    se = math.sqrt(var)
+    return point, se, wald_ci(point, se)
 
 
 def _q_means(
@@ -444,35 +418,21 @@ def _with_gcomp_cis(
     ]
 
 
-def gcomp_rd(
-    data: Dataset,
-    q_spec: str = "plain",
-    ps: PropensityScores | None = None,
-    bootstrap: BootstrapConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> EffectEstimate:
+def _gcomp_rd(data: Dataset, q_spec: str, ps: PropensityScores | None):
     """Outcome-model standardization: predict both potential outcomes for
     every subject and contrast the averages.
 
     ``q_spec`` selects the Q-model: ``plain`` (treatment + covariates),
     ``simple_dr`` (adds the signed inverse-probability covariate) or
-    ``dr_quintiles`` (adds four score-quintile dummies).  The interval, when
-    requested, is a percentile bootstrap that refits the whole pipeline
-    (propensity model included) inside each resample; it is the interval
-    :func:`estimate_effects` gives the method with an equal ``rng``.
+    ``dr_quintiles`` (adds four score-quintile dummies).  The interval is a
+    percentile bootstrap that refits the whole pipeline (propensity model
+    included) inside each resample (:func:`_with_gcomp_cis`).
     """
-    method = "gcomp" if q_spec == "plain" else "gcomp_" + q_spec
-    if q_spec != "plain" and ps is None:
-        raise ValueError(f"{method} requires propensity scores")
-    try:
-        m1, m0 = _gcomp_means(data, q_spec, ps)
-    except EstimationError as exc:
-        return _failed(ESTIMAND_RD, method, exc)
-    estimate = EffectEstimate(ESTIMAND_RD, method, m1 - m0)
-    return _with_gcomp_cis(data, [estimate], bootstrap, rng)[0]
+    m1, m0 = _gcomp_means(data, q_spec, ps)
+    return m1 - m0, None, None
 
 
-def aipw_rd(data: Dataset, ps: PropensityScores) -> EffectEstimate:
+def _aipw_rd(data: Dataset, ps: PropensityScores):
     """Augmented inverse-probability weighting.
 
     Arm-specific outcome models of the outcome on the covariates feed the
@@ -483,11 +443,8 @@ def aipw_rd(data: Dataset, ps: PropensityScores) -> EffectEstimate:
     inverse-probability weight that overflows (a propensity logit beyond
     about 709 in the subject's own arm).
     """
-    try:
-        m1, m0 = _aipw_arm_predictions(data)
-        w = iptw_weights(ps, data.treatment).weights
-    except EstimationError as exc:
-        return _failed(ESTIMAND_RD, "aipw", exc)
+    m1, m0 = _aipw_arm_predictions(data)
+    w = iptw_weights(ps, data.treatment).weights
     y = data.outcome
     treated = data.treatment == 1
     term1 = np.where(treated, y * w - (w - 1.0) * m1, m1)
@@ -495,7 +452,7 @@ def aipw_rd(data: Dataset, ps: PropensityScores) -> EffectEstimate:
     phi = term1 - term0
     point = float(phi.mean())
     se = float(phi.std(ddof=1) / math.sqrt(len(phi)))
-    return EffectEstimate(ESTIMAND_RD, "aipw", point, se, wald_ci(point, se))
+    return point, se, wald_ci(point, se)
 
 
 def _aipw_arm_predictions(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -516,14 +473,9 @@ def _aipw_arm_predictions(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# odds-ratio family: each body returns (point, se, ci) or raises
+# odds-ratio family: a point at an odds ratio of 3000 or more fails as
+# ExtremeOR before any interval is built
 # ---------------------------------------------------------------------------
-
-#: spec-facing aliases accepted by or_estimate, mapped to registry ids
-_OR_ALIASES = {
-    "covariate_adjusted": "cov_adjusted",
-    "gcomp_plain": "gcomp",
-}
 
 
 def _or_point_guard(point: float) -> float:
@@ -585,39 +537,6 @@ def _gcomp_or(data: Dataset, q_spec: str, ps: PropensityScores | None):
     return _or_point_guard(point), None, None
 
 
-def or_estimate(
-    data: Dataset,
-    method: str,
-    ps: PropensityScores | None = None,
-    matched: MatchedSample | None = None,
-    bootstrap: BootstrapConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> EffectEstimate:
-    """Log-odds-ratio analogue of each risk-difference method.
-
-    Any method whose back-transformed point estimate reaches an odds ratio of
-    3000 is recorded as an ExtremeOR failure before interval construction.
-    A g-computation method's bootstrap interval is the one
-    :func:`estimate_effects` gives it with an equal ``rng``.
-    """
-    row = METHODS[ESTIMAND_LOG_OR].get(_OR_ALIASES.get(method, method))
-    if row is None:
-        raise ValueError(f"unknown odds-ratio method: {method!r}")
-    if row.needs_match:
-        if matched is None:
-            raise ValueError(f"{row.id} requires a matched sample")
-    elif row.needs_ps and ps is None:
-        raise ValueError(f"{row.id} requires propensity scores")
-    try:
-        point, se, ci = row.fn(data, ps, matched)
-    except EstimationError as exc:
-        return _failed(ESTIMAND_LOG_OR, row.id, exc)
-    estimate = EffectEstimate(ESTIMAND_LOG_OR, row.id, point, se, ci)
-    if row.q_spec is None:
-        return estimate
-    return _with_gcomp_cis(data, [estimate], bootstrap, rng)[0]
-
-
 # ---------------------------------------------------------------------------
 # one-dataset drivers
 # ---------------------------------------------------------------------------
@@ -651,6 +570,41 @@ def shared_inputs(
     return ps, ps_error, matched, match_error
 
 
+def estimate_effect(
+    data: Dataset,
+    method: str,
+    estimand: str,
+    ps: PropensityScores | None = None,
+    matched: MatchedSample | None = None,
+    bootstrap: BootstrapConfig | None = None,
+    rng: np.random.Generator | None = None,
+) -> EffectEstimate:
+    """Run one registry method of ``estimand`` on one dataset.
+
+    A statistical failure comes back as a failed estimate with its reason
+    tag.  An unknown method id raises ValueError, and so does a row called
+    without the matched sample or propensity score its body reads.  A
+    g-computation method's bootstrap interval, when ``bootstrap`` is given,
+    is the one :func:`estimate_effects` gives it with an equal ``rng``.
+    """
+    row = METHODS.get(estimand, {}).get(method)
+    if row is None:
+        raise ValueError(f"unknown method for estimand {estimand!r}: {method!r}")
+    if row.needs_match:  # its body reads the pairs, not the score
+        if matched is None:
+            raise ValueError(f"{method} requires a matched sample")
+    elif row.needs_ps and ps is None:
+        raise ValueError(f"{method} requires propensity scores")
+    try:
+        point, se, ci = row.fn(data, ps, matched)
+    except EstimationError as exc:
+        return _failed(estimand, method, exc)
+    estimate = EffectEstimate(estimand, method, point, se, ci)
+    if row.q_spec is None:
+        return estimate
+    return _with_gcomp_cis(data, [estimate], bootstrap, rng)[0]
+
+
 def estimate_effects(
     data: Dataset,
     methods: tuple[str, ...],
@@ -667,7 +621,7 @@ def estimate_effects(
     successful estimate with a non-finite point, SE or CI endpoint raises
     ArithmeticError.
     """
-    registry = METHODS[estimand]
+    registry = METHODS.get(estimand, {})
     unknown = set(methods) - set(registry)
     if unknown:
         raise ValueError(f"unknown methods for {estimand}: {sorted(unknown)}")
@@ -682,13 +636,8 @@ def estimate_effects(
             results[method] = _failed(estimand, method, match_error)
         elif row.needs_ps and ps is None:
             results[method] = _failed(estimand, method, ps_error)
-        elif estimand == ESTIMAND_LOG_OR:
-            results[method] = or_estimate(data, method, ps, matched)
         else:
-            try:
-                results[method] = row.fn(data, ps, matched)
-            except EstimationError as exc:  # from building the method's input
-                results[method] = _failed(estimand, method, exc)
+            results[method] = estimate_effect(data, method, estimand, ps, matched)
     pending = [
         est for est in results.values()
         if registry[est.method].q_spec is not None and not est.failed

@@ -32,12 +32,7 @@ from .blas import cap_blas_threads
 from .bootstrap import BootstrapConfig
 from .data import Dataset
 from .errors import EstimationError, NotBracketedError, ReplicateError
-from .estimators import (
-    ESTIMAND_LOG_OR,
-    ESTIMAND_RD,
-    EffectEstimate,
-    estimate_effects,
-)
+from .estimators import EffectEstimate, estimate_effects
 from .streams import derive_substream
 
 SCENARIO_IDS = ("covid", "unmeasured", "austin")
@@ -405,9 +400,8 @@ def run_replicate(
         boot_rng = derive_substream(
             master_seed, spec.scenario_id, replicate_index, "bootstrap"
         )
-        estimand_tag = ESTIMAND_RD if estimand == "rd" else ESTIMAND_LOG_OR
         estimates = estimate_effects(
-            data, tuple(methods), estimand_tag, bootstrap=bootstrap, rng=boot_rng
+            data, tuple(methods), estimand, bootstrap=bootstrap, rng=boot_rng
         )
     except EstimationError:
         raise

@@ -10,8 +10,20 @@ import math
 import numpy as np
 from scipy.special import expit
 
+from smallcausal.data import Dataset
 from smallcausal.errors import DegenerateStrataError, SeparationError
 from smallcausal.glm import fit_logistic
+
+
+def take_rows(data, indices):
+    """The dataset made of the rows ``indices`` of ``data``, repeats
+    included: one bootstrap resample."""
+    return Dataset(
+        data.covariates[indices],
+        data.treatment[indices],
+        data.outcome[indices],
+        data.covariate_kinds,
+    )
 
 
 def greedy_match_oracle(logits, probabilities, treatment, caliper):

@@ -16,10 +16,7 @@ from smallcausal.estimators import (
     ESTIMAND_RD,
     RD_METHODS,
     EffectEstimate,
-    aipw_rd,
-    crude_rd,
-    gcomp_rd,
-    iptw_rd,
+    estimate_effect,
 )
 from smallcausal.glm import fit_logistic, fit_ols, hc3_covariance
 from smallcausal.propensity import (
@@ -275,8 +272,8 @@ def _gcomp_collapse_check():
         if a.sum() in (0, n) or y.sum() in (0, n):
             continue
         data = Dataset(np.zeros((n, 0)), a, y, ())
-        gc = gcomp_rd(data, "plain")
-        cr = crude_rd(data)
+        gc = estimate_effect(data, "gcomp", ESTIMAND_RD)
+        cr = estimate_effect(data, "crude", ESTIMAND_RD)
         if gc.failed or cr.failed:
             continue
         worst = max(worst, abs(gc.point - cr.point))
@@ -294,7 +291,7 @@ def _aipw_oracle_check():
     p = rng.uniform(0.3, 0.7, 8)
     dummy_fit = fit_logistic(np.ones((4, 1)), np.array([1.0, 0.0, 1.0, 0.0]))
     ps = PropensityScores(p, np.log(p / (1 - p)), dummy_fit)
-    est = aipw_rd(data, ps)
+    est = estimate_effect(data, "aipw", ESTIMAND_RD, ps)
     if est.failed:
         return False, f"aipw failed: {est.failure_reason}"
     X = np.column_stack([np.ones(8), x])
@@ -341,10 +338,10 @@ def _dr_misspecification_check():
         ps_good = estimate_ps(full)
         ps_bad = estimate_ps(masked)
         for key, est in (
-            ("ps_ok_dr", gcomp_rd(masked, "simple_dr", ps_good)),
-            ("ps_ok_aipw", aipw_rd(masked, ps_good)),
-            ("q_ok_dr", gcomp_rd(full, "simple_dr", ps_bad)),
-            ("q_ok_aipw", aipw_rd(full, ps_bad)),
+            ("ps_ok_dr", estimate_effect(masked, "gcomp_simple_dr", ESTIMAND_RD, ps_good)),
+            ("ps_ok_aipw", estimate_effect(masked, "aipw", ESTIMAND_RD, ps_good)),
+            ("q_ok_dr", estimate_effect(full, "gcomp_simple_dr", ESTIMAND_RD, ps_bad)),
+            ("q_ok_aipw", estimate_effect(full, "aipw", ESTIMAND_RD, ps_bad)),
         ):
             if not est.failed:
                 points[key].append(est.point)

@@ -24,8 +24,7 @@ from smallcausal.estimators import (
     _gcomp_means,
     _intercept_design,
     _log_or,
-    gcomp_rd,
-    or_estimate,
+    estimate_effect,
 )
 from smallcausal.glm import (
     CONVERGED,
@@ -45,7 +44,7 @@ from smallcausal.propensity import (
 )
 from smallcausal.simulation import generate, make_scenario
 
-from helpers import dense_design, gcomp_design, gcomp_oracle, irls_oracle
+from helpers import dense_design, gcomp_design, gcomp_oracle, irls_oracle, take_rows
 
 
 def scenario_data(scenario, seed, beta0=None, n=100):
@@ -407,10 +406,7 @@ class TestPointAgainstDenseOracle:
                 logits = None if q_spec == "plain" else ps.logits
                 method = "gcomp" if q_spec == "plain" else "gcomp_" + q_spec
                 for estimand in (ESTIMAND_RD, ESTIMAND_LOG_OR):
-                    if estimand == ESTIMAND_RD:
-                        est = gcomp_rd(data, q_spec, ps)
-                    else:
-                        est = or_estimate(data, method, ps)
+                    est = estimate_effect(data, method, estimand, ps)
                     point, tag, at_cap = oracle_point(data, q_spec, logits, estimand)
                     assert est.failure_reason == tag, (seed, method, estimand)
                     tags.add(tag)
@@ -428,7 +424,7 @@ def scalar_ci(data, q_spec, contrast, config, rng):
     n = data.n_subjects
     values, dropped = [], 0
     for indices in rng.integers(0, n, size=(config.replications, n)):
-        resample = data.take(indices)
+        resample = take_rows(data, indices)
         try:
             if resample.n_treated in (0, n):
                 raise RankDeficientError("single-arm")
@@ -536,7 +532,9 @@ class TestNonFiniteGcomp:
         logits[np.flatnonzero(data.treatment == 1)[0]] = -800.0  # 1/p overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            est = gcomp_rd(data, "simple_dr", self.scores(data, logits))
+            est = estimate_effect(
+                data, "gcomp_simple_dr", ESTIMAND_RD, self.scores(data, logits)
+            )
         assert est.failed
         assert est.failure_reason == "Separation"
 
@@ -546,7 +544,9 @@ class TestNonFiniteGcomp:
         logits[np.flatnonzero(data.treatment == 1)[0]] = 800.0  # 1/(1-p) unused
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            est = gcomp_rd(data, "simple_dr", self.scores(data, logits))
+            est = estimate_effect(
+                data, "gcomp_simple_dr", ESTIMAND_RD, self.scores(data, logits)
+            )
         assert not est.failed
         assert -1.0 <= est.point <= 1.0
 

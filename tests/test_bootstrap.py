@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from helpers import take_rows
 from smallcausal.bootstrap import BootstrapConfig, bootstrap_percentile_ci
 from smallcausal.data import Dataset
 from smallcausal.errors import BootstrapCollapseError
@@ -139,7 +140,7 @@ def test_block_values_match_a_loop_over_resamples():
     )
     # the same resamples, one at a time in the rows of their one draw
     means = [
-        data.take(idx).outcome.mean()
+        take_rows(data, idx).outcome.mean()
         for idx in np.random.default_rng(13).integers(0, 30, size=(50, 30))
     ]
     assert block == pytest.approx(tuple(np.quantile(means, cfg.percentiles)), abs=1e-15)

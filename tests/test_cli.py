@@ -112,11 +112,12 @@ class TestSimulate:
         assert len(rows) == 6 * 2  # replicates x methods
         assert rows[0]["estimand"] == "rd"
 
-    def test_summary_recomputable_from_replicates(self, tmp_path):
+    @pytest.mark.parametrize("estimand", ["rd", "or"])
+    def test_summary_recomputable_from_replicates(self, tmp_path, estimand):
         rc = run_cli(
-            "simulate", "--scenario", "covid", "--n", "60",
-            "--replicates", "8", "--bootstrap", "0", "--beta-trt", "0.5",
-            "--methods", "crude,iptw", "--seed", "3",
+            "simulate", "--scenario", "covid", "--n", "60", "--estimand", estimand,
+            "--replicates", "8", "--bootstrap", "30", "--beta-trt", "0.5",
+            "--methods", "crude,iptw,gcomp", "--seed", "3",
             "--workers", "1", "--out", str(tmp_path / "s"),
         )
         assert rc == 0
@@ -134,6 +135,7 @@ class TestSimulate:
         with open(tmp_path / "re_summary.csv", newline="") as fh:
             recomputed = list(csv.reader(fh))
         assert original[0] == recomputed[0]
+        assert all(row[4] != "" for row in original[1:])  # every method has CIs
         for row_a, row_b in zip(original[1:], recomputed[1:]):
             assert row_a[0] == row_b[0]
             for cell_a, cell_b in zip(row_a[1:], row_b[1:]):
@@ -185,13 +187,16 @@ class TestSimulate:
             ("--bootstrap", "1"),
             ("--bootstrap", "-5"),
             ("--replicates", "0"),
+            ("--n", "-1"),
+            ("--n", "0"),
+            ("--n", "1"),
         ],
     )
     def test_bad_run_sizes_refused(self, tmp_path, capsys, flag, value):
-        sizes = {"--replicates": "2", "--bootstrap": "0", "--workers": "1"}
+        sizes = {"--n": "40", "--replicates": "2", "--bootstrap": "0", "--workers": "1"}
         sizes[flag] = value
         rc = run_cli(
-            "simulate", "--scenario", "covid", "--n", "40", "--beta-trt", "0",
+            "simulate", "--scenario", "covid", "--beta-trt", "0",
             "--methods", "crude", *(item for pair in sizes.items() for item in pair),
             "--out", str(tmp_path / "b"),
         )

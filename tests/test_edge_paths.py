@@ -11,12 +11,8 @@ from smallcausal.estimators import (
     ESTIMAND_LOG_OR,
     ESTIMAND_RD,
     _or_point_guard,
-    crude_rd,
+    estimate_effect,
     estimate_effects,
-    gcomp_rd,
-    iptw_rd,
-    or_estimate,
-    ps_covariate_rd,
 )
 from smallcausal.glm import fit_logistic, fit_ols, hc3_covariance, wald_ci
 from smallcausal.propensity import (
@@ -43,7 +39,7 @@ class TestOrIptw:
     def test_weighted_logistic_point_and_sandwich_interval(self):
         data = logistic_dataset(1)
         ps = estimate_ps(data)
-        est = or_estimate(data, "iptw", ps=ps)
+        est = estimate_effect(data, "iptw", ESTIMAND_LOG_OR, ps=ps)
         assert not est.failed
         # the point must equal the weighted logistic treatment coefficient
         w = iptw_weights(ps, data.treatment).weights
@@ -56,8 +52,8 @@ class TestOrIptw:
     def test_iptw_or_reduces_confounding(self):
         data = logistic_dataset(2, n=5000)
         ps = estimate_ps(data)
-        crude = or_estimate(data, "crude")
-        weighted = or_estimate(data, "iptw", ps=ps)
+        crude = estimate_effect(data, "crude", ESTIMAND_LOG_OR)
+        weighted = estimate_effect(data, "iptw", ESTIMAND_LOG_OR, ps=ps)
         # conditional effect is 0.7; confounding pushes the crude marginal
         # estimate further away than the weighted one
         assert abs(weighted.point - 0.7) < abs(crude.point - 0.7)
@@ -69,9 +65,10 @@ class TestFailureTags:
         a = np.array([1.0, 0.0, 1.0, 0.0])
         y = np.array([1.0, 0.0, 0.0, 1.0])
         data = Dataset(np.zeros((4, 0)), a, y, ())
-        est = gcomp_rd(
+        est = estimate_effect(
             data,
-            "plain",
+            "gcomp",
+            ESTIMAND_RD,
             bootstrap=BootstrapConfig(replications=200, max_failure_fraction=0.05),
             rng=derive_substream(3, "edge", 0, "boot"),
         )
@@ -88,7 +85,7 @@ class TestFailureTags:
         # the score is nearly the treatment, so [1, a, PS] passes the pivot
         # check (ratio 3.2e-10) but its HC3 variance rounds below zero
         data = self.austin_n40(22, 4)
-        est = ps_covariate_rd(data, estimate_ps(data))
+        est = estimate_effect(data, "ps_covariate", ESTIMAND_RD, estimate_ps(data))
         assert est.failed and est.failure_reason == "DegenerateVariance"
 
     def test_extreme_or_beyond_the_exp_range(self):
@@ -96,7 +93,7 @@ class TestFailureTags:
             _or_point_guard(800.0)
         # a plateau fit with a treatment coefficient near 1.3e9
         data = self.austin_n40(21, 0)
-        est = or_estimate(data, "ps_covariate", ps=estimate_ps(data))
+        est = estimate_effect(data, "ps_covariate", ESTIMAND_LOG_OR, estimate_ps(data))
         assert est.failed and est.failure_reason == "ExtremeOR"
 
     def test_degenerate_strata_tag(self):
@@ -113,7 +110,7 @@ class TestFailureTags:
         ps = PropensityScores(
             np.full(n, 0.5), logits, estimate_ps(data).source_fit
         )
-        est = gcomp_rd(data, "dr_quintiles", ps)
+        est = estimate_effect(data, "gcomp_dr_quintiles", ESTIMAND_RD, ps)
         assert est.failed and est.failure_reason == "DegenerateStrata"
 
     def test_leverage_one_tag(self):
@@ -128,9 +125,7 @@ class TestFailureTags:
             (rng.random(n) < 0.5).astype(float),
             ("binary",),
         )
-        from smallcausal.estimators import covariate_adjusted_rd
-
-        est = covariate_adjusted_rd(data)
+        est = estimate_effect(data, "cov_adjusted", ESTIMAND_RD)
         assert est.failed and est.failure_reason == "LeverageOne"
 
     def test_hc3_rejects_weighted_fits(self):
@@ -164,10 +159,10 @@ class TestCollapseChain:
         data = Dataset(x, a, y, ("continuous", "continuous"))
         ps = estimate_ps(data)
         points = {
-            "crude": crude_rd(data).point,
-            "ps_covariate": ps_covariate_rd(data, ps).point,
-            "iptw": iptw_rd(data, iptw_weights(ps, data.treatment)).point,
-            "gcomp": gcomp_rd(data, "plain").point,
+            "crude": estimate_effect(data, "crude", ESTIMAND_RD).point,
+            "ps_covariate": estimate_effect(data, "ps_covariate", ESTIMAND_RD, ps).point,
+            "iptw": estimate_effect(data, "iptw", ESTIMAND_RD, ps).point,
+            "gcomp": estimate_effect(data, "gcomp", ESTIMAND_RD).point,
         }
         spread = max(points.values()) - min(points.values())
         assert spread <= 0.01, points
@@ -189,7 +184,7 @@ class TestPointRanges:
         ps = estimate_ps(data)
         matched = match_caliper(ps, data.treatment)
         for method in ("crude", "cov_adjusted", "match_unadjusted"):
-            est = or_estimate(data, method, ps=ps, matched=matched)
+            est = estimate_effect(data, method, ESTIMAND_LOG_OR, ps=ps, matched=matched)
             if not est.failed:
                 assert est.estimand == ESTIMAND_LOG_OR
                 assert abs(est.point) < 8.0  # log scale, not OR scale

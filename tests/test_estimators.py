@@ -14,17 +14,9 @@ from smallcausal.estimators import (
     ESTIMAND_RD,
     OR_METHODS,
     RD_METHODS,
-    EffectEstimate,
-    aipw_rd,
-    covariate_adjusted_rd,
-    crude_rd,
+    estimate_effect,
     estimate_effects,
-    gcomp_rd,
-    iptw_rd,
     matched_counts,
-    matched_rd,
-    or_estimate,
-    ps_covariate_rd,
 )
 from smallcausal.glm import fit_logistic
 from smallcausal.propensity import (
@@ -64,25 +56,25 @@ def constant_scores(n, p):
 
 class TestCrudeRd:
     def test_study_counts(self):
-        est = crude_rd(study_counts_dataset())
+        est = estimate_effect(study_counts_dataset(), "crude", ESTIMAND_RD)
         assert est.point == pytest.approx(0.575)
 
     def test_identical_arms_zero(self):
         a = np.array([1.0, 1.0, 0.0, 0.0])
         y = np.array([1.0, 0.0, 1.0, 0.0])
-        est = crude_rd(Dataset(np.zeros((4, 0)), a, y, ()))
+        est = estimate_effect(Dataset(np.zeros((4, 0)), a, y, ()), "crude", ESTIMAND_RD)
         assert est.point == pytest.approx(0.0, abs=1e-12)
 
     def test_equals_difference_of_arm_means(self):
         data = random_dataset(1, n=30)
-        est = crude_rd(data)
+        est = estimate_effect(data, "crude", ESTIMAND_RD)
         t = data.treatment == 1
         direct = data.outcome[t].mean() - data.outcome[~t].mean()
         assert est.point == pytest.approx(direct, abs=1e-12)
 
     def test_single_arm_fails(self):
         data = Dataset(np.zeros((6, 0)), np.ones(6), np.zeros(6), ())
-        est = crude_rd(data)
+        est = estimate_effect(data, "crude", ESTIMAND_RD)
         assert est.failed and est.failure_reason == "RankDeficient"
         assert est.point is None and est.ci is None
 
@@ -91,9 +83,9 @@ class TestCovariateAdjustedRd:
     def test_no_covariates_reduces_to_crude(self):
         data = random_dataset(2, n=30, k=2)
         stripped = Dataset(np.zeros((30, 0)), data.treatment, data.outcome, ())
-        assert covariate_adjusted_rd(stripped).point == pytest.approx(
-            crude_rd(stripped).point, abs=1e-12
-        )
+        adjusted = estimate_effect(stripped, "cov_adjusted", ESTIMAND_RD)
+        crude = estimate_effect(stripped, "crude", ESTIMAND_RD)
+        assert adjusted.point == pytest.approx(crude.point, abs=1e-12)
 
     def test_partial_regression_oracle(self):
         # Frisch-Waugh on intercept + a + one confounder: residualize a and y
@@ -105,13 +97,15 @@ class TestCovariateAdjustedRd:
         a_res = a - proj @ a
         y_res = y - proj @ y
         oracle = (a_res @ y_res) / (a_res @ a_res)
-        assert covariate_adjusted_rd(data).point == pytest.approx(oracle, abs=1e-10)
+        est = estimate_effect(data, "cov_adjusted", ESTIMAND_RD)
+        assert est.point == pytest.approx(oracle, abs=1e-10)
 
 
 class TestPsCovariateRd:
     def test_constant_ps_is_rank_deficient(self):
         data = random_dataset(4, n=30)
-        est = ps_covariate_rd(data, constant_scores(30, 0.5))
+        scores = constant_scores(30, 0.5)
+        est = estimate_effect(data, "ps_covariate", ESTIMAND_RD, scores)
         assert est.failed and est.failure_reason == "RankDeficient"
 
     def test_large_sample_null_ps_approaches_crude(self):
@@ -121,8 +115,9 @@ class TestPsCovariateRd:
         a = (rng.random(n) < 0.5).astype(float)
         y = (rng.random(n) < 0.4).astype(float)
         data = Dataset(x, a, y, ("continuous",))
-        est = ps_covariate_rd(data, estimate_ps(data))
-        assert est.point == pytest.approx(crude_rd(data).point, abs=2e-4)
+        est = estimate_effect(data, "ps_covariate", ESTIMAND_RD, estimate_ps(data))
+        crude = estimate_effect(data, "crude", ESTIMAND_RD)
+        assert est.point == pytest.approx(crude.point, abs=2e-4)
 
 
 class TestMatchedRd:
@@ -143,7 +138,7 @@ class TestMatchedRd:
         data, matched = self.pairs(y_t, y_c)
         counts = matched_counts(data, matched)
         assert (counts.b_discordant, counts.c_discordant) == (3, 1)
-        est = matched_rd(data, matched)
+        est = estimate_effect(data, "matched", ESTIMAND_RD, matched=matched)
         assert est.point == pytest.approx(0.2)
         # variance oracle: (b+c)/n^2 - (b-c)^2/n^3
         assert est.se == pytest.approx(math.sqrt(4 / 100 - 4 / 1000))
@@ -152,7 +147,8 @@ class TestMatchedRd:
         y_t = np.array([1, 0, 1, 0.0])
         y_c = np.array([0, 1, 0, 1.0])
         data, matched = self.pairs(y_t, y_c)
-        assert matched_rd(data, matched).point == pytest.approx(0.0)
+        est = estimate_effect(data, "matched", ESTIMAND_RD, matched=matched)
+        assert est.point == pytest.approx(0.0)
 
     def test_brute_force_pair_table(self):
         rng = np.random.default_rng(6)
@@ -161,7 +157,7 @@ class TestMatchedRd:
         data, matched = self.pairs(y_t, y_c)
         b = int(((y_t == 1) & (y_c == 0)).sum())
         c = int(((y_t == 0) & (y_c == 1)).sum())
-        est = matched_rd(data, matched)
+        est = estimate_effect(data, "matched", ESTIMAND_RD, matched=matched)
         if b + c == 0:
             assert est.failed
         else:
@@ -170,16 +166,16 @@ class TestMatchedRd:
     def test_no_discordant_pairs_degenerate(self):
         y = np.ones(4)
         data, matched = self.pairs(y, y)
-        est = matched_rd(data, matched)
+        est = estimate_effect(data, "matched", ESTIMAND_RD, matched=matched)
         assert est.failed and est.failure_reason == "DegenerateVariance"
 
 
 class TestIptwRd:
     def test_constant_half_scores_reduce_to_crude(self):
         data = random_dataset(7, n=50)
-        w = iptw_weights(constant_scores(50, 0.5), data.treatment)
-        est = iptw_rd(data, w)
-        assert est.point == pytest.approx(crude_rd(data).point, abs=1e-10)
+        est = estimate_effect(data, "iptw", ESTIMAND_RD, constant_scores(50, 0.5))
+        crude = estimate_effect(data, "crude", ESTIMAND_RD)
+        assert est.point == pytest.approx(crude.point, abs=1e-10)
 
     def test_two_stratum_confounding_removed(self):
         # stratum 1: 32 treated (16 events) and 8 controls (4 events);
@@ -203,16 +199,16 @@ class TestIptwRd:
         oracle = (w[t] * data.outcome[t]).sum() / w[t].sum() - (
             w[~t] * data.outcome[~t]
         ).sum() / w[~t].sum()
-        est = iptw_rd(data, iptw_weights(scores, data.treatment))
+        est = estimate_effect(data, "iptw", ESTIMAND_RD, scores)
         assert est.point == pytest.approx(oracle, abs=1e-10)
-        assert abs(crude_rd(data).point) > 0.1
+        assert abs(estimate_effect(data, "crude", ESTIMAND_RD).point) > 0.1
         assert abs(est.point) < 1e-10
 
     def test_weighted_mean_identity(self):
         data = random_dataset(8, n=60)
         ps = estimate_ps(data)
         w = iptw_weights(ps, data.treatment)
-        est = iptw_rd(data, w)
+        est = estimate_effect(data, "iptw", ESTIMAND_RD, ps)
         t = data.treatment == 1
         direct = (w.weights[t] * data.outcome[t]).sum() / w.weights[t].sum() - (
             w.weights[~t] * data.outcome[~t]
@@ -224,15 +220,16 @@ class TestGcompRd:
     def test_intercept_treatment_only_collapses_to_crude(self):
         data = random_dataset(9, n=40)
         stripped = Dataset(np.zeros((40, 0)), data.treatment, data.outcome, ())
-        est = gcomp_rd(stripped, "plain")
-        assert est.point == pytest.approx(crude_rd(stripped).point, abs=1e-10)
+        est = estimate_effect(stripped, "gcomp", ESTIMAND_RD)
+        crude = estimate_effect(stripped, "crude", ESTIMAND_RD)
+        assert est.point == pytest.approx(crude.point, abs=1e-10)
 
     def test_three_subject_prediction_oracle(self):
         x = np.array([[0.5], [-1.0], [2.0]])
         a = np.array([1.0, 0.0, 1.0])
         y = np.array([1.0, 0.0, 0.0])
         data = Dataset(x, a, y, ("continuous",))
-        est = gcomp_rd(data, "plain")
+        est = estimate_effect(data, "gcomp", ESTIMAND_RD)
         fit = fit_logistic(
             np.column_stack([np.ones(3), a, x]), y
         )
@@ -244,11 +241,13 @@ class TestGcompRd:
     def test_bootstrap_ci_present_and_deterministic(self):
         data = random_dataset(10, n=60)
         cfg = BootstrapConfig(replications=40)
-        first = gcomp_rd(
-            data, "plain", bootstrap=cfg, rng=derive_substream(1, "t", 0, "b")
+        first = estimate_effect(
+            data, "gcomp", ESTIMAND_RD,
+            bootstrap=cfg, rng=derive_substream(1, "t", 0, "b"),
         )
-        second = gcomp_rd(
-            data, "plain", bootstrap=cfg, rng=derive_substream(1, "t", 0, "b")
+        second = estimate_effect(
+            data, "gcomp", ESTIMAND_RD,
+            bootstrap=cfg, rng=derive_substream(1, "t", 0, "b"),
         )
         assert first.ci == second.ci
         assert first.ci[0] <= first.point <= first.ci[1]
@@ -257,7 +256,7 @@ class TestGcompRd:
         data = random_dataset(11, n=120, k=2)
         ps = estimate_ps(data)
         for q in ("simple_dr", "dr_quintiles"):
-            est = gcomp_rd(data, q, ps)
+            est = estimate_effect(data, "gcomp_" + q, ESTIMAND_RD, ps)
             assert not est.failed
             assert -1.0 <= est.point <= 1.0
 
@@ -282,7 +281,7 @@ class TestAipwRd:
         ps = PropensityScores(
             p, np.log(p / (1 - p)), constant_scores(4, 0.5).source_fit
         )
-        est = aipw_rd(data, ps)
+        est = estimate_effect(data, "aipw", ESTIMAND_RD, ps)
         if est.failed:
             pytest.skip("arm model degenerate on this draw")
         # recover the arm-model predictions independently
@@ -310,7 +309,7 @@ class TestAipwRd:
     def test_empty_arm_fails(self):
         data = Dataset(np.zeros((6, 1)), np.ones(6), np.zeros(6), ("continuous",))
         ps = constant_scores(6, 0.5)
-        est = aipw_rd(data, ps)
+        est = estimate_effect(data, "aipw", ESTIMAND_RD, ps)
         assert est.failed
 
     @staticmethod
@@ -327,8 +326,12 @@ class TestAipwRd:
         data = random_dataset(14, n=60, k=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            est = aipw_rd(data, self.scores_with(data, 1.0, 800.0))
-        expected = aipw_rd(data, self.scores_with(data, 1.0, 40.0))
+            est = estimate_effect(
+                data, "aipw", ESTIMAND_RD, self.scores_with(data, 1.0, 800.0)
+            )
+        expected = estimate_effect(
+            data, "aipw", ESTIMAND_RD, self.scores_with(data, 1.0, 40.0)
+        )
         assert not est.failed
         assert (est.point, est.se, est.ci) == (expected.point, expected.se, expected.ci)
 
@@ -336,14 +339,16 @@ class TestAipwRd:
         data = random_dataset(14, n=60, k=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            est = aipw_rd(data, self.scores_with(data, 1.0, -800.0))
+            est = estimate_effect(
+                data, "aipw", ESTIMAND_RD, self.scores_with(data, 1.0, -800.0)
+            )
         assert est.failed
         assert est.failure_reason == "Separation"
 
 
 class TestOrFamily:
     def test_crude_study_counts(self):
-        est = or_estimate(study_counts_dataset(), "crude")
+        est = estimate_effect(study_counts_dataset(), "crude", ESTIMAND_LOG_OR)
         assert est.point == pytest.approx(math.log(49 / 3), abs=1e-6)
         assert math.exp(est.point) == pytest.approx(16.333, abs=1e-2)
 
@@ -357,7 +362,9 @@ class TestOrFamily:
         matched = MatchedSample(
             tuple((i, n + i) for i in range(n)), caliper_width=1.0, n_pairs=n
         )
-        est = or_estimate(data, "match_conditional", matched=matched)
+        est = estimate_effect(
+            data, "match_conditional", ESTIMAND_LOG_OR, matched=matched
+        )
         assert est.point == pytest.approx(0.0)
         assert est.se == pytest.approx(math.sqrt(1 / 2 + 1 / 2))
 
@@ -367,14 +374,16 @@ class TestOrFamily:
         a = np.concatenate([np.ones(4), np.zeros(4)])
         data = Dataset(np.zeros((8, 0)), a, np.concatenate([y_t, y_c]), ())
         matched = MatchedSample(tuple((i, 4 + i) for i in range(4)), 1.0, 4)
-        est = or_estimate(data, "match_conditional", matched=matched)
+        est = estimate_effect(
+            data, "match_conditional", ESTIMAND_LOG_OR, matched=matched
+        )
         assert est.failed
 
     def test_gcomp_plain_collapses_to_crude(self):
         data = random_dataset(14, n=40)
         stripped = Dataset(np.zeros((40, 0)), data.treatment, data.outcome, ())
-        crude = or_estimate(stripped, "crude")
-        gc = or_estimate(stripped, "gcomp_plain")
+        crude = estimate_effect(stripped, "crude", ESTIMAND_LOG_OR)
+        gc = estimate_effect(stripped, "gcomp", ESTIMAND_LOG_OR)
         assert gc.point == pytest.approx(crude.point, abs=1e-8)
 
     def test_extreme_or_fails(self):
@@ -382,12 +391,12 @@ class TestOrFamily:
         a = np.repeat([1.0, 0.0], [10, 10])
         y = np.concatenate([np.ones(10), np.ones(2), np.zeros(8)])
         data = Dataset(np.zeros((20, 0)), a, y, ())
-        est = or_estimate(data, "crude")
+        est = estimate_effect(data, "crude", ESTIMAND_LOG_OR)
         assert est.failed and est.failure_reason in ("ExtremeOR", "NotConverged")
 
     def test_alias_names_accepted(self):
         data = random_dataset(15, n=50)
-        est = or_estimate(data, "covariate_adjusted")
+        est = estimate_effect(data, "cov_adjusted", ESTIMAND_LOG_OR)
         assert est.method == "cov_adjusted"
 
 
@@ -425,10 +434,10 @@ class TestEstimateEffects:
             )
 
     def test_non_finite_success_raises(self, monkeypatch):
-        def nan_crude(data):
-            return EffectEstimate(ESTIMAND_RD, "crude", math.nan)
+        def nan_ols_rd(X, y):
+            return math.nan, None, None
 
-        monkeypatch.setattr(estimators, "crude_rd", nan_crude)
+        monkeypatch.setattr(estimators, "_ols_rd", nan_ols_rd)
         with pytest.raises(ArithmeticError, match="crude"):
             estimate_effects(random_dataset(20, n=40), ("crude",), ESTIMAND_RD)
         spec = simulation.make_scenario("covid", 40, 0.5)
@@ -508,6 +517,36 @@ class TestMethodRegistry:
             "match_conditional", "iptw", "gcomp", "gcomp_simple_dr",
             "gcomp_dr_quintiles",
         )
+
+    @pytest.mark.parametrize(
+        "estimand, method",
+        [
+            (ESTIMAND_LOG_OR, "aipw"),
+            (ESTIMAND_RD, "match_conditional"),
+            (ESTIMAND_RD, "no_such_method"),
+            (ESTIMAND_LOG_OR, "no_such_method"),
+            ("risk_difference", "crude"),
+        ],
+    )
+    def test_an_id_outside_the_estimand_is_refused(self, estimand, method):
+        data = random_dataset(20, n=60)
+        with pytest.raises(ValueError, match="unknown method"):
+            estimate_effect(data, method, estimand)
+        with pytest.raises(ValueError, match="unknown methods"):
+            estimate_effects(data, (method,), estimand)
+
+    @pytest.mark.parametrize("estimand", [ESTIMAND_RD, ESTIMAND_LOG_OR])
+    def test_a_missing_score_or_matched_sample_is_refused(self, estimand):
+        data = random_dataset(20, n=60)
+        ps = estimate_ps(data)
+        for method in self.PS_METHODS[estimand]:
+            with pytest.raises(ValueError, match="requires"):
+                estimate_effect(data, method, estimand)
+        for method in self.MATCH_METHODS[estimand]:
+            with pytest.raises(ValueError, match="requires a matched sample"):
+                estimate_effect(data, method, estimand, ps)
+        for method in set(self.ALL[estimand]) - self.PS_METHODS[estimand]:
+            assert estimate_effect(data, method, estimand).method == method
 
     @pytest.mark.parametrize("estimand", [ESTIMAND_RD, ESTIMAND_LOG_OR])
     def test_propensity_failure_fails_exactly_the_ps_methods(

@@ -16,9 +16,8 @@ from smallcausal.estimators import (
     ESTIMAND_RD,
     METHODS,
     _gcomp_batch_means,
+    estimate_effect,
     estimate_effects,
-    gcomp_rd,
-    or_estimate,
 )
 from smallcausal.propensity import estimate_ps
 from smallcausal.simulation import generate, make_scenario
@@ -84,11 +83,7 @@ def test_standalone_interval_equals_the_shared_one(scenario, beta0, estimand):
     shared = cis(data, tuple(METHODS[estimand]), estimand)
     for method in gcomp_ids(estimand):
         rng = np.random.default_rng(11)
-        if estimand == ESTIMAND_RD:
-            q_spec = METHODS[estimand][method].q_spec
-            alone = gcomp_rd(data, q_spec, ps, CONFIG, rng)
-        else:
-            alone = or_estimate(data, method, ps, None, CONFIG, rng)
+        alone = estimate_effect(data, method, estimand, ps, None, CONFIG, rng)
         assert alone == shared[method]
 
 

@@ -60,12 +60,12 @@ class TestGenerators:
         )
 
     def test_scenario2_confounding_visible_in_crude(self):
-        from smallcausal.estimators import crude_rd
+        from smallcausal.estimators import estimate_effect
 
         data, _ = generate(
             make_scenario("unmeasured", 100_000, 0.0), np.random.default_rng(5)
         )
-        est = crude_rd(data)
+        est = estimate_effect(data, "crude", ESTIMAND_RD)
         assert est.point > 0.25  # strong positive confounding
 
     def test_austin_intercept_only_subject(self):
