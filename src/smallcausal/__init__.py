@@ -41,7 +41,6 @@ from .glm import (
     fit_ols,
     hc3_covariance,
     wald_ci,
-    weighted_sandwich_covariance,
 )
 from .propensity import (
     IptwWeights,

@@ -68,7 +68,7 @@ SUMMARY_COLUMNS = (
     "median_ci_length",
     "n_failures",
 )
-#: oracle tolerance of a calibrated effect, on the rd and OR scales
+#: bisection tolerance of a calibrated effect, on the rd and OR scales
 CALIBRATION_TOLERANCE = {"rd": 0.002, "or": 0.02}
 
 
@@ -93,8 +93,6 @@ class RunConfig:
     out: str = "results"
     data: str | None = None
     categorical: tuple[str, ...] = ()
-    oracle_datasets: int = 1000
-    oracle_size: int = 10_000
     true_effect: float | None = None
     replicates_csv: str | None = None
 
@@ -156,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--target-effect", type=float, dest="target_effect")
         p.add_argument("--beta0", type=float, dest="beta0_override")
         p.add_argument("--profile", choices=tuple(PROFILES))
-        p.add_argument("--oracle-datasets", type=int, dest="oracle_datasets")
-        p.add_argument("--oracle-size", type=int, dest="oracle_size")
         p.add_argument("--out")
 
     p_cal = sub.add_parser("calibrate", help="find beta_trt for a target effect")
@@ -211,8 +207,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raise CliError("estimand must be rd or or")
     if cfg.scenario not in SCENARIO_IDS:
         raise CliError(f"scenario must be one of {SCENARIO_IDS}")
-    if cfg.oracle_datasets < 1 or cfg.oracle_size < 1:
-        raise CliError("--oracle-datasets and --oracle-size must be at least 1")
     if cfg.n < 2:
         raise CliError("--n must be at least 2")
     if cfg.n_replicates < 1:
@@ -275,10 +269,7 @@ def _truth_for(cfg: RunConfig, beta_trt: float) -> float:
     if beta_trt == 0.0:
         return 0.0  # the null on both scales, without running the oracle
     spec = make_scenario(cfg.scenario, cfg.n, beta_trt, cfg.beta0_override)
-    rng = derive_substream(cfg.master_seed, cfg.scenario, 0, "truth")
-    value = true_marginal_effect(
-        spec, cfg.estimand, cfg.oracle_datasets, cfg.oracle_size, rng
-    )
+    value = true_marginal_effect(spec, cfg.estimand)
     return math.log(value) if cfg.estimand == "or" else value
 
 
@@ -289,10 +280,6 @@ def _calibrated_beta_trt(cfg: RunConfig) -> float:
             cfg.scenario,
             cfg.target_effect,
             estimand=cfg.estimand,
-            beta0_override=cfg.beta0_override,
-            master_seed=cfg.master_seed,
-            n_datasets=cfg.oracle_datasets,
-            dataset_size=cfg.oracle_size,
             tolerance=CALIBRATION_TOLERANCE[cfg.estimand],
         )
     except NotBracketedError as exc:
@@ -303,22 +290,14 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     if cfg.target_effect is None:
         raise CliError("calibrate needs --target-effect")
     beta_trt = _calibrated_beta_trt(cfg)
-    spec = make_scenario(cfg.scenario, cfg.oracle_size, beta_trt, cfg.beta0_override)
-    achieved = true_marginal_effect(
-        spec,
-        cfg.estimand,
-        cfg.oracle_datasets,
-        cfg.oracle_size,
-        derive_substream(cfg.master_seed, cfg.scenario, 0, "calibration"),
-    )
+    spec = make_scenario(cfg.scenario, cfg.n, beta_trt, cfg.beta0_override)
+    achieved = true_marginal_effect(spec, cfg.estimand)
     report = {
         "scenario": cfg.scenario,
         "estimand": cfg.estimand,
         "target": cfg.target_effect,
         "beta_trt": beta_trt,
         "achieved_effect": achieved,
-        "oracle_M": cfg.oracle_datasets,
-        "oracle_size": cfg.oracle_size,
         "seed": cfg.master_seed,
     }
     sys.stdout.write(_json_text(report))
@@ -566,6 +545,11 @@ def cmd_summarize(cfg: RunConfig) -> int:
     if cfg.true_effect is None:
         raise CliError("summarize needs --true-effect")
     rows = read_replicates_csv(cfg.replicates_csv)
+    estimands = sorted({row["estimand"] for row in rows})
+    if len(estimands) > 1:
+        raise CliError(
+            f"replicate CSV mixes estimands {estimands}; summarize one at a time"
+        )
     by_replicate: dict[int, dict[str, EffectEstimate]] = {}
     methods: list[str] = []
     for row in rows:

@@ -234,8 +234,9 @@ def _iptw_rd(data: Dataset, w: np.ndarray):
     which is the (anti-conservative) construction the benchmark tables this
     harness reproduces are built on; its severe undercoverage under
     confounding is part of what the simulation study measures.  Callers who
-    want a conventional robust interval instead can combine the weighted fit
-    with :func:`smallcausal.glm.weighted_sandwich_covariance`.
+    want a conventional robust interval instead can read the fixed-weights
+    sandwich off the weighted fit: the ``covariance`` of :func:`fit_ols`
+    with ``weights``.
     """
     fit = fit_ols(_intercept_design(data.treatment), data.outcome, weights=w)
     point = float(fit.coefficients[1])

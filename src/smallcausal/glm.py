@@ -309,7 +309,11 @@ def _linear_predictors(
     p_A = X.shape[1]
     eta = coefficients[:, :p_A] @ X.T
     if E is not None:
-        eta += np.matmul(coefficients[:, None, p_A:], E)[:, 0]
+        # a huge signed inverse-probability entry may overflow to +-inf, which
+        # matters only in a row with a positive count, as for any non-finite
+        # design entry
+        with np.errstate(over="ignore"):
+            eta += np.matmul(coefficients[:, None, p_A:], E)[:, 0]
     return eta
 
 
@@ -543,28 +547,6 @@ def fit_logistic_batch(
         if Er is not None:
             Er = Er[keep]
     return beta, status, iterations
-
-
-def weighted_sandwich_covariance(
-    fit: LinearFit | LogisticFit, X: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """A^-1 B A^-1 with bread A = sum w_i d2l_i and meat B = sum w_i^2 s_i s_i'.
-
-    Weights are treated as fixed constants.  With unit weights and a linear
-    fit this reduces to HC0.
-    """
-    X = np.asarray(X, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    resid = fit.residuals
-    if isinstance(fit, LogisticFit):
-        prob = fit.probabilities
-        bread_w = w * prob * (1.0 - prob)
-    else:
-        bread_w = w
-    R = _checked_r(np.linalg.qr(np.sqrt(bread_w)[:, None] * X, mode="r"))
-    bread_inv = _xtx_inverse(R)
-    meat = (X * (w * resid)[:, None] ** 2).T @ X
-    return bread_inv @ meat @ bread_inv
 
 
 def wald_ci(point: float, se: float, level: float = 0.95) -> tuple[float, float]:

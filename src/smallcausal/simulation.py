@@ -13,9 +13,10 @@ Three scenarios are built in:
 
 Treatment follows Bernoulli(expit(b0 + b.x)); the outcome follows
 Bernoulli(expit(a0 + beta_trt*A + a.x)).  Both potential-outcome
-probabilities are retained for every generated subject, which makes the true
-marginal risk difference computable without Monte Carlo noise at the outcome
-level.
+probabilities are retained for every generated subject.  Every scenario's
+covariate law is known in closed form, so the true marginal effect, and the
+treatment coefficient that calibration picks for a target effect, are exact
+weighted sums over that law: no Monte Carlo noise enters either.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, ndtr, roots_hermitenorm
 
 from .blas import cap_blas_threads
 from .bootstrap import BootstrapConfig
@@ -175,37 +176,76 @@ def generate(
 # truth oracle and calibration
 # ---------------------------------------------------------------------------
 
-#: the calibration table of distinct linear predictors keeps at least this
-#: many entries (1 MB of values and counts) before it gives up
-TABLE_ENTRIES = 2**16
+#: Gauss-Hermite nodes integrating the unmeasured scenario's N(0, 1) confounder
+HERMITE_NODES = 40
+
+_BERNOULLI_HALF = (np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
 
 
-def true_marginal_effect(
-    spec: ScenarioSpec,
-    estimand: str = "rd",
-    n_datasets: int = 1000,
-    dataset_size: int = 10_000,
-    rng: np.random.Generator | None = None,
-) -> float:
+def _covariate_factors(scenario_id: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The law ``_draw_covariates`` samples from, as independent factors.
+
+    Each factor is a ``(k, c)`` array of the values its ``c`` generated
+    columns take together and their ``k`` probabilities, in column order.
+    Age keeps the integers within 12 SD of its mean; the unmeasured
+    confounder is integrated by Gauss-Hermite nodes.
+    """
+    if scenario_id in ("covid", "unmeasured"):
+        age = np.arange(45.0 - 180.0, 45.0 + 181.0)
+        # mass of [k - 1/2, k + 1/2] from its edge nearer the mean, by symmetry
+        # about 45, so the upper tail does not cancel against ndtr's 1
+        near = (np.abs(age - 45.0) - 0.5) / 15.0
+        factors = [
+            _BERNOULLI_HALF,
+            (age[:, None], ndtr(-near) - ndtr(-near - 1.0 / 15.0)),
+            (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+             np.array([0.25, 0.5, 0.25])),
+            (np.arange(11.0)[:, None], np.r_[0.05, np.full(9, 0.1), 0.05]),
+        ]
+        if scenario_id == "unmeasured":
+            nodes, weights = roots_hermitenorm(HERMITE_NODES)
+            factors.append((nodes[:, None], weights / weights.sum()))
+        return factors
+    if scenario_id == "austin":
+        return [_BERNOULLI_HALF] * 9
+    raise ValueError(f"unknown scenario: {scenario_id!r}")
+
+
+def _outcome_law(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Untreated outcome linear predictor at every covariate pattern, and the
+    pattern probabilities.
+
+    The predictor is additive over the factors, so it is built as an outer
+    sum of their contributions and no design matrix is formed.
+    """
+    alpha = np.asarray(spec.alpha)
+    eta, prob = alpha[:1], np.ones(1)
+    column = 1
+    for values, probabilities in _covariate_factors(spec.scenario_id):
+        width = values.shape[1]
+        eta = np.add.outer(eta, values @ alpha[column : column + width]).ravel()
+        prob = np.outer(prob, probabilities).ravel()
+        column += width
+    return eta, prob
+
+
+def _effect_curve(spec: ScenarioSpec, estimand: str) -> Callable[[float], float]:
+    """Marginal effect of ``spec``'s outcome model as a function of the
+    treatment coefficient, summed exactly over the covariate law."""
+    eta, prob = _outcome_law(spec)
+    m0 = float(prob @ expit(eta))
+    return lambda beta_trt: _contrast(float(prob @ expit(eta + beta_trt)), m0, estimand)
+
+
+def true_marginal_effect(spec: ScenarioSpec, estimand: str = "rd") -> float:
     """Marginal effect implied by the generative model.
 
-    Averages both counterfactual outcome probabilities over fresh covariate
-    draws (no outcome noise enters).  ``estimand`` "rd" returns the
+    Sums both counterfactual outcome probabilities over the covariate law,
+    so no Monte Carlo noise enters.  ``estimand`` "rd" returns the
     difference of the two marginal probabilities, "or" their odds ratio.
+    Only the outcome model matters: the treatment model does not move it.
     """
-    if rng is None:
-        rng = derive_substream(0, spec.scenario_id, 0, "truth")
-    beta_trt = spec.beta_trt
-    alpha = np.asarray(spec.alpha)
-    sum1 = sum0 = 0.0
-    total = 0
-    for _ in range(n_datasets):
-        X = _draw_covariates(spec.scenario_id, dataset_size, rng)
-        eta = alpha[0] + X @ alpha[1:]
-        sum1 += expit(eta + beta_trt).sum()
-        sum0 += expit(eta).sum()
-        total += dataset_size
-    return _contrast(sum1 / total, sum0 / total, estimand)
+    return _effect_curve(spec, estimand)(spec.beta_trt)
 
 
 def _contrast(m1: float, m0: float, estimand: str) -> float:
@@ -217,105 +257,18 @@ def _contrast(m1: float, m0: float, estimand: str) -> float:
     raise ValueError(f"unknown estimand: {estimand!r}")
 
 
-def _linear_predictor_table(
-    spec: ScenarioSpec,
-    n_datasets: int,
-    dataset_size: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Sorted distinct outcome linear predictors of the oracle draws, and counts.
-
-    Draws the datasets exactly as ``true_marginal_effect`` does, so averaging
-    ``expit(values + beta_trt)`` with these counts is that oracle up to the
-    order of summation.  Returns ``None`` once more than
-    ``max(dataset_size, TABLE_ENTRIES)`` distinct values appear (a continuous
-    covariate), so the table never outgrows the larger of one dataset and 1 MB.
-    """
-    alpha = np.asarray(spec.alpha)
-    values = np.empty(0)
-    counts = np.empty(0)  # whole numbers, exact in float64
-    for _ in range(n_datasets):
-        X = _draw_covariates(spec.scenario_id, dataset_size, rng)
-        eta = np.sort(alpha[0] + X @ alpha[1:])
-        first = np.flatnonzero(np.concatenate(([True], eta[1:] != eta[:-1])))
-        new_values = eta[first]
-        new_counts = np.diff(first, append=dataset_size)
-        # merge into the sorted table: add counts of known values, insert the rest
-        pos = np.searchsorted(values, new_values)
-        known = pos < len(values)
-        known[known] = values[pos[known]] == new_values[known]
-        counts[pos[known]] += new_counts[known]
-        fresh = ~known
-        values = np.insert(values, pos[fresh], new_values[fresh])
-        counts = np.insert(counts, pos[fresh], new_counts[fresh])
-        if len(values) > max(dataset_size, TABLE_ENTRIES):
-            return None
-    return values, counts
-
-
-def _calibration_objective(
-    scenario_id: str,
-    estimand: str,
-    beta0_override: float | None,
-    master_seed: int,
-    n_datasets: int,
-    dataset_size: int,
-) -> Callable[[float], float]:
-    """The calibration oracle as a function of the treatment coefficient.
-
-    Every evaluation sees the same derived stream (common random numbers).
-    The stream is drawn once into a table of distinct outcome linear
-    predictors, so an evaluation costs one pass over the table; when the
-    covariates take too many distinct values for a table, every evaluation
-    redraws the stream through ``true_marginal_effect``.
-    """
-
-    def calibration_stream() -> np.random.Generator:
-        return derive_substream(master_seed, scenario_id, 0, "calibration")
-
-    table = _linear_predictor_table(
-        make_scenario(scenario_id, dataset_size, 0.0, beta0_override),
-        n_datasets,
-        dataset_size,
-        calibration_stream(),
-    )
-    if table is None:
-
-        def redraw(beta_trt: float) -> float:
-            spec = make_scenario(scenario_id, dataset_size, beta_trt, beta0_override)
-            return true_marginal_effect(
-                spec, estimand, n_datasets, dataset_size, calibration_stream()
-            )
-
-        return redraw
-
-    values, counts = table
-    total = n_datasets * dataset_size
-    m0 = counts @ expit(values) / total
-
-    def from_table(beta_trt: float) -> float:
-        return _contrast(counts @ expit(values + beta_trt) / total, m0, estimand)
-
-    return from_table
-
-
 def calibrate_beta_trt(
     scenario_id: str,
     target: float,
     estimand: str = "rd",
-    beta0_override: float | None = None,
-    master_seed: int = 0,
-    n_datasets: int = 1000,
-    dataset_size: int = 10_000,
     tolerance: float = 0.002,
     upper: float = 6.0,
     max_iterations: int = 80,
 ) -> float:
     """Treatment coefficient achieving a target marginal effect, by bisection.
 
-    Every objective evaluation reuses the same derived stream (common random
-    numbers), so the objective is a deterministic, strictly increasing
-    function of the coefficient and bisection is well posed.
+    The objective is the exact marginal effect, a deterministic, strictly
+    increasing function of the coefficient, so bisection is well posed.
     """
     null_value = 0.0 if estimand == "rd" else 1.0
     if target == null_value:
@@ -323,9 +276,7 @@ def calibrate_beta_trt(
     if target < null_value:
         raise NotBracketedError("targets below the null effect are not searched")
 
-    objective = _calibration_objective(
-        scenario_id, estimand, beta0_override, master_seed, n_datasets, dataset_size
-    )
+    objective = _effect_curve(make_scenario(scenario_id, 1, 0.0), estimand)
     if objective(upper) < target - tolerance:
         raise NotBracketedError(
             f"target {target} not reachable with coefficient at most {upper}"
@@ -341,8 +292,8 @@ def calibrate_beta_trt(
         else:
             hi = mid
     raise NotBracketedError(
-        "bisection exhausted its iteration budget; the oracle noise likely "
-        "exceeds the requested tolerance"
+        "bisection exhausted its iteration budget; the tolerance is likely "
+        "below the precision of the effect"
     )
 
 

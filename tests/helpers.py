@@ -12,7 +12,8 @@ from scipy.special import expit
 
 from smallcausal.data import Dataset
 from smallcausal.errors import DegenerateStrataError, SeparationError
-from smallcausal.glm import fit_logistic
+from smallcausal.glm import LogisticFit, fit_logistic
+from smallcausal.simulation import _draw_covariates
 
 
 def take_rows(data, indices):
@@ -177,3 +178,57 @@ def summarize_oracle(points, ci_los, ci_his, failed, true_effect):
         out["median_ci_length"] = float(np.median(lengths))
         out["coverage"] = sum(hits) / len(hits)
     return out
+
+
+def weighted_sandwich_covariance(fit, X, weights):
+    """A^-1 B A^-1 with bread A = sum w_i d2l_i and meat B = sum w_i^2 s_i s_i'.
+
+    Weights are treated as fixed constants.  With unit weights and a linear
+    fit this reduces to HC0.  Both sums are formed explicitly and the bread
+    is inverted directly, with none of the library's QR factorisations.
+    """
+    X = np.asarray(X, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if isinstance(fit, LogisticFit):
+        prob = fit.probabilities
+        bread_w = w * prob * (1.0 - prob)
+    else:
+        bread_w = w
+    bread_inv = np.linalg.inv((X * bread_w[:, None]).T @ X)
+    meat = (X * (w * fit.residuals)[:, None] ** 2).T @ X
+    return bread_inv @ meat @ bread_inv
+
+
+def monte_carlo_truth(spec, estimand, n_datasets, dataset_size, rng):
+    """Marginal effect of ``spec`` averaged over freshly drawn covariate rows,
+    and its Monte Carlo standard error.
+
+    Both counterfactual outcome probabilities are averaged over
+    ``n_datasets`` draws of ``dataset_size`` rows from the scenario's
+    covariate generator.  ``estimand`` "rd" returns the risk difference,
+    "or" the log odds ratio; the standard error is that of the mean
+    influence (delta method), from running sums of the two probabilities,
+    their squares and their product.
+    """
+    alpha = np.asarray(spec.alpha)
+    sums = np.zeros(5)  # p1, p0, p1^2, p0^2, p1*p0
+    for _ in range(n_datasets):
+        X = _draw_covariates(spec.scenario_id, dataset_size, rng)
+        eta = alpha[0] + X @ alpha[1:]
+        p1, p0 = expit(eta + spec.beta_trt), expit(eta)
+        sums += [p1.sum(), p0.sum(), p1 @ p1, p0 @ p0, p1 @ p0]
+    total = n_datasets * dataset_size
+    m1, m0, s11, s00, s10 = sums / total
+    if estimand == "rd":
+        c1, c0, value = 1.0, -1.0, m1 - m0
+    elif estimand == "or":
+        c1, c0 = 1.0 / (m1 * (1.0 - m1)), -1.0 / (m0 * (1.0 - m0))
+        value = math.log(m1 / (1.0 - m1)) - math.log(m0 / (1.0 - m0))
+    else:
+        raise ValueError(f"unknown estimand: {estimand!r}")
+    variance = (
+        c1 * c1 * (s11 - m1 * m1)
+        + c0 * c0 * (s00 - m0 * m0)
+        + 2.0 * c1 * c0 * (s10 - m1 * m0)
+    )
+    return value, math.sqrt(variance / total)

@@ -90,9 +90,7 @@ def test_criterion_2_calibration_oracle():
     checks = []
     for scen, beta_trt, expect in rd_cases:
         spec = make_scenario(scen, 10_000, beta_trt)
-        rd = true_marginal_effect(
-            spec, "rd", 1000, 10_000, derive_substream(102, scen, 0, "truth")
-        )
+        rd = true_marginal_effect(spec, "rd")
         checks.append(
             (
                 f"marginal RD {scen} beta_trt={beta_trt}",
@@ -103,9 +101,7 @@ def test_criterion_2_calibration_oracle():
     or_cases = [("covid", 0.8678, 2.0, 0.05), ("covid", 2.7565, 10.0, 0.3)]
     for scen, beta_trt, expect, tol in or_cases:
         spec = make_scenario(scen, 10_000, beta_trt)
-        odds = true_marginal_effect(
-            spec, "or", 1000, 10_000, derive_substream(102, scen, 0, "truth")
-        )
+        odds = true_marginal_effect(spec, "or")
         checks.append(
             (
                 f"marginal OR {scen} beta_trt={beta_trt}",
@@ -156,9 +152,7 @@ def test_criterion_3_fast_estimators_n1000():
 
 def test_criterion_4_small_n_and_aipw_failures():
     spec100 = make_scenario("covid", 100, 3.128)
-    true_rd = true_marginal_effect(
-        spec100, "rd", 200, 10_000, derive_substream(104, "covid", 0, "truth")
-    )
+    true_rd = true_marginal_effect(spec100, "rd")
     _, s100 = run_study(
         spec100, ("cov_adjusted", "aipw"), "rd", 2000, None, 104, true_rd, workers=1
     )

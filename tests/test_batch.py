@@ -566,6 +566,33 @@ class TestNonFiniteGcomp:
         limit = 1.0 if coef[-1] < 0 else 0.0
         assert m0 == pytest.approx((prediction.sum() + limit) / 60, rel=1e-13)
 
+    def test_huge_column_entry_outside_the_resample_fits_quietly(self):
+        # a control at logit 709 has signed inverse probability -8e307; its
+        # count is 0, and once the column's coefficient passes about 2.2 its
+        # linear predictor overflows to -inf, which the fit must not warn of
+        rng = np.random.default_rng(5)
+        n = 200
+        a = (rng.random(n) < 0.5).astype(float)
+        logits = rng.normal(scale=0.7, size=n)
+        i = np.flatnonzero(a == 0)[0]
+        logits[i] = 709.0
+        column = signed_inverse_probability(a, logits)
+        assert column[i] < -8e307
+        centre = np.where(a == 1, 2.0, -2.0)
+        y = (rng.random(n) < expit(3.0 * (np.clip(column, -50, 50) - centre))).astype(float)
+        X = np.column_stack([np.ones(n), a])
+        counts = np.ones((1, n))
+        counts[0, i] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta, status, _ = fit_logistic_batch(X, y, counts, column=column[None])
+        keep = np.arange(n) != i
+        without, _, _ = fit_logistic_batch(
+            X[keep], y[keep], counts[:, keep], column=column[None, keep]
+        )
+        assert status[0] == CONVERGED and abs(beta[0, 2]) > 2.2
+        np.testing.assert_allclose(beta, without, rtol=0, atol=1e-10)
+
     def test_signed_covariate_is_the_two_branch_formula(self):
         eta = np.random.default_rng(11).normal(scale=3.0, size=50)
         a = (np.arange(50) % 3 == 0).astype(float)

@@ -50,7 +50,6 @@ class TestCalibrate:
     def test_target_zero_is_immediate_and_deterministic(self, tmp_path, capsys):
         args = [
             "calibrate", "--scenario", "covid", "--target-effect", "0",
-            "--oracle-datasets", "5", "--oracle-size", "1000",
             "--out", str(tmp_path / "a"),
         ]
         assert run_cli(*args) == 0
@@ -63,31 +62,20 @@ class TestCalibrate:
     def test_small_oracle_calibration(self, tmp_path):
         rc = run_cli(
             "calibrate", "--scenario", "covid", "--target-effect", "0.16",
-            "--oracle-datasets", "40", "--oracle-size", "4000",
             "--out", str(tmp_path / "c"),
         )
         assert rc == 0
         report = json.loads((tmp_path / "c_calibration.json").read_text())
-        assert report["beta_trt"] == pytest.approx(0.868, abs=0.05)
-        assert report["oracle_M"] == 40
+        assert report["beta_trt"] == 0.8671875
+        assert report["achieved_effect"] == pytest.approx(0.16, abs=0.002)
 
     def test_unreachable_target_fails_cleanly(self, tmp_path, capsys):
         rc = run_cli(
             "calibrate", "--scenario", "covid", "--target-effect", "0.95",
-            "--oracle-datasets", "3", "--oracle-size", "500",
             "--out", str(tmp_path / "x"),
         )
         assert rc == 2
         assert "error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag", ["--oracle-datasets", "--oracle-size"])
-    def test_empty_oracle_refused(self, tmp_path, flag):
-        rc = run_cli(
-            "calibrate", "--scenario", "austin", "--target-effect", "0.1",
-            flag, "0", "--out", str(tmp_path / "z"),
-        )
-        assert rc == 2
-        assert not (tmp_path / "z_calibration.json").exists()
 
 
 class TestSimulate:
@@ -143,6 +131,44 @@ class TestSimulate:
                     assert cell_a == cell_b
                 else:
                     assert float(cell_a) == pytest.approx(float(cell_b), abs=1e-12)
+
+    @pytest.mark.parametrize("order", [("rd", "or"), ("or", "rd")])
+    def test_summarize_refuses_mixed_estimands(self, tmp_path, capsys, order):
+        # each OR row would overwrite the RD row of its replicate and method
+        lines = []
+        for estimand in order:
+            rc = run_cli(
+                "simulate", "--scenario", "covid", "--n", "40", "--estimand", estimand,
+                "--replicates", "3", "--bootstrap", "0", "--beta-trt", "0.5",
+                "--methods", "crude,iptw", "--workers", "1",
+                "--out", str(tmp_path / estimand),
+            )
+            assert rc == 0
+            text = (tmp_path / f"{estimand}_replicates.csv").read_text()
+            lines += text.splitlines(keepends=True)[0 if not lines else 1:]
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text("".join(lines))
+        rc = run_cli(
+            "summarize", "--replicates-csv", str(mixed), "--true-effect", "0.1",
+            "--out", str(tmp_path / "m"),
+        )
+        assert rc == 2
+        assert "mixes estimands" in capsys.readouterr().err
+        assert not (tmp_path / "m_summary.csv").exists()
+
+    def test_calibration_ignores_the_treatment_intercept(self, tmp_path):
+        # the truth and the calibrated coefficient depend only on the outcome model
+        metas = []
+        for name, extra in (("plain", []), ("b0", ["--beta0", "-1.5"])):
+            rc = run_cli(
+                "simulate", "--scenario", "austin", "--n", "40", "--replicates", "1",
+                "--bootstrap", "0", "--methods", "crude", "--workers", "1",
+                "--target-effect", "0.16", *extra, "--out", str(tmp_path / name),
+            )
+            assert rc == 0
+            metas.append(json.loads((tmp_path / f"{name}_meta.json").read_text()))
+        assert metas[0]["beta_trt"] == metas[1]["beta_trt"] == 1.03125
+        assert metas[0]["true_effect"] == metas[1]["true_effect"]
 
     def test_requires_exactly_one_effect_spec(self, tmp_path, capsys):
         rc = run_cli(
@@ -246,7 +272,6 @@ class TestSimulate:
         common = [
             "simulate", "--scenario", "austin", "--n", "40", "--replicates", "2",
             "--bootstrap", "0", "--methods", "crude", "--workers", "1",
-            "--oracle-datasets", "5", "--oracle-size", "2000",
         ]
         assert run_cli(*common, "--target-effect", "0.1", "--out", str(tmp_path / "t")) == 0
         setup = json.loads((tmp_path / "t_meta.json").read_text())["setup_seconds"]
@@ -260,8 +285,7 @@ class TestSimulate:
         rc = run_cli(
             "simulate", "--scenario", "austin", "--beta0", "-1.5", "--n", "40",
             "--estimand", "or", "--replicates", "6", "--bootstrap", "0",
-            "--beta-trt", "1.0", "--workers", "1", "--oracle-datasets", "5",
-            "--oracle-size", "2000", "--out", str(tmp_path / "f"),
+            "--beta-trt", "1.0", "--workers", "1", "--out", str(tmp_path / "f"),
         )
         assert rc == 0
         failures = json.loads((tmp_path / "f_meta.json").read_text())["failures"]

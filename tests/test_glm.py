@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
+from helpers import weighted_sandwich_covariance
 from smallcausal import glm
 from smallcausal.bootstrap import BootstrapConfig
 from smallcausal.errors import (
@@ -13,7 +14,7 @@ from smallcausal.errors import (
     NotConvergedError,
     RankDeficientError,
 )
-from smallcausal.estimators import OR_METHODS, RD_METHODS
+from smallcausal.estimators import OR_METHODS, RD_METHODS, estimate_effect
 from smallcausal.glm import (
     IRLS_MAX_ITER,
     PLATEAU,
@@ -22,8 +23,8 @@ from smallcausal.glm import (
     fit_ols,
     hc3_covariance,
     wald_ci,
-    weighted_sandwich_covariance,
 )
+from smallcausal.propensity import estimate_ps, iptw_weights
 from smallcausal.simulation import generate, make_scenario, run_replicate
 
 
@@ -265,6 +266,19 @@ class TestWeightedSandwich:
         cov = weighted_sandwich_covariance(fit, X, w)
         assert np.allclose(cov, cov.T, atol=1e-12)
         assert (np.linalg.eigvalsh(cov) >= -1e-12).all()
+
+    def test_iptw_or_covariance_is_the_sandwich(self):
+        # the iptw OR's interval comes from the weighted fit's covariance
+        spec = make_scenario("covid", 100, 0.87)
+        data, _ = generate(spec, np.random.default_rng(2007))
+        ps = estimate_ps(data)
+        w = iptw_weights(ps, data.treatment).weights
+        X = np.column_stack([np.ones(100), data.treatment])
+        fit = fit_logistic(X, data.outcome, weights=w)
+        expected = weighted_sandwich_covariance(fit, X, w)
+        assert np.abs(fit.covariance - expected).max() <= 1e-10
+        est = estimate_effect(data, "iptw", "or", ps)
+        assert est.se == math.sqrt(fit.covariance[1, 1])
 
 
 class TestWaldCi:

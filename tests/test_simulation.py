@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from helpers import summarize_oracle
+from helpers import monte_carlo_truth, summarize_oracle
 from smallcausal import simulation
 from smallcausal.bootstrap import BootstrapConfig
 from smallcausal.errors import NotBracketedError
@@ -9,7 +11,6 @@ from smallcausal.estimators import ESTIMAND_RD, RD_METHODS, EffectEstimate
 from smallcausal.simulation import (
     CounterfactualTruth,
     ReplicateResult,
-    _calibration_objective,
     calibrate_beta_trt,
     generate,
     make_scenario,
@@ -86,28 +87,79 @@ class TestTruthOracle:
         spec = make_scenario("covid", 100_000, 0.8678)
         _, truth = generate(spec, np.random.default_rng(6))
         subject_level = (truth.p_treated - truth.p_control).mean()
-        oracle = true_marginal_effect(
-            spec, "rd", 200, 10_000, derive_substream(7, "covid", 0, "t")
-        )
-        assert subject_level == pytest.approx(oracle, abs=0.005)
+        assert subject_level == pytest.approx(true_marginal_effect(spec, "rd"), abs=0.005)
 
     def test_monotone_in_treatment_coefficient(self):
-        values = []
-        for bt in np.linspace(0.0, 6.0, 7):
-            spec = make_scenario("covid", 2000, bt)
-            values.append(
-                true_marginal_effect(
-                    spec, "rd", 30, 2000, derive_substream(8, "covid", 0, "t")
-                )
-            )
+        values = [
+            true_marginal_effect(make_scenario("covid", 2000, bt), "rd")
+            for bt in np.linspace(0.0, 6.0, 7)
+        ]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_or_estimand(self):
-        spec = make_scenario("covid", 2000, 0.0)
-        value = true_marginal_effect(
-            spec, "or", 20, 2000, derive_substream(9, "covid", 0, "t")
-        )
+        value = true_marginal_effect(make_scenario("covid", 2000, 0.0), "or")
         assert value == pytest.approx(1.0, abs=1e-12)
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize("estimand", ["rd", "or"])
+    @pytest.mark.parametrize(
+        "scenario,beta0,beta_trt",
+        [("covid", None, 0.8672), ("unmeasured", None, 1.0781),
+         ("austin", None, 1.0313), ("austin", -1.5, 1.0)],
+    )
+    def test_agrees_with_monte_carlo(self, scenario, beta0, beta_trt, estimand):
+        spec = make_scenario(scenario, 100, beta_trt, beta0)
+        rng = derive_substream(2007, scenario, 0, "truth")
+        expected, se = monte_carlo_truth(spec, estimand, 100, 10_000, rng)
+        got = true_marginal_effect(spec, estimand)
+        if estimand == "or":
+            got = np.log(got)
+        assert abs(got - expected) <= 4.0 * se
+
+    @pytest.mark.parametrize(
+        "scenario,patterns",
+        [("covid", 23_826), ("unmeasured", 23_826 * simulation.HERMITE_NODES),
+         ("austin", 512)],
+    )
+    def test_law_sums_to_one(self, scenario, patterns):
+        eta, prob = simulation._outcome_law(make_scenario(scenario, 100, 0.0))
+        assert eta.shape == prob.shape == (patterns,)
+        assert (prob > 0.0).all()
+        assert abs(prob.sum() - 1.0) <= 1e-12
+
+    def test_factor_moments(self):
+        # rounded N(45, 15): mean 45 and, by Sheppard's correction, variance
+        # 15^2 + 1/12; the Gauss-Hermite nodes integrate N(0, 1)'s moments
+        factors = simulation._covariate_factors("unmeasured")
+        moments = [
+            (values[:, 0] @ prob, (values[:, 0] ** 2) @ prob)
+            for values, prob in (factors[1], factors[4])
+        ]
+        (age_mean, age_square), (z_mean, z_square) = moments
+        assert age_mean == pytest.approx(45.0, abs=1e-10)
+        assert age_square - age_mean**2 == pytest.approx(225.0 + 1.0 / 12.0, abs=1e-8)
+        assert abs(z_mean) <= 1e-12 and z_square == pytest.approx(1.0, abs=1e-12)
+
+    def test_unknown_scenario_or_estimand_raises(self):
+        spec = make_scenario("covid", 100, 0.5)
+        with pytest.raises(ValueError):
+            true_marginal_effect(spec, "hr")
+        with pytest.raises(ValueError):
+            true_marginal_effect(dataclasses.replace(spec, scenario_id="other"))
+
+    @pytest.mark.parametrize("estimand", ["rd", "or"])
+    def test_doubling_hermite_nodes_changes_nothing(self, monkeypatch, estimand):
+        spec = make_scenario("unmeasured", 100, 1.078125)
+        coarse = true_marginal_effect(spec, estimand)
+        monkeypatch.setattr(simulation, "HERMITE_NODES", 2 * simulation.HERMITE_NODES)
+        assert abs(true_marginal_effect(spec, estimand) - coarse) < 1e-10
+
+    @pytest.mark.parametrize("estimand", ["rd", "or"])
+    def test_treatment_model_does_not_enter(self, estimand):
+        plain = true_marginal_effect(make_scenario("austin", 100, 1.0), estimand)
+        shifted = true_marginal_effect(make_scenario("austin", 100, 1.0, -1.5), estimand)
+        assert plain == shifted
 
 
 class TestCalibration:
@@ -115,136 +167,38 @@ class TestCalibration:
         assert calibrate_beta_trt("covid", 0.0) == 0.0
         assert calibrate_beta_trt("covid", 1.0, estimand="or") == 0.0
 
-    def test_covid_rd_016(self):
-        got = calibrate_beta_trt(
-            "covid", 0.16, n_datasets=60, dataset_size=5000, tolerance=0.003
-        )
-        assert got == pytest.approx(0.868, abs=0.03)
+    # the coefficients the Monte Carlo calibration picked at seeds 2007, 1 and
+    # 7920: a changed pin changes every --target-effect run's data
+    @pytest.mark.parametrize(
+        "scenario,target,estimand,tolerance,expected",
+        [("covid", 0.16, "rd", 0.002, 0.8671875),
+         ("covid", 0.40, "rd", 0.002, 3.09375),
+         ("covid", 2.0, "or", 0.02, 0.8671875),
+         ("austin", 0.16, "rd", 0.002, 1.03125),
+         ("unmeasured", 0.16, "rd", 0.002, 1.078125)],
+    )
+    def test_pinned_coefficients(self, scenario, target, estimand, tolerance, expected):
+        got = calibrate_beta_trt(scenario, target, estimand, tolerance)
+        assert got == expected
+
+    @pytest.mark.parametrize("scenario", ["covid", "unmeasured", "austin"])
+    @pytest.mark.parametrize(
+        "estimand,target,tolerance", [("rd", 0.25, 0.002), ("or", 3.0, 0.02)]
+    )
+    def test_calibrated_effect_is_within_tolerance(
+        self, scenario, estimand, target, tolerance
+    ):
+        beta_trt = calibrate_beta_trt(scenario, target, estimand, tolerance)
+        achieved = true_marginal_effect(make_scenario(scenario, 100, beta_trt), estimand)
+        assert abs(achieved - target) <= tolerance
 
     def test_unreachable_target_raises(self):
         with pytest.raises(NotBracketedError):
-            calibrate_beta_trt("covid", 0.89, n_datasets=5, dataset_size=2000)
+            calibrate_beta_trt("covid", 0.89)
 
-    def test_deterministic(self):
-        kw = dict(n_datasets=20, dataset_size=2000, tolerance=0.005)
-        assert calibrate_beta_trt("covid", 0.16, **kw) == calibrate_beta_trt(
-            "covid", 0.16, **kw
-        )
-
-
-def reference_calibration(
-    scenario_id, target, estimand, beta0, seed, n_datasets, dataset_size,
-    tolerance, upper=6.0, max_iterations=80,
-):
-    """The bisection of ``calibrate_beta_trt``, every step redrawing the
-    calibration stream through ``true_marginal_effect``."""
-
-    def objective(beta_trt):
-        spec = make_scenario(scenario_id, dataset_size, beta_trt, beta0)
-        rng = derive_substream(seed, scenario_id, 0, "calibration")
-        return true_marginal_effect(spec, estimand, n_datasets, dataset_size, rng)
-
-    if objective(upper) < target - tolerance:
-        raise NotBracketedError("not bracketed")
-    lo, hi = 0.0, upper
-    for _ in range(max_iterations):
-        mid = 0.5 * (lo + hi)
-        value = objective(mid)
-        if abs(value - target) <= tolerance:
-            return mid
-        if value < target:
-            lo = mid
-        else:
-            hi = mid
-    raise NotBracketedError("budget exhausted")
-
-
-# 10 x 10,000 keeps covid inside its table (about 5,700 distinct linear
-# predictors); unmeasured has a continuous covariate and redraws every step
-ORACLE = dict(n_datasets=10, dataset_size=10_000)
-TARGETS = [("rd", 0.16, 0.002), ("or", 2.0, 0.02)]
-CALIBRATION_CASES = [
-    (scenario, beta0, estimand, target, tolerance, seed)
-    for scenario, beta0 in [("covid", None), ("austin", None), ("austin", -1.5)]
-    for estimand, target, tolerance in TARGETS
-    for seed in (0, 7, 2007)
-] + [("unmeasured", None, *t, 0) for t in TARGETS]
-
-
-class TestCalibrationTable:
-    @pytest.mark.parametrize(
-        "scenario,beta0,estimand,target,tolerance,seed", CALIBRATION_CASES
-    )
-    def test_same_coefficient_as_redrawing_bisection(
-        self, scenario, beta0, estimand, target, tolerance, seed
-    ):
-        got = calibrate_beta_trt(
-            scenario, target, estimand, beta0, seed, tolerance=tolerance, **ORACLE
-        )
-        expected = reference_calibration(
-            scenario, target, estimand, beta0, seed,
-            ORACLE["n_datasets"], ORACLE["dataset_size"], tolerance,
-        )
-        assert got == expected
-
-    @pytest.mark.parametrize("scenario", ["covid", "austin"])
-    @pytest.mark.parametrize("estimand", ["rd", "or"])
-    def test_table_objective_matches_oracle(self, scenario, estimand):
-        objective = _calibration_objective(scenario, estimand, None, 3, **ORACLE)
-        for beta_trt in (0.1, 0.87, 2.5, 6.0):
-            spec = make_scenario(scenario, ORACLE["dataset_size"], beta_trt)
-            expected = true_marginal_effect(
-                spec, estimand, rng=derive_substream(3, scenario, 0, "calibration"),
-                **ORACLE,
-            )
-            assert objective(beta_trt) == pytest.approx(expected, rel=1e-12, abs=0)
-
-    @pytest.mark.parametrize(
-        "scenario,draws_once", [("covid", True), ("austin", True), ("unmeasured", False)]
-    )
-    def test_stream_drawn_once_when_tabulable(self, monkeypatch, scenario, draws_once):
-        calls = []
-        draw = simulation._draw_covariates
-
-        def counting_draw(*args):
-            calls.append(None)
-            return draw(*args)
-
-        monkeypatch.setattr(simulation, "_draw_covariates", counting_draw)
-        calibrate_beta_trt(scenario, 0.16, master_seed=0, **ORACLE)
-        if draws_once:
-            assert len(calls) == ORACLE["n_datasets"]
-        else:
-            assert len(calls) > 2 * ORACLE["n_datasets"]
-
-
-    def test_small_covid_oracle_keeps_its_table(self):
-        # a 20 x 2,000 covid oracle has a few thousand distinct predictors,
-        # more than one dataset's rows but well inside the entry budget
-        oracle = dict(n_datasets=20, dataset_size=2000)
-        spec = make_scenario("covid", 2000, 0.0)
-        rng = derive_substream(0, "covid", 0, "calibration")
-        values, _ = simulation._linear_predictor_table(spec, rng=rng, **oracle)
-        assert 2000 < len(values) <= simulation.TABLE_ENTRIES
-        got = calibrate_beta_trt("covid", 0.16, master_seed=0, **oracle)
-        assert got == reference_calibration(
-            "covid", 0.16, "rd", None, 0, tolerance=0.002, **oracle
-        )
-
-    def test_continuous_covariate_gives_up_after_a_few_datasets(self, monkeypatch):
-        calls = []
-        draw = simulation._draw_covariates
-
-        def counting_draw(*args):
-            calls.append(None)
-            return draw(*args)
-
-        monkeypatch.setattr(simulation, "_draw_covariates", counting_draw)
-        spec = make_scenario("unmeasured", 10_000, 0.0)
-        rng = derive_substream(0, "unmeasured", 0, "calibration")
-        assert simulation._linear_predictor_table(spec, 20, 10_000, rng) is None
-        # every row is distinct: the budget is passed on the seventh dataset
-        assert len(calls) == -(-simulation.TABLE_ENTRIES // 10_000)
+    def test_tolerance_below_the_bisection_budget_raises(self):
+        with pytest.raises(NotBracketedError):
+            calibrate_beta_trt("covid", 0.16, tolerance=0.0, max_iterations=10)
 
 
 class TestReplicates:
