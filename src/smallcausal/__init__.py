@@ -29,10 +29,8 @@ from .estimators import (
     OR_METHODS,
     RD_METHODS,
     EffectEstimate,
-    MatchedCounts,
     estimate_effect,
     estimate_effects,
-    matched_counts,
 )
 from .glm import (
     LinearFit,
@@ -43,7 +41,6 @@ from .glm import (
     wald_ci,
 )
 from .propensity import (
-    IptwWeights,
     MatchedSample,
     PropensityScores,
     estimate_ps,

@@ -15,20 +15,19 @@ from .errors import BootstrapCollapseError
 #: bounds the batch's memory, whose widest arrays are the (resamples, 4, n)
 #: stratum indicators of the dr_quintiles Q-model and their weighted copy
 BATCH_DOUBLES = 2**14
+#: the interval's endpoints, as quantiles of the kept resample values
+PERCENTILES = (0.025, 0.975)
+#: a statistic losing more than this share of its resamples collapses
+MAX_FAILURE_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
 class BootstrapConfig:
     replications: int = 1000
-    percentiles: tuple[float, float] = (0.025, 0.975)
-    max_failure_fraction: float = 0.5
 
     def __post_init__(self):
         if self.replications < 2:
             raise ValueError("need at least 2 bootstrap replications")
-        lo, hi = self.percentiles
-        if not 0.0 < lo < hi < 1.0:
-            raise ValueError("percentiles must be ordered inside (0, 1)")
 
 
 def bootstrap_percentile_ci(
@@ -45,7 +44,7 @@ def bootstrap_percentile_ci(
     ``(b,)`` values of one statistic, or the ``(b, k)`` values of k
     statistics that share the resamples; a non-finite value drops its
     resample for that statistic.  Returns ``(lo, hi)`` for one statistic,
-    and more than ``max_failure_fraction`` of its resamples dropped raises
+    and more than ``MAX_FAILURE_FRACTION`` of its resamples dropped raises
     BootstrapCollapseError.  For k statistics it returns a list of k
     entries, each ``(lo, hi)`` or the BootstrapCollapseError of that
     statistic alone.
@@ -58,24 +57,22 @@ def bootstrap_percentile_ci(
         estimator(indices[i : i + block]) for i in range(0, replications, block)
     ])
     if values.ndim == 1:
-        return _percentile_interval(values, config)
+        return _percentile_interval(values)
     intervals = []
     for column in values.T:
         try:
-            intervals.append(_percentile_interval(column, config))
+            intervals.append(_percentile_interval(column))
         except BootstrapCollapseError as exc:
             intervals.append(exc)
     return intervals
 
 
-def _percentile_interval(
-    values: np.ndarray, config: BootstrapConfig
-) -> tuple[float, float]:
+def _percentile_interval(values: np.ndarray) -> tuple[float, float]:
     points = values[np.isfinite(values)]
     failures = values.size - points.size
-    if failures > config.max_failure_fraction * config.replications or not points.size:
+    if failures > MAX_FAILURE_FRACTION * values.size or not points.size:
         raise BootstrapCollapseError(
-            f"{failures} of {config.replications} bootstrap replicates failed"
+            f"{failures} of {values.size} bootstrap replicates failed"
         )
-    lo, hi = np.quantile(points, config.percentiles)  # linear interpolation
+    lo, hi = np.quantile(points, PERCENTILES)  # linear interpolation
     return float(lo), float(hi)

@@ -70,6 +70,10 @@ SUMMARY_COLUMNS = (
 )
 #: bisection tolerance of a calibrated effect, on the rd and OR scales
 CALIBRATION_TOLERANCE = {"rd": 0.002, "or": 0.02}
+#: config fields that a JSON config file must give as integers, or as lists
+#: of strings (the flags give the lists comma-separated)
+INTEGER_FIELDS = {"n", "n_replicates", "bootstrap_b", "master_seed"}
+LIST_FIELDS = {"methods", "categorical"}
 
 
 class CliError(Exception):
@@ -122,10 +126,6 @@ def fmt(value) -> str:
     """17-significant-digit serialization; empty string for missing."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return format(float(value), ".17g")
 
 
@@ -183,6 +183,14 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             file_fields = json.load(fh)
         if not isinstance(file_fields, dict):
             raise CliError("config file must hold a JSON object")
+        for key in INTEGER_FIELDS & file_fields.keys():
+            if type(file_fields[key]) is not int:  # a bool is refused too
+                raise CliError(f"config field {key!r} must be an integer")
+        for key in LIST_FIELDS & file_fields.keys():
+            value = file_fields[key]
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise CliError(f"config field {key!r} must be a list of strings")
+            file_fields[key] = tuple(value)
         fields.update(file_fields)
     profile = getattr(args, "profile", None) or fields.pop("profile", None)
     if profile:
@@ -192,11 +200,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             fields.setdefault(key, value)
     for key in RunConfig.__dataclass_fields__:
         value = getattr(args, key, None)
-        if key in ("methods", "categorical"):  # comma-separated lists
-            if value is not None:
-                fields[key] = tuple(v for v in value.split(",") if v)
-            elif fields.get(key) is not None:
-                fields[key] = tuple(fields[key])
+        if value is not None and key in LIST_FIELDS:  # comma-separated
+            fields[key] = tuple(v for v in value.split(",") if v)
         elif value is not None:
             fields[key] = value
     unknown = set(fields) - set(RunConfig.__dataclass_fields__)
@@ -433,6 +438,15 @@ def read_dataset_csv(path: str, categorical: tuple[str, ...]) -> Dataset:
     for required in ("y", "a"):
         if required not in header:
             raise CliError(f"dataset CSV is missing required column {required!r}")
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise CliError(f"dataset CSV repeats column names {repeated}")
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise CliError(
+                f"dataset CSV line {line} has {len(row)} cells; "
+                f"the header has {len(header)}"
+            )
     try:
         values = np.array([[float(cell) for cell in row] for row in rows])
     except ValueError as exc:
@@ -449,7 +463,6 @@ def read_dataset_csv(path: str, categorical: tuple[str, ...]) -> Dataset:
         raise CliError(f"categorical columns not in the CSV: {sorted(unknown)}")
 
     cov_cols: list[np.ndarray] = []
-    kinds: list[str] = []
     for name in columns:  # header order
         vec = columns[name]
         if name in categorical:
@@ -467,14 +480,12 @@ def read_dataset_csv(path: str, categorical: tuple[str, ...]) -> Dataset:
                 )
             for level in levels[1:]:  # smallest level is the reference
                 cov_cols.append((vec == level).astype(float))
-                kinds.append("categorical-dummy")
         else:
             cov_cols.append(vec)
-            kinds.append("binary" if set(np.unique(vec)) <= {0.0, 1.0} else "continuous")
     covariates = (
         np.column_stack(cov_cols) if cov_cols else np.zeros((len(y), 0))
     )
-    return Dataset(covariates, a, y, tuple(kinds))
+    return Dataset(covariates, a, y)
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
@@ -527,7 +538,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return 0
 
 
-def read_replicates_csv(path: str):
+def read_replicates_csv(path: str) -> list[tuple[int, dict]]:
+    """Each row of a replicate CSV with the line number it ends on."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or set(REPLICATE_COLUMNS) - set(
@@ -536,7 +548,7 @@ def read_replicates_csv(path: str):
             raise CliError(
                 f"replicate CSV must have columns {','.join(REPLICATE_COLUMNS)}"
             )
-        return list(reader)
+        return [(reader.line_num, row) for row in reader]
 
 
 def cmd_summarize(cfg: RunConfig) -> int:
@@ -545,36 +557,40 @@ def cmd_summarize(cfg: RunConfig) -> int:
     if cfg.true_effect is None:
         raise CliError("summarize needs --true-effect")
     rows = read_replicates_csv(cfg.replicates_csv)
-    estimands = sorted({row["estimand"] for row in rows})
+    estimands = sorted({row["estimand"] for _, row in rows})
     if len(estimands) > 1:
         raise CliError(
             f"replicate CSV mixes estimands {estimands}; summarize one at a time"
         )
     by_replicate: dict[int, dict[str, EffectEstimate]] = {}
     methods: list[str] = []
-    for row in rows:
-        idx = int(row["replicate"])
+    for line, row in rows:
         method = row["method"]
         if method not in methods:
             methods.append(method)
-        failed = row["failed"] == "true"
-        if failed:
-            est = EffectEstimate(
-                row["estimand"], method, None, failed=True,
-                failure_reason=row["failure_reason"] or "unknown",
-            )
-        else:
-            ci = None
-            if row["ci_lo"] != "" and row["ci_hi"] != "":
-                ci = (float(row["ci_lo"]), float(row["ci_hi"]))
-            est = EffectEstimate(
-                row["estimand"],
-                method,
-                float(row["point"]),
-                float(row["se"]) if row["se"] != "" else None,
-                ci,
-            )
-        by_replicate.setdefault(idx, {})[method] = est
+        try:
+            idx = int(row["replicate"])
+            if row["failed"] == "true":
+                est = EffectEstimate(
+                    row["estimand"], method, None, failed=True,
+                    failure_reason=row["failure_reason"] or "unknown",
+                )
+            else:
+                ci = None
+                if row["ci_lo"] != "" and row["ci_hi"] != "":
+                    ci = (float(row["ci_lo"]), float(row["ci_hi"]))
+                est = EffectEstimate(
+                    row["estimand"],
+                    method,
+                    float(row["point"]),
+                    float(row["se"]) if row["se"] != "" else None,
+                    ci,
+                )
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"replicate CSV line {line}: {exc}")
+        if method in by_replicate.setdefault(idx, {}):
+            raise CliError(f"replicate CSV line {line} repeats {method} of replicate {idx}")
+        by_replicate[idx][method] = est
     results = [
         ReplicateResult(idx, ests, cfg.true_effect)
         for idx, ests in sorted(by_replicate.items())

@@ -6,9 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-COVARIATE_KINDS = ("continuous", "binary", "categorical-dummy")
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Covariates, a binary treatment and a binary outcome.
@@ -22,7 +19,6 @@ class Dataset:
     covariates: np.ndarray  # (n, k) float
     treatment: np.ndarray  # (n,) values in {0, 1}
     outcome: np.ndarray  # (n,) values in {0, 1}
-    covariate_kinds: tuple[str, ...]
 
     def __post_init__(self):
         cov = np.atleast_2d(np.array(self.covariates, dtype=float))
@@ -36,18 +32,11 @@ class Dataset:
         for name, arr in (("treatment", trt), ("outcome", out)):
             if not np.isin(arr, (0.0, 1.0)).all():
                 raise ValueError(f"{name} must be coded 0/1")
-        kinds = tuple(self.covariate_kinds)
-        if len(kinds) != cov.shape[1]:
-            raise ValueError("one covariate kind per column is required")
-        unknown = set(kinds) - set(COVARIATE_KINDS)
-        if unknown:
-            raise ValueError(f"unknown covariate kinds: {sorted(unknown)}")
         for arr in (cov, trt, out):
             arr.flags.writeable = False
         object.__setattr__(self, "covariates", cov)
         object.__setattr__(self, "treatment", trt)
         object.__setattr__(self, "outcome", out)
-        object.__setattr__(self, "covariate_kinds", kinds)
 
     @property
     def n_subjects(self) -> int:

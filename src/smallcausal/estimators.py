@@ -100,7 +100,7 @@ _ROWS = (
                _intercept_design(d.treatment, ps.probabilities), d.outcome)),
     Method("matched", _RD, True, True, lambda d, ps, m: _matched_rd(d, m)),
     Method("iptw", _RD, True, False,
-           lambda d, ps, m: _iptw_rd(d, iptw_weights(ps, d.treatment).weights)),
+           lambda d, ps, m: _iptw_rd(d, iptw_weights(ps, d.treatment))),
     Method("gcomp", _RD, False, False, lambda d, ps, m: _gcomp_rd(d, "plain", None),
            "plain"),
     Method("gcomp_simple_dr", _RD, True, False,
@@ -123,7 +123,7 @@ _ROWS = (
     Method("iptw", _OR, True, False,
            lambda d, ps, m: _logistic_or(
                _intercept_design(d.treatment), d.outcome,
-               iptw_weights(ps, d.treatment).weights)),
+               iptw_weights(ps, d.treatment))),
     Method("gcomp", _OR, False, False, lambda d, ps, m: _gcomp_or(d, "plain", None),
            "plain"),
     Method("gcomp_simple_dr", _OR, True, False,
@@ -164,13 +164,6 @@ class EffectEstimate:
             raise ValueError("successful estimates need a point value")
 
 
-@dataclass(frozen=True)
-class MatchedCounts:
-    b_discordant: int  # treated event, control non-event
-    c_discordant: int  # control event, treated non-event
-    n_pairs: int
-
-
 def _failed(estimand: str, method: str, exc: EstimationError) -> EffectEstimate:
     return EffectEstimate(
         estimand, method, None, failed=True, failure_reason=exc.reason
@@ -201,17 +194,18 @@ def _ols_rd(X: np.ndarray, y: np.ndarray) -> tuple[float, float, tuple[float, fl
     return point, se, wald_ci(point, se)
 
 
-def matched_counts(data: Dataset, matched: MatchedSample) -> MatchedCounts:
+def _discordant_counts(data: Dataset, matched: MatchedSample) -> tuple[int, int]:
+    """Pairs where only the treated member, and where only the control, had the event."""
     y = data.outcome
     b = sum(1 for t, c in matched.pairs if y[t] == 1.0 and y[c] == 0.0)
     c = sum(1 for t, c_ in matched.pairs if y[t] == 0.0 and y[c_] == 1.0)
-    return MatchedCounts(b, c, matched.n_pairs)
+    return b, c
 
 
 def _matched_rd(data: Dataset, matched: MatchedSample):
     """Discordant-pair risk difference with the paired-proportions variance."""
-    counts = matched_counts(data, matched)
-    b, c, n = counts.b_discordant, counts.c_discordant, counts.n_pairs
+    b, c = _discordant_counts(data, matched)
+    n = matched.n_pairs
     if b + c == 0:
         raise DegenerateVarianceError("no discordant pairs")
     point = (b - c) / n
@@ -445,7 +439,7 @@ def _aipw_rd(data: Dataset, ps: PropensityScores):
     about 709 in the subject's own arm).
     """
     m1, m0 = _aipw_arm_predictions(data)
-    w = iptw_weights(ps, data.treatment).weights
+    w = iptw_weights(ps, data.treatment)
     y = data.outcome
     treated = data.treatment == 1
     term1 = np.where(treated, y * w - (w - 1.0) * m1, m1)
@@ -511,8 +505,7 @@ def _match_unadjusted_or(data: Dataset, matched: MatchedSample):
 
 def _match_conditional_or(data: Dataset, matched: MatchedSample):
     """Closed-form 1:1 conditional-likelihood estimate from discordant pairs."""
-    counts = matched_counts(data, matched)
-    b, c = counts.b_discordant, counts.c_discordant
+    b, c = _discordant_counts(data, matched)
     if b == 0 or c == 0:
         raise DegenerateVarianceError("a discordant-pair count is zero")
     point = _or_point_guard(math.log(b / c))

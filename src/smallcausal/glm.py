@@ -46,6 +46,9 @@ SEPARATION_PROB_EPS = 1e-10
 
 LEVERAGE_EPS = 1e-12
 
+#: confidence level of every Wald interval
+WALD_LEVEL = 0.95
+
 # fit_logistic_batch status codes, one per row; the first two are usable fits
 CONVERGED, PLATEAU, RANK_DEFICIENT, NOT_CONVERGED, NON_FINITE = range(5)
 
@@ -76,9 +79,6 @@ class LogisticFit:
     covariance: np.ndarray | None
     iterations: int
     separation_flag: bool
-    probabilities: np.ndarray = field(repr=False, default=None)
-    residuals: np.ndarray = field(repr=False, default=None)
-    weights: np.ndarray | None = field(repr=False, default=None)
 
 
 def _as_design(X: np.ndarray) -> np.ndarray:
@@ -267,15 +267,7 @@ def fit_logistic(
             meat = (X * (w * (y - prob))[:, None] ** 2).T @ X
             covariance = bread_inv @ meat @ bread_inv
 
-    return LogisticFit(
-        coefficients=beta,
-        covariance=covariance,
-        iterations=int(iterations),
-        separation_flag=separated,
-        probabilities=prob,
-        residuals=y - prob,
-        weights=None if weights is None else w,
-    )
+    return LogisticFit(beta, covariance, int(iterations), separated)
 
 
 def _resample_columns(
@@ -549,11 +541,9 @@ def fit_logistic_batch(
     return beta, status, iterations
 
 
-def wald_ci(point: float, se: float, level: float = 0.95) -> tuple[float, float]:
-    """point +/- z_{(1+level)/2} * se."""
+def wald_ci(point: float, se: float) -> tuple[float, float]:
+    """point +/- z_{(1+WALD_LEVEL)/2} * se."""
     if se < 0:
         raise ValueError("standard error must be nonnegative")
-    if not 0.0 < level < 1.0:
-        raise ValueError("confidence level must be inside (0, 1)")
-    z = ndtri(0.5 * (1.0 + level))  # what scipy.stats.norm.ppf computes
+    z = ndtri(0.5 * (1.0 + WALD_LEVEL))  # what scipy.stats.norm.ppf computes
     return point - z * se, point + z * se

@@ -11,7 +11,7 @@ from scipy.special import expit
 
 from .data import Dataset
 from .errors import NoPairsError, SeparationError
-from .glm import LogisticFit, fit_logistic
+from .glm import fit_logistic
 
 DEFAULT_CALIPER_SD = 0.2
 QUINTILES = (0.2, 0.4, 0.6, 0.8)
@@ -28,19 +28,15 @@ class PropensityScores:
 
     probabilities: np.ndarray
     logits: np.ndarray
-    source_fit: LogisticFit
 
 
 @dataclass(frozen=True)
 class MatchedSample:
     pairs: tuple[tuple[int, int], ...]  # (treated_index, control_index)
-    caliper_width: float  # on the logit scale
-    n_pairs: int
 
-
-@dataclass(frozen=True)
-class IptwWeights:
-    weights: np.ndarray  # 1/p for treated, 1/(1-p) for controls; all > 1
+    @property
+    def n_pairs(self) -> int:
+        return len(self.pairs)
 
 
 def estimate_ps(data: Dataset) -> PropensityScores:
@@ -55,7 +51,7 @@ def estimate_ps(data: Dataset) -> PropensityScores:
     X = np.column_stack([np.ones(data.n_subjects), data.covariates])
     fit = fit_logistic(X, data.treatment)
     logits = X @ fit.coefficients
-    return PropensityScores(expit(logits), logits, fit)
+    return PropensityScores(expit(logits), logits)
 
 
 def match_caliper(
@@ -133,11 +129,11 @@ def match_caliper(
 
     if not pairs:
         raise NoPairsError("no control within the caliper for any treated subject")
-    return MatchedSample(tuple(pairs), caliper, len(pairs))
+    return MatchedSample(tuple(pairs))
 
 
-def iptw_weights(ps: PropensityScores, treatment: np.ndarray) -> IptwWeights:
-    """1/p for treated and 1/(1-p) for controls, with no trimming.
+def iptw_weights(ps: PropensityScores, treatment: np.ndarray) -> np.ndarray:
+    """1/p for treated and 1/(1-p) for controls, with no trimming; all > 1.
 
     Computed from the logits, each branch only where used, so near-boundary
     scores give large finite weights; extreme weights are allowed by design.
@@ -146,7 +142,7 @@ def iptw_weights(ps: PropensityScores, treatment: np.ndarray) -> IptwWeights:
     w = np.abs(signed_inverse_probability(np.asarray(treatment), ps.logits))
     if not np.isfinite(w).all():
         raise SeparationError("inverse-probability weight overflows")
-    return IptwWeights(w)
+    return w
 
 
 def signed_inverse_probability(a: np.ndarray, eta: np.ndarray) -> np.ndarray:

@@ -43,13 +43,6 @@ LOG2 = math.log(2.0)
 
 _COVID_BETA = (-2.3, 0.31, 0.03, 1.099, -0.1054, 0.1031)
 _COVID_ALPHA = (-1.06, 0.619, 0.0077, 0.9461, -1.3499, 0.0896)
-_COVID_KINDS = (
-    "binary",
-    "continuous",
-    "categorical-dummy",
-    "categorical-dummy",
-    "continuous",
-)
 
 _AUSTIN_BETA = (-3.5, LOG5, LOG2, 0.0, LOG5, LOG2, 0.0, LOG5, LOG2, 0.0)
 _AUSTIN_ALPHA = (-5.0, LOG5, LOG5, LOG5, LOG2, LOG2, LOG2, 0.0, 0.0, 0.0)
@@ -65,14 +58,11 @@ class ScenarioSpec:
     beta_trt: float
     n_subjects: int
     analysis_covariate_mask: tuple[bool, ...]
-    covariate_kinds: tuple[str, ...]  # kinds of the generated columns
 
     def __post_init__(self):
         k = len(self.beta) - 1
         if len(self.alpha) - 1 != k or len(self.analysis_covariate_mask) != k:
             raise ValueError("coefficient/mask lengths are inconsistent")
-        if len(self.covariate_kinds) != k:
-            raise ValueError("one covariate kind per generated column")
 
 
 @dataclass(frozen=True)
@@ -94,24 +84,20 @@ def make_scenario(
     beta0_override: float | None = None,
 ) -> ScenarioSpec:
     if scenario_id == "covid":
-        beta, alpha, kinds = _COVID_BETA, _COVID_ALPHA, _COVID_KINDS
+        beta, alpha = _COVID_BETA, _COVID_ALPHA
         mask = (True,) * 5
     elif scenario_id == "unmeasured":
         beta = _COVID_BETA + (LOG5,)
         alpha = _COVID_ALPHA + (LOG5,)
-        kinds = _COVID_KINDS + ("continuous",)
         mask = (True,) * 5 + (False,)
     elif scenario_id == "austin":
         beta, alpha = _AUSTIN_BETA, _AUSTIN_ALPHA
-        kinds = ("binary",) * 9
         mask = (True,) * 9
     else:
         raise ValueError(f"unknown scenario: {scenario_id!r}")
     if beta0_override is not None:
         beta = (beta0_override,) + beta[1:]
-    return ScenarioSpec(
-        scenario_id, beta, alpha, beta_trt, n_subjects, mask, kinds
-    )
+    return ScenarioSpec(scenario_id, beta, alpha, beta_trt, n_subjects, mask)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -165,11 +151,7 @@ def generate(
     p0 = expit(eta_out)
     y = (rng.random(n) < np.where(a == 1.0, p1, p0)).astype(float)
     mask = np.asarray(spec.analysis_covariate_mask)
-    kinds = tuple(
-        k for k, keep in zip(spec.covariate_kinds, spec.analysis_covariate_mask) if keep
-    )
-    dataset = Dataset(X[:, mask], a, y, kinds)
-    return dataset, CounterfactualTruth(p1, p0)
+    return Dataset(X[:, mask], a, y), CounterfactualTruth(p1, p0)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +160,9 @@ def generate(
 
 #: Gauss-Hermite nodes integrating the unmeasured scenario's N(0, 1) confounder
 HERMITE_NODES = 40
+#: calibration bisects the treatment coefficient on [0, CALIBRATION_UPPER]
+CALIBRATION_UPPER = 6.0
+CALIBRATION_MAX_ITERATIONS = 80
 
 _BERNOULLI_HALF = (np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
 
@@ -262,10 +247,10 @@ def calibrate_beta_trt(
     target: float,
     estimand: str = "rd",
     tolerance: float = 0.002,
-    upper: float = 6.0,
-    max_iterations: int = 80,
 ) -> float:
-    """Treatment coefficient achieving a target marginal effect, by bisection.
+    """Treatment coefficient achieving a target marginal effect, by bisection
+    on ``[0, CALIBRATION_UPPER]`` in at most ``CALIBRATION_MAX_ITERATIONS``
+    halvings.
 
     The objective is the exact marginal effect, a deterministic, strictly
     increasing function of the coefficient, so bisection is well posed.
@@ -277,12 +262,13 @@ def calibrate_beta_trt(
         raise NotBracketedError("targets below the null effect are not searched")
 
     objective = _effect_curve(make_scenario(scenario_id, 1, 0.0), estimand)
-    if objective(upper) < target - tolerance:
+    if objective(CALIBRATION_UPPER) < target - tolerance:
         raise NotBracketedError(
-            f"target {target} not reachable with coefficient at most {upper}"
+            f"target {target} not reachable with coefficient at most "
+            f"{CALIBRATION_UPPER}"
         )
-    lo, hi = 0.0, upper
-    for _ in range(max_iterations):
+    lo, hi = 0.0, CALIBRATION_UPPER
+    for _ in range(CALIBRATION_MAX_ITERATIONS):
         mid = 0.5 * (lo + hi)
         value = objective(mid)
         if abs(value - target) <= tolerance:

@@ -23,7 +23,6 @@ def take_rows(data, indices):
         data.covariates[indices],
         data.treatment[indices],
         data.outcome[indices],
-        data.covariate_kinds,
     )
 
 
@@ -180,22 +179,24 @@ def summarize_oracle(points, ci_los, ci_his, failed, true_effect):
     return out
 
 
-def weighted_sandwich_covariance(fit, X, weights):
+def weighted_sandwich_covariance(fit, X, y, weights):
     """A^-1 B A^-1 with bread A = sum w_i d2l_i and meat B = sum w_i^2 s_i s_i'.
 
     Weights are treated as fixed constants.  With unit weights and a linear
-    fit this reduces to HC0.  Both sums are formed explicitly and the bread
-    is inverted directly, with none of the library's QR factorisations.
+    fit this reduces to HC0.  The fitted values and residuals are recomputed
+    from the coefficients, both sums are formed explicitly and the bread is
+    inverted directly, with none of the library's QR factorisations.
     """
     X = np.asarray(X, dtype=float)
     w = np.asarray(weights, dtype=float)
     if isinstance(fit, LogisticFit):
-        prob = fit.probabilities
-        bread_w = w * prob * (1.0 - prob)
+        fitted = expit(X @ fit.coefficients)
+        bread_w = w * fitted * (1.0 - fitted)
     else:
+        fitted = X @ fit.coefficients
         bread_w = w
     bread_inv = np.linalg.inv((X * bread_w[:, None]).T @ X)
-    meat = (X * (w * fit.residuals)[:, None] ** 2).T @ X
+    meat = (X * (w * (y - fitted))[:, None] ** 2).T @ X
     return bread_inv @ meat @ bread_inv
 
 

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from helpers import greedy_match_oracle, summarize_oracle
 from smallcausal.bootstrap import BootstrapConfig
@@ -215,7 +216,7 @@ def _score_identity_check():
     X = np.column_stack([np.ones(200), rng.normal(size=(200, 2))])
     y = (rng.random(200) < 0.4).astype(float)
     fit = fit_logistic(X, y)
-    worst = np.abs(X.T @ fit.residuals).max()
+    worst = np.abs(X.T @ (y - expit(X @ fit.coefficients))).max()
     return worst <= 1e-6, f"max |X'(y-p)| = {worst:.2e} <= 1e-6"
 
 
@@ -235,8 +236,6 @@ def _matching_oracle_check():
     rng = np.random.default_rng(63)
     from smallcausal.propensity import PropensityScores
 
-    X1 = np.ones((4, 1))
-    dummy_fit = fit_logistic(X1, np.array([1.0, 0.0, 1.0, 0.0]))
     for trial in range(200):
         n = int(rng.integers(10, 61))
         logits = np.round(rng.normal(size=n), 3)  # ties occur after rounding
@@ -244,7 +243,7 @@ def _matching_oracle_check():
         if treatment.sum() in (0, n):
             continue
         p = 1 / (1 + np.exp(-logits))
-        ps = PropensityScores(p, logits, dummy_fit)
+        ps = PropensityScores(p, logits)
         caliper = 0.2 * np.std(logits, ddof=1)
         expected = greedy_match_oracle(logits, p, treatment, caliper)
         try:
@@ -265,7 +264,7 @@ def _gcomp_collapse_check():
         y = (rng.random(n) < 0.3 + 0.3 * a).astype(float)
         if a.sum() in (0, n) or y.sum() in (0, n):
             continue
-        data = Dataset(np.zeros((n, 0)), a, y, ())
+        data = Dataset(np.zeros((n, 0)), a, y)
         gc = estimate_effect(data, "gcomp", ESTIMAND_RD)
         cr = estimate_effect(data, "crude", ESTIMAND_RD)
         if gc.failed or cr.failed:
@@ -281,10 +280,9 @@ def _aipw_oracle_check():
     x = rng.normal(size=(8, 1))
     a = np.array([1, 0, 1, 1, 0, 1, 0, 0], dtype=float)
     y = np.array([1, 0, 0, 1, 1, 1, 0, 0], dtype=float)
-    data = Dataset(x, a, y, ("continuous",))
+    data = Dataset(x, a, y)
     p = rng.uniform(0.3, 0.7, 8)
-    dummy_fit = fit_logistic(np.ones((4, 1)), np.array([1.0, 0.0, 1.0, 0.0]))
-    ps = PropensityScores(p, np.log(p / (1 - p)), dummy_fit)
+    ps = PropensityScores(p, np.log(p / (1 - p)))
     est = estimate_effect(data, "aipw", ESTIMAND_RD, ps)
     if est.failed:
         return False, f"aipw failed: {est.failure_reason}"
@@ -315,7 +313,6 @@ def _dr_misspecification_check():
         base.beta_trt,
         base.n_subjects,
         (True,) * 6,
-        base.covariate_kinds,
     )
     reps = 200
     points = {k: [] for k in ("ps_ok_dr", "ps_ok_aipw", "q_ok_dr", "q_ok_aipw")}
@@ -327,7 +324,6 @@ def _dr_misspecification_check():
             full.covariates[:, :5],
             full.treatment,
             full.outcome,
-            full.covariate_kinds[:5],
         )
         ps_good = estimate_ps(full)
         ps_bad = estimate_ps(masked)
@@ -396,7 +392,7 @@ def _weight_sums_check():
     spec = make_scenario("covid", 10_000, 0.0)
     data, _ = generate(spec, derive_substream(69, "covid", 0, "data"))
     ps = estimate_ps(data)
-    w = iptw_weights(ps, data.treatment).weights
+    w = iptw_weights(ps, data.treatment)
     t = data.treatment == 1
     ok = (
         abs(w[t].sum() - data.n_subjects) <= 0.05 * data.n_subjects
@@ -412,7 +408,7 @@ def _iptw_balance_check():
     spec = make_scenario("covid", 100_000, 0.0)
     data, _ = generate(spec, derive_substream(70, "covid", 0, "data"))
     ps = estimate_ps(data)
-    w = iptw_weights(ps, data.treatment).weights
+    w = iptw_weights(ps, data.treatment)
     t = data.treatment == 1
     worst = 0.0
     for j in range(data.n_covariates):

@@ -437,7 +437,7 @@ def scalar_ci(data, q_spec, contrast, config, rng):
             dropped += 1
         else:
             values.append(value)
-    lo, hi = np.quantile(values, config.percentiles)
+    lo, hi = np.quantile(values, bootstrap_module.PERCENTILES)
     return (lo, hi), dropped
 
 
@@ -523,8 +523,7 @@ class TestBatchedGcompCi:
 class TestNonFiniteGcomp:
     @staticmethod
     def scores(data, logits):
-        fit = fit_logistic(np.ones((4, 1)), np.array([0.0, 1.0, 0.0, 1.0]))
-        return PropensityScores(expit(logits), logits, fit)
+        return PropensityScores(expit(logits), logits)
 
     def test_overflowed_fitted_design_fails_as_separation(self):
         data = scenario_data("covid", 10, n=60)

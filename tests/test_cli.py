@@ -156,6 +156,49 @@ class TestSimulate:
         assert "mixes estimands" in capsys.readouterr().err
         assert not (tmp_path / "m_summary.csv").exists()
 
+    @staticmethod
+    def crude_replicates(tmp_path, seed):
+        """The replicate CSV of a two-replicate covid rd run of crude."""
+        out = tmp_path / f"seed{seed}"
+        rc = run_cli(
+            "simulate", "--scenario", "covid", "--n", "40", "--replicates", "2",
+            "--bootstrap", "0", "--beta-trt", "0.5", "--methods", "crude",
+            "--seed", str(seed), "--workers", "1", "--out", str(out),
+        )
+        assert rc == 0
+        return (tmp_path / f"seed{seed}_replicates.csv").read_text()
+
+    def test_summarize_refuses_a_repeated_replicate_method(self, tmp_path, capsys):
+        # two runs concatenated: seed 2's rows would replace seed 1's
+        first, second = (self.crude_replicates(tmp_path, seed) for seed in (1, 2))
+        both = tmp_path / "both.csv"
+        both.write_text(first + second.split("\n", 1)[1])
+        rc = run_cli(
+            "summarize", "--replicates-csv", str(both), "--true-effect", "0.1",
+            "--out", str(tmp_path / "m"),
+        )
+        assert rc == 2
+        assert "line 4 repeats crude of replicate 0" in capsys.readouterr().err
+        assert not (tmp_path / "m_summary.csv").exists()
+
+    @pytest.mark.parametrize("column", ["replicate", "point", "se", "ci_lo", "ci_hi"])
+    def test_summarize_refuses_an_unparsable_cell(self, tmp_path, capsys, column):
+        rows = list(csv.DictReader(self.crude_replicates(tmp_path, 1).splitlines()))
+        assert rows[1]["failed"] == "false"
+        rows[1][column] = "abc"
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        rc = run_cli(
+            "summarize", "--replicates-csv", str(bad), "--true-effect", "0.1",
+            "--out", str(tmp_path / "m"),
+        )
+        assert rc == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not (tmp_path / "m_summary.csv").exists()
+
     def test_calibration_ignores_the_treatment_intercept(self, tmp_path):
         # the truth and the calibrated coefficient depend only on the outcome model
         metas = []
@@ -267,6 +310,33 @@ class TestSimulate:
         with open(tmp_path / "c_replicates.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3  # flag overrides the file's 4
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("n", "100", "an integer"),
+            ("n", 100.0, "an integer"),
+            ("n_replicates", True, "an integer"),
+            ("bootstrap_b", None, "an integer"),
+            ("master_seed", "7", "an integer"),
+            ("methods", "crude", "a list of strings"),
+            ("methods", ["crude", 3], "a list of strings"),
+            ("categorical", "status", "a list of strings"),
+        ],
+    )
+    def test_config_field_of_the_wrong_type_refused(
+        self, tmp_path, capsys, field, value, expected
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"beta_trt": 0.0, field: value}))
+        rc = run_cli(
+            "simulate", "--config", str(cfg_path), "--replicates", "2",
+            "--bootstrap", "0", "--methods", "crude", "--workers", "1",
+            "--out", str(tmp_path / "c"),
+        )
+        assert rc == 2
+        assert f"config field {field!r} must be {expected}" in capsys.readouterr().err
+        assert not (tmp_path / "c_replicates.csv").exists()
 
     def test_setup_seconds_in_meta(self, tmp_path):
         common = [
@@ -380,12 +450,10 @@ class TestAnalyze:
             rows = [(0, 0, 0, 31.5), (1, 1, 1, 44.0), (1, 0, 2, 52.0), (0, 1, 1, 40.0)]
             w.writerows(rows * 3)
         data = read_dataset_csv(str(path), ("grp",))
-        assert data.covariate_kinds == (
-            "categorical-dummy",
-            "categorical-dummy",
-            "continuous",
-        )
-        assert data.covariates.shape == (12, 3)
+        # level 0 is the reference: one dummy each for levels 1 and 2, in
+        # the column's place, then the untouched age column
+        expected = [[0.0, 0.0, 31.5], [1.0, 0.0, 44.0], [0.0, 1.0, 52.0], [1.0, 0.0, 40.0]]
+        assert data.covariates.tolist() == expected * 3
 
     def test_bad_inputs_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -395,3 +463,50 @@ class TestAnalyze:
         assert run_cli("analyze", "--data", str(path), "--out", str(tmp_path / "o")) == 2
         path.write_text("y,a\n1,zero\n")
         assert run_cli("analyze", "--data", str(path), "--out", str(tmp_path / "o")) == 2
+
+    def test_repeated_column_name_refused(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("y,a,x,x\n" + "1,1,0.5,2\n0,0,1.5,3\n" * 6)
+        rc = run_cli("analyze", "--data", str(path), "--out", str(tmp_path / "o"))
+        assert rc == 2
+        assert "repeats column names ['x']" in capsys.readouterr().err
+        assert not (tmp_path / "o_estimates.csv").exists()
+
+    @pytest.mark.parametrize("row", ["1,1", "1,1,0.5,9"])
+    def test_row_of_the_wrong_length_refused(self, tmp_path, capsys, row):
+        path = tmp_path / "d.csv"
+        path.write_text("y,a,x\n1,1,0.5\n0,0,1.5\n" + row + "\n1,0,2.5\n")
+        rc = run_cli("analyze", "--data", str(path), "--out", str(tmp_path / "o"))
+        assert rc == 2
+        assert "line 4 has" in capsys.readouterr().err
+        assert not (tmp_path / "o_estimates.csv").exists()
+
+    @pytest.mark.parametrize("estimand", ["rd", "or"])
+    def test_categorical_equals_hand_written_dummies(self, tmp_path, estimand):
+        rng = np.random.default_rng(12)
+        n = 60
+        status = rng.integers(0, 3, n)
+        age = rng.normal(50.0, 10.0, n).round(1)
+        a = (rng.random(n) < 0.3 + 0.2 * (status == 2)).astype(int)
+        y = (rng.random(n) < 0.2 + 0.3 * a).astype(int)
+        coded, expanded = tmp_path / "coded.csv", tmp_path / "expanded.csv"
+        with open(coded, "w", newline="") as fh:
+            csv.writer(fh).writerows(
+                [("y", "a", "status", "age")] + list(zip(y, a, status, age))
+            )
+        with open(expanded, "w", newline="") as fh:
+            csv.writer(fh).writerows(
+                [("y", "a", "status1", "status2", "age")]
+                + list(zip(y, a, (status == 1).astype(int), (status == 2).astype(int), age))
+            )
+        common = ["--estimand", estimand, "--bootstrap", "20", "--seed", "4"]
+        assert run_cli(
+            "analyze", "--data", str(coded), "--categorical", "status", *common,
+            "--out", str(tmp_path / "c"),
+        ) == 0
+        assert run_cli(
+            "analyze", "--data", str(expanded), *common, "--out", str(tmp_path / "e"),
+        ) == 0
+        got = (tmp_path / "c_estimates.csv").read_bytes()
+        assert got == (tmp_path / "e_estimates.csv").read_bytes()
+        assert b"gcomp" in got

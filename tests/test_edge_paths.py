@@ -4,6 +4,7 @@ failure-tag propagation, and the collapse-chain invariant."""
 import numpy as np
 import pytest
 
+from smallcausal import bootstrap as bootstrap_module
 from smallcausal.bootstrap import BootstrapConfig
 from smallcausal.data import Dataset
 from smallcausal.errors import EstimationError, ExtremeOrError
@@ -32,7 +33,7 @@ def logistic_dataset(seed, n=200, k=2, confounded=True):
     a = (rng.random(n) < 1 / (1 + np.exp(-eta_a))).astype(float)
     eta = -0.2 + 0.7 * a + (0.6 * x[:, 0] if confounded else 0.0)
     y = (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(float)
-    return Dataset(x, a, y, ("continuous",) * k)
+    return Dataset(x, a, y)
 
 
 class TestOrIptw:
@@ -42,7 +43,7 @@ class TestOrIptw:
         est = estimate_effect(data, "iptw", ESTIMAND_LOG_OR, ps=ps)
         assert not est.failed
         # the point must equal the weighted logistic treatment coefficient
-        w = iptw_weights(ps, data.treatment).weights
+        w = iptw_weights(ps, data.treatment)
         X = np.column_stack([np.ones(data.n_subjects), data.treatment])
         fit = fit_logistic(X, data.outcome, weights=w)
         assert est.point == pytest.approx(float(fit.coefficients[1]), abs=1e-12)
@@ -60,16 +61,17 @@ class TestOrIptw:
 
 
 class TestFailureTags:
-    def test_bootstrap_collapse_tag(self):
+    def test_bootstrap_collapse_tag(self, monkeypatch):
         # a dataset so small that most resamples are single-arm
         a = np.array([1.0, 0.0, 1.0, 0.0])
         y = np.array([1.0, 0.0, 0.0, 1.0])
-        data = Dataset(np.zeros((4, 0)), a, y, ())
+        data = Dataset(np.zeros((4, 0)), a, y)
+        monkeypatch.setattr(bootstrap_module, "MAX_FAILURE_FRACTION", 0.05)
         est = estimate_effect(
             data,
             "gcomp",
             ESTIMAND_RD,
-            bootstrap=BootstrapConfig(replications=200, max_failure_fraction=0.05),
+            bootstrap=BootstrapConfig(replications=200),
             rng=derive_substream(3, "edge", 0, "boot"),
         )
         assert est.failed and est.failure_reason == "BootstrapCollapse"
@@ -104,12 +106,9 @@ class TestFailureTags:
             rng.normal(size=(n, 1)),
             (rng.random(n) < 0.5).astype(float),
             (rng.random(n) < 0.5).astype(float),
-            ("continuous",),
         )
         logits = np.zeros(n)
-        ps = PropensityScores(
-            np.full(n, 0.5), logits, estimate_ps(data).source_fit
-        )
+        ps = PropensityScores(np.full(n, 0.5), logits)
         est = estimate_effect(data, "gcomp_dr_quintiles", ESTIMAND_RD, ps)
         assert est.failed and est.failure_reason == "DegenerateStrata"
 
@@ -123,7 +122,6 @@ class TestFailureTags:
             d[:, None],
             np.tile([1.0, 0.0], n // 2),
             (rng.random(n) < 0.5).astype(float),
-            ("binary",),
         )
         est = estimate_effect(data, "cov_adjusted", ESTIMAND_RD)
         assert est.failed and est.failure_reason == "LeverageOne"
@@ -139,8 +137,6 @@ class TestFailureTags:
     def test_wald_ci_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             wald_ci(0.0, -0.1)
-        with pytest.raises(ValueError):
-            wald_ci(0.0, 1.0, level=1.0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -156,7 +152,7 @@ class TestCollapseChain:
         x = rng.normal(size=(n, 2))
         a = (rng.random(n) < 0.5).astype(float)
         y = (rng.random(n) < 0.3 + 0.2 * a).astype(float)
-        data = Dataset(x, a, y, ("continuous", "continuous"))
+        data = Dataset(x, a, y)
         ps = estimate_ps(data)
         points = {
             "crude": estimate_effect(data, "crude", ESTIMAND_RD).point,

@@ -16,7 +16,7 @@ from smallcausal.estimators import (
     RD_METHODS,
     estimate_effect,
     estimate_effects,
-    matched_counts,
+    _discordant_counts,
 )
 from smallcausal.glm import fit_logistic
 from smallcausal.propensity import (
@@ -32,7 +32,7 @@ def study_counts_dataset():
     """36 subjects, 14/20 events on treatment and 2/16 off it."""
     a = np.repeat([1.0, 0.0], [20, 16])
     y = np.concatenate([np.ones(14), np.zeros(6), np.ones(2), np.zeros(14)])
-    return Dataset(np.zeros((36, 0)), a, y, ())
+    return Dataset(np.zeros((36, 0)), a, y)
 
 
 def random_dataset(seed, n=40, k=2, trt_effect=0.8):
@@ -41,17 +41,12 @@ def random_dataset(seed, n=40, k=2, trt_effect=0.8):
     a = (rng.random(n) < 1 / (1 + np.exp(-(0.4 * x[:, 0])))).astype(float)
     eta = -0.3 + trt_effect * a + x @ (0.5 / (1 + np.arange(k)))
     y = (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(float)
-    return Dataset(x, a, y, ("continuous",) * k)
+    return Dataset(x, a, y)
 
 
 def constant_scores(n, p):
     logit = math.log(p / (1 - p))
-    X = np.ones((n, 1))
-    y = np.zeros(n)
-    y[: n // 2] = 1.0
-    return PropensityScores(
-        np.full(n, p), np.full(n, logit), fit_logistic(X, y)
-    )
+    return PropensityScores(np.full(n, p), np.full(n, logit))
 
 
 class TestCrudeRd:
@@ -62,7 +57,7 @@ class TestCrudeRd:
     def test_identical_arms_zero(self):
         a = np.array([1.0, 1.0, 0.0, 0.0])
         y = np.array([1.0, 0.0, 1.0, 0.0])
-        est = estimate_effect(Dataset(np.zeros((4, 0)), a, y, ()), "crude", ESTIMAND_RD)
+        est = estimate_effect(Dataset(np.zeros((4, 0)), a, y), "crude", ESTIMAND_RD)
         assert est.point == pytest.approx(0.0, abs=1e-12)
 
     def test_equals_difference_of_arm_means(self):
@@ -73,7 +68,7 @@ class TestCrudeRd:
         assert est.point == pytest.approx(direct, abs=1e-12)
 
     def test_single_arm_fails(self):
-        data = Dataset(np.zeros((6, 0)), np.ones(6), np.zeros(6), ())
+        data = Dataset(np.zeros((6, 0)), np.ones(6), np.zeros(6))
         est = estimate_effect(data, "crude", ESTIMAND_RD)
         assert est.failed and est.failure_reason == "RankDeficient"
         assert est.point is None and est.ci is None
@@ -82,7 +77,7 @@ class TestCrudeRd:
 class TestCovariateAdjustedRd:
     def test_no_covariates_reduces_to_crude(self):
         data = random_dataset(2, n=30, k=2)
-        stripped = Dataset(np.zeros((30, 0)), data.treatment, data.outcome, ())
+        stripped = Dataset(np.zeros((30, 0)), data.treatment, data.outcome)
         adjusted = estimate_effect(stripped, "cov_adjusted", ESTIMAND_RD)
         crude = estimate_effect(stripped, "crude", ESTIMAND_RD)
         assert adjusted.point == pytest.approx(crude.point, abs=1e-12)
@@ -114,7 +109,7 @@ class TestPsCovariateRd:
         x = rng.normal(size=(n, 1))
         a = (rng.random(n) < 0.5).astype(float)
         y = (rng.random(n) < 0.4).astype(float)
-        data = Dataset(x, a, y, ("continuous",))
+        data = Dataset(x, a, y)
         est = estimate_effect(data, "ps_covariate", ESTIMAND_RD, estimate_ps(data))
         crude = estimate_effect(data, "crude", ESTIMAND_RD)
         assert est.point == pytest.approx(crude.point, abs=2e-4)
@@ -125,10 +120,8 @@ class TestMatchedRd:
         n = len(y_t)
         a = np.concatenate([np.ones(n), np.zeros(n)])
         y = np.concatenate([y_t, y_c])
-        data = Dataset(np.zeros((2 * n, 0)), a, y, ())
-        matched = MatchedSample(
-            tuple((i, n + i) for i in range(n)), caliper_width=1.0, n_pairs=n
-        )
+        data = Dataset(np.zeros((2 * n, 0)), a, y)
+        matched = MatchedSample(tuple((i, n + i) for i in range(n)))
         return data, matched
 
     def test_formula_arithmetic(self):
@@ -136,8 +129,7 @@ class TestMatchedRd:
         y_t = np.array([1, 1, 1, 0, 1, 1, 0, 0, 0, 0.0])
         y_c = np.array([0, 0, 0, 1, 1, 1, 0, 0, 0, 0.0])
         data, matched = self.pairs(y_t, y_c)
-        counts = matched_counts(data, matched)
-        assert (counts.b_discordant, counts.c_discordant) == (3, 1)
+        assert _discordant_counts(data, matched) == (3, 1)
         est = estimate_effect(data, "matched", ESTIMAND_RD, matched=matched)
         assert est.point == pytest.approx(0.2)
         # variance oracle: (b+c)/n^2 - (b-c)^2/n^3
@@ -189,12 +181,12 @@ class TestIptwRd:
             for a, y, count in cells:
                 rows.extend([(stratum, a, y)] * count)
         arr = np.array(rows)
-        data = Dataset(arr[:, :1], arr[:, 1], arr[:, 2], ("binary",))
+        data = Dataset(arr[:, :1], arr[:, 1], arr[:, 2])
         # oracle: weighted means by hand with the true stratum scores
         ps_true = np.where(arr[:, 0] == 1.0, 0.8, 0.2)
         logits = np.log(ps_true / (1 - ps_true))
-        scores = PropensityScores(ps_true, logits, constant_scores(4, 0.5).source_fit)
-        w = iptw_weights(scores, data.treatment).weights
+        scores = PropensityScores(ps_true, logits)
+        w = iptw_weights(scores, data.treatment)
         t = data.treatment == 1
         oracle = (w[t] * data.outcome[t]).sum() / w[t].sum() - (
             w[~t] * data.outcome[~t]
@@ -210,16 +202,16 @@ class TestIptwRd:
         w = iptw_weights(ps, data.treatment)
         est = estimate_effect(data, "iptw", ESTIMAND_RD, ps)
         t = data.treatment == 1
-        direct = (w.weights[t] * data.outcome[t]).sum() / w.weights[t].sum() - (
-            w.weights[~t] * data.outcome[~t]
-        ).sum() / w.weights[~t].sum()
+        direct = (w[t] * data.outcome[t]).sum() / w[t].sum() - (
+            w[~t] * data.outcome[~t]
+        ).sum() / w[~t].sum()
         assert est.point == pytest.approx(direct, abs=1e-10)
 
 
 class TestGcompRd:
     def test_intercept_treatment_only_collapses_to_crude(self):
         data = random_dataset(9, n=40)
-        stripped = Dataset(np.zeros((40, 0)), data.treatment, data.outcome, ())
+        stripped = Dataset(np.zeros((40, 0)), data.treatment, data.outcome)
         est = estimate_effect(stripped, "gcomp", ESTIMAND_RD)
         crude = estimate_effect(stripped, "crude", ESTIMAND_RD)
         assert est.point == pytest.approx(crude.point, abs=1e-10)
@@ -228,7 +220,7 @@ class TestGcompRd:
         x = np.array([[0.5], [-1.0], [2.0]])
         a = np.array([1.0, 0.0, 1.0])
         y = np.array([1.0, 0.0, 0.0])
-        data = Dataset(x, a, y, ("continuous",))
+        data = Dataset(x, a, y)
         est = estimate_effect(data, "gcomp", ESTIMAND_RD)
         fit = fit_logistic(
             np.column_stack([np.ones(3), a, x]), y
@@ -278,9 +270,7 @@ class TestAipwRd:
         # use well-behaved synthetic scores to avoid arm-model failure noise
         rng = np.random.default_rng(12)
         p = rng.uniform(0.3, 0.7, 8)
-        ps = PropensityScores(
-            p, np.log(p / (1 - p)), constant_scores(4, 0.5).source_fit
-        )
+        ps = PropensityScores(p, np.log(p / (1 - p)))
         est = estimate_effect(data, "aipw", ESTIMAND_RD, ps)
         if est.failed:
             pytest.skip("arm model degenerate on this draw")
@@ -299,7 +289,7 @@ class TestAipwRd:
         # Horvitz-Thompson mean difference; emulate via the identity
         data = random_dataset(13, n=200, k=1)
         ps = estimate_ps(data)
-        w = iptw_weights(ps, data.treatment).weights
+        w = iptw_weights(ps, data.treatment)
         a, y = data.treatment, data.outcome
         n = data.n_subjects
         ht = (a * y * w).sum() / n - ((1 - a) * y * w).sum() / n
@@ -307,7 +297,7 @@ class TestAipwRd:
         assert oracle == pytest.approx(ht, abs=1e-10)
 
     def test_empty_arm_fails(self):
-        data = Dataset(np.zeros((6, 1)), np.ones(6), np.zeros(6), ("continuous",))
+        data = Dataset(np.zeros((6, 1)), np.ones(6), np.zeros(6))
         ps = constant_scores(6, 0.5)
         est = estimate_effect(data, "aipw", ESTIMAND_RD, ps)
         assert est.failed
@@ -316,9 +306,7 @@ class TestAipwRd:
     def scores_with(data, arm, logit):
         logits = np.linspace(-1.0, 1.0, data.n_subjects)
         logits[np.flatnonzero(data.treatment == arm)[0]] = logit
-        return PropensityScores(
-            expit(logits), logits, constant_scores(4, 0.5).source_fit
-        )
+        return PropensityScores(expit(logits), logits)
 
     def test_overflow_of_the_other_arms_weight_is_unused(self):
         # a treated subject at logit 800: 1/(1-p) overflows but only controls
@@ -358,10 +346,8 @@ class TestOrFamily:
         n = 5
         a = np.concatenate([np.ones(n), np.zeros(n)])
         y = np.concatenate([y_t, y_c])
-        data = Dataset(np.zeros((10, 0)), a, y, ())
-        matched = MatchedSample(
-            tuple((i, n + i) for i in range(n)), caliper_width=1.0, n_pairs=n
-        )
+        data = Dataset(np.zeros((10, 0)), a, y)
+        matched = MatchedSample(tuple((i, n + i) for i in range(n)))
         est = estimate_effect(
             data, "match_conditional", ESTIMAND_LOG_OR, matched=matched
         )
@@ -372,8 +358,8 @@ class TestOrFamily:
         y_t = np.ones(4)
         y_c = np.zeros(4)
         a = np.concatenate([np.ones(4), np.zeros(4)])
-        data = Dataset(np.zeros((8, 0)), a, np.concatenate([y_t, y_c]), ())
-        matched = MatchedSample(tuple((i, 4 + i) for i in range(4)), 1.0, 4)
+        data = Dataset(np.zeros((8, 0)), a, np.concatenate([y_t, y_c]))
+        matched = MatchedSample(tuple((i, 4 + i) for i in range(4)))
         est = estimate_effect(
             data, "match_conditional", ESTIMAND_LOG_OR, matched=matched
         )
@@ -381,7 +367,7 @@ class TestOrFamily:
 
     def test_gcomp_plain_collapses_to_crude(self):
         data = random_dataset(14, n=40)
-        stripped = Dataset(np.zeros((40, 0)), data.treatment, data.outcome, ())
+        stripped = Dataset(np.zeros((40, 0)), data.treatment, data.outcome)
         crude = estimate_effect(stripped, "crude", ESTIMAND_LOG_OR)
         gc = estimate_effect(stripped, "gcomp", ESTIMAND_LOG_OR)
         assert gc.point == pytest.approx(crude.point, abs=1e-8)
@@ -390,7 +376,7 @@ class TestOrFamily:
         # complete separation in the 2x2 table: all treated events
         a = np.repeat([1.0, 0.0], [10, 10])
         y = np.concatenate([np.ones(10), np.ones(2), np.zeros(8)])
-        data = Dataset(np.zeros((20, 0)), a, y, ())
+        data = Dataset(np.zeros((20, 0)), a, y)
         est = estimate_effect(data, "crude", ESTIMAND_LOG_OR)
         assert est.failed and est.failure_reason in ("ExtremeOR", "NotConverged")
 
@@ -419,7 +405,6 @@ class TestEstimateEffects:
             np.random.default_rng(0).normal(size=(12, 1)),
             np.ones(12),
             (np.random.default_rng(1).random(12) < 0.5).astype(float),
-            ("continuous",),
         )
         out = estimate_effects(data, RD_METHODS, ESTIMAND_RD)
         assert all(est.failed for est in out.values())
@@ -452,9 +437,7 @@ class TestEstimateEffects:
         logits = np.linspace(-1.0, 1.0, 60)
         logits[np.flatnonzero(data.treatment == 1)[0]] = -800.0
         logits[np.flatnonzero(data.treatment == 0)[0]] = 800.0
-        scores = PropensityScores(
-            expit(logits), logits, constant_scores(4, 0.5).source_fit
-        )
+        scores = PropensityScores(expit(logits), logits)
         monkeypatch.setattr(estimators, "estimate_ps", lambda data: scores)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -465,8 +448,7 @@ class TestEstimateEffects:
     def test_label_flip_negates_points(self):
         data = random_dataset(18, n=150, k=2)
         flipped = Dataset(
-            data.covariates, data.treatment, 1.0 - data.outcome, data.covariate_kinds
-        )
+            data.covariates, data.treatment, 1.0 - data.outcome)
         methods = ("crude", "cov_adjusted", "ps_covariate", "iptw", "gcomp", "aipw")
         a_out = estimate_effects(data, methods, ESTIMAND_RD)
         b_out = estimate_effects(flipped, methods, ESTIMAND_RD)
@@ -478,8 +460,7 @@ class TestEstimateEffects:
     def test_arm_swap_negates_points(self):
         data = random_dataset(19, n=150, k=2)
         swapped = Dataset(
-            data.covariates, 1.0 - data.treatment, data.outcome, data.covariate_kinds
-        )
+            data.covariates, 1.0 - data.treatment, data.outcome)
         methods = ("crude", "cov_adjusted", "iptw", "gcomp", "aipw")
         a_out = estimate_effects(data, methods, ESTIMAND_RD)
         b_out = estimate_effects(swapped, methods, ESTIMAND_RD)

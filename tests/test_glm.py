@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_triangular
+from scipy.special import expit
 from scipy.stats import norm
 
 from helpers import weighted_sandwich_covariance
@@ -187,7 +188,7 @@ class TestFitLogistic:
         assert fit.iterations == IRLS_MAX_ITER
         assert fit_logistic_batch(X, np.ones(20), np.ones((1, 20)))[1] == [PLATEAU]
         assert fit.separation_flag
-        assert fit.probabilities.min() > 1.0 - 1e-7
+        assert expit(X @ fit.coefficients).min() > 1.0 - 1e-7
 
     def test_rank_deficient_raises(self):
         X = np.column_stack([np.ones(8), np.ones(8)])
@@ -200,9 +201,10 @@ class TestFitLogistic:
     def test_score_identity_and_mean_probability(self, seed):
         X, y = random_design(seed, n=60, k=2, binary_y=True)
         fit = fit_logistic(X, y)
-        assert np.abs(X.T @ fit.residuals).max() <= 1e-6
-        assert fit.probabilities.mean() == pytest.approx(y.mean(), abs=1e-6)
-        assert 0.0 < fit.probabilities.min() <= fit.probabilities.max() < 1.0
+        prob = expit(X @ fit.coefficients)
+        assert np.abs(X.T @ (y - prob)).max() <= 1e-6
+        assert prob.mean() == pytest.approx(y.mean(), abs=1e-6)
+        assert 0.0 < prob.min() <= prob.max() < 1.0
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -220,7 +222,8 @@ class TestFitLogistic:
         X2 = X.copy()
         X2[:, 1] *= c
         rescaled = fit_logistic(X2, y)
-        assert np.abs(fit.probabilities - rescaled.probabilities).max() <= 1e-8
+        prob = expit(X @ fit.coefficients)
+        assert np.abs(prob - expit(X2 @ rescaled.coefficients)).max() <= 1e-8
         assert rescaled.coefficients[1] == pytest.approx(
             fit.coefficients[1] / c, rel=1e-6
         )
@@ -230,7 +233,7 @@ class TestWeightedSandwich:
     def test_unit_weights_reduce_to_hc0(self):
         X, y = random_design(7, n=25, k=2)
         fit = fit_ols(X, y)
-        sw = weighted_sandwich_covariance(fit, X, np.ones(len(y)))
+        sw = weighted_sandwich_covariance(fit, X, y, np.ones(len(y)))
         assert np.allclose(sw, fit.covariance, atol=1e-12)
 
     def test_two_stratum_hand_computation(self):
@@ -239,7 +242,7 @@ class TestWeightedSandwich:
         y = np.array([0.0, 1.0, 0.0, 1.0])
         w = np.array([1.0, 1.0, 2.0, 2.0])
         fit = fit_ols(X, y, weights=w)
-        got = weighted_sandwich_covariance(fit, X, w)
+        got = weighted_sandwich_covariance(fit, X, y, w)
         # brute-force sums
         e = y - X @ fit.coefficients
         bread = sum(w[i] * np.outer(X[i], X[i]) for i in range(4))
@@ -255,15 +258,15 @@ class TestWeightedSandwich:
         fit1 = fit_ols(X, y, weights=w)
         fit2 = fit_ols(X, y, weights=2.0 * w)
         assert np.allclose(fit1.coefficients, fit2.coefficients, atol=1e-12)
-        cov1 = weighted_sandwich_covariance(fit1, X, w)
-        cov2 = weighted_sandwich_covariance(fit2, X, 2.0 * w)
+        cov1 = weighted_sandwich_covariance(fit1, X, y, w)
+        cov2 = weighted_sandwich_covariance(fit2, X, y, 2.0 * w)
         assert np.allclose(cov1, cov2, atol=1e-12)
 
     def test_weighted_logistic_sandwich_is_symmetric_psd(self):
         X, y = random_design(11, n=80, k=2, binary_y=True)
         w = np.random.default_rng(11).uniform(0.5, 3.0, size=80)
         fit = fit_logistic(X, y, weights=w)
-        cov = weighted_sandwich_covariance(fit, X, w)
+        cov = weighted_sandwich_covariance(fit, X, y, w)
         assert np.allclose(cov, cov.T, atol=1e-12)
         assert (np.linalg.eigvalsh(cov) >= -1e-12).all()
 
@@ -272,10 +275,10 @@ class TestWeightedSandwich:
         spec = make_scenario("covid", 100, 0.87)
         data, _ = generate(spec, np.random.default_rng(2007))
         ps = estimate_ps(data)
-        w = iptw_weights(ps, data.treatment).weights
+        w = iptw_weights(ps, data.treatment)
         X = np.column_stack([np.ones(100), data.treatment])
         fit = fit_logistic(X, data.outcome, weights=w)
-        expected = weighted_sandwich_covariance(fit, X, w)
+        expected = weighted_sandwich_covariance(fit, X, data.outcome, w)
         assert np.abs(fit.covariance - expected).max() <= 1e-10
         est = estimate_effect(data, "iptw", "or", ps)
         assert est.se == math.sqrt(fit.covariance[1, 1])
@@ -297,8 +300,9 @@ class TestWaldCi:
         assert (round(lo, 3), round(hi, 3)) == (0.062, 0.258)
 
     @pytest.mark.parametrize("level", [0.8, 0.9, 0.95, 0.99])
-    def test_z_is_the_normal_quantile_bit_for_bit(self, level):
-        assert wald_ci(0.0, 1.0, level)[1] == norm.ppf(0.5 * (1.0 + level))
+    def test_z_is_the_normal_quantile_bit_for_bit(self, monkeypatch, level):
+        monkeypatch.setattr(glm, "WALD_LEVEL", level)
+        assert wald_ci(0.0, 1.0)[1] == norm.ppf(0.5 * (1.0 + level))
 
 
 class TestSolveR:

@@ -9,7 +9,6 @@ from scipy.special import expit
 from helpers import greedy_match_oracle, irls_oracle, mask_match_oracle
 from smallcausal.data import Dataset
 from smallcausal.errors import NoPairsError, SeparationError
-from smallcausal.glm import fit_logistic
 from smallcausal.propensity import (
     PropensityScores,
     estimate_ps,
@@ -26,18 +25,13 @@ def make_dataset(rng, n, k=3, confounded=True):
     eta = 0.6 * x[:, 0] - 0.4 * x[:, 1] if confounded else np.zeros(n)
     a = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
     y = (rng.random(n) < 0.5).astype(float)
-    return Dataset(x, a, y, ("continuous",) * k)
+    return Dataset(x, a, y)
 
 
 def scores_from_logits(logits, treatment=None):
     """Wrap raw logits for tests that exercise matching/weighting directly."""
     logits = np.asarray(logits, float)
-    p = 1.0 / (1.0 + np.exp(-logits))
-    # source fit is irrelevant for these code paths
-    X = np.ones((logits.size, 1))
-    y = np.zeros(logits.size)
-    y[0] = 1.0
-    return PropensityScores(p, logits, fit_logistic(X, y))
+    return PropensityScores(1.0 / (1.0 + np.exp(-logits)), logits)
 
 
 class TestEstimatePs:
@@ -47,7 +41,7 @@ class TestEstimatePs:
         for n in (2000, 50_000):
             x = rng.normal(size=(n, 2))
             a = (rng.random(n) < 0.5).astype(float)
-            data = Dataset(x, a, np.zeros(n), ("continuous", "continuous"))
+            data = Dataset(x, a, np.zeros(n))
             ps = estimate_ps(data)
             devs.append(np.abs(ps.probabilities - a.mean()).max())
         assert devs[1] < devs[0]
@@ -73,7 +67,7 @@ class TestEstimatePs:
             [0.5, -1.2, 0.3, 2.0, -0.7, 1.1, -0.2, 0.9, -1.5, 0.4, 1.8, -0.9]
         )
         a = np.array([1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1, 0], dtype=float)
-        data = Dataset(x[:, None], a, rng.integers(0, 2, 12).astype(float), ("continuous",))
+        data = Dataset(x[:, None], a, rng.integers(0, 2, 12).astype(float))
         ps = estimate_ps(data)
         X = np.column_stack([np.ones(12), x])
         beta = irls_oracle(X, a)
@@ -82,9 +76,7 @@ class TestEstimatePs:
 
     def test_single_arm_rejected(self):
         n = 10
-        data = Dataset(
-            np.zeros((n, 1)), np.ones(n), np.zeros(n), ("continuous",)
-        )
+        data = Dataset(np.zeros((n, 1)), np.ones(n), np.zeros(n))
         with pytest.raises(ValueError):
             estimate_ps(data)
 
@@ -99,7 +91,9 @@ class TestMatchCaliper:
         sd = np.std(logits, ddof=1)
         m = match_caliper(ps, treatment, caliper_sd_multiplier=0.5 / sd)
         assert m.pairs == ((0, 1),)
-        assert m.caliper_width == pytest.approx(0.5)
+        # the width is the multiplier times the SD: 0.04 excludes the neighbour
+        with pytest.raises(NoPairsError):
+            match_caliper(ps, treatment, caliper_sd_multiplier=0.04 / sd)
 
     def test_caliper_exclusion_raises(self):
         logits = np.array([0.0, 2.0])
@@ -151,7 +145,7 @@ class TestMatchCaliper:
                 data = generate(spec, np.random.default_rng(seed))[0]
                 fitted = estimate_ps(data).logits
                 for logits in (fitted, np.round(fitted, 1)):
-                    ps = PropensityScores(expit(logits), logits, None)
+                    ps = PropensityScores(expit(logits), logits)
                     ties += np.unique(logits).size < n
                     sd = np.std(logits, ddof=1)
                     for multiplier in (0.2, 0.01, np.inf):
@@ -197,7 +191,7 @@ class TestMatchCaliper:
         assert dict(matched.pairs)[treated] == won
         assert matched.n_pairs == n_pairs
         assert hashlib.sha256(repr(matched.pairs).encode()).hexdigest() == digest
-        caliper = matched.caliper_width
+        caliper = 0.2 * float(np.std(logits, ddof=1))
         assert list(matched.pairs) == mask_match_oracle(
             logits, ps.probabilities, data.treatment, caliper
         )
@@ -220,7 +214,7 @@ class TestMatchCaliper:
         assume(any(treated) and not all(treated))
         logits = np.array(half_steps) * (step / 2)
         treatment = np.array(treated, dtype=float)
-        ps = PropensityScores(expit(logits), logits, None)
+        ps = PropensityScores(expit(logits), logits)
         caliper = multiplier * float(np.std(logits, ddof=1))
         expected = mask_match_oracle(logits, ps.probabilities, treatment, caliper)
         if not expected:
@@ -237,7 +231,7 @@ class TestMatchCaliper:
         logits = np.array([0.1, 0.5, -0.2, 0.3, 0.1, 0.45])
         treatment = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
         logits[where] = bad
-        ps = PropensityScores(expit(logits), logits, None)
+        ps = PropensityScores(expit(logits), logits)
         for multiplier in (0.01, 0.2, np.inf):
             with np.errstate(invalid="ignore"):  # the SD of an inf
                 caliper = multiplier * float(np.std(logits, ddof=1))
@@ -256,35 +250,35 @@ class TestMatchCaliper:
         controls = [c for _, c in m.pairs]
         assert len(controls) == len(set(controls))
         for t, c in m.pairs:
-            assert abs(logits[t] - logits[c]) <= m.caliper_width
+            assert abs(logits[t] - logits[c]) <= 0.2 * np.std(logits, ddof=1)
 
 
-class TestIptwWeights:
+class TestInverseProbabilityWeights:
     def test_balanced_scores_give_weight_two(self):
         ps = scores_from_logits(np.zeros(6))
         w = iptw_weights(ps, np.array([1, 0, 1, 0, 1, 0.0]))
-        assert np.allclose(w.weights, 2.0)
+        assert np.allclose(w, 2.0)
 
     def test_formula(self):
         logit = np.log(0.8 / 0.2)
         ps = scores_from_logits([logit, logit])
         w = iptw_weights(ps, np.array([1.0, 0.0]))
-        assert w.weights[0] == pytest.approx(1.25)
-        assert w.weights[1] == pytest.approx(5.0)
+        assert w[0] == pytest.approx(1.25)
+        assert w[1] == pytest.approx(5.0)
 
     def test_unused_branch_overflow_is_silent(self):
         # a treated subject at logit 800 and a control at -800: the branch
         # each would overflow in belongs to the other arm
         logits = np.array([800.0, -800.0, 0.0, 0.0])
-        ps = PropensityScores(expit(logits), logits, None)
+        ps = PropensityScores(expit(logits), logits)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w = iptw_weights(ps, np.array([1.0, 0.0, 1.0, 0.0]))
-        assert w.weights.tolist() == [1.0, 1.0, 2.0, 2.0]
+        assert w.tolist() == [1.0, 1.0, 2.0, 2.0]
 
     def test_used_branch_overflow_raises_separation(self):
         logits = np.array([-800.0, 0.0])
-        ps = PropensityScores(expit(logits), logits, None)
+        ps = PropensityScores(expit(logits), logits)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SeparationError):
@@ -295,7 +289,7 @@ class TestIptwWeights:
         logits = rng.normal(scale=3, size=200)
         ps = scores_from_logits(logits)
         w = iptw_weights(ps, (rng.random(200) < 0.5).astype(float))
-        assert (w.weights > 1.0).all()
+        assert (w > 1.0).all()
 
 
 class TestQuintileStrata:

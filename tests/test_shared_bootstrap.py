@@ -8,6 +8,7 @@ failed before the pass.
 import numpy as np
 import pytest
 
+from smallcausal import bootstrap as bootstrap_module
 from smallcausal import estimators
 from smallcausal.bootstrap import BootstrapConfig
 from smallcausal.errors import SeparationError
@@ -99,10 +100,11 @@ def test_shared_pass_gives_each_spec_its_one_spec_values(scenario, beta0):
         np.testing.assert_array_equal(means[1], alone[1])
 
 
-def test_a_collapse_fails_only_its_own_method():
+def test_a_collapse_fails_only_its_own_method(monkeypatch):
     # no resample may drop: plain keeps all of them here, simple_dr does not
     data = scenario_data("austin", -1.5, seed=1)
-    strict = BootstrapConfig(replications=40, max_failure_fraction=0.0)
+    monkeypatch.setattr(bootstrap_module, "MAX_FAILURE_FRACTION", 0.0)
+    strict = BootstrapConfig(replications=40)
     out = cis(data, gcomp_ids(ESTIMAND_LOG_OR), ESTIMAND_LOG_OR, config=strict)
     assert out["gcomp_simple_dr"].failure_reason == "BootstrapCollapse"
     assert not out["gcomp"].failed and out["gcomp"].ci is not None

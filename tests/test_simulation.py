@@ -52,13 +52,6 @@ class TestGenerators:
     def test_scenario2_masks_the_confounder(self):
         data, _ = generate(make_scenario("unmeasured", 300, 0.0), np.random.default_rng(4))
         assert data.n_covariates == 5
-        assert data.covariate_kinds == (
-            "binary",
-            "continuous",
-            "categorical-dummy",
-            "categorical-dummy",
-            "continuous",
-        )
 
     def test_scenario2_confounding_visible_in_crude(self):
         from smallcausal.estimators import estimate_effect
@@ -196,9 +189,10 @@ class TestCalibration:
         with pytest.raises(NotBracketedError):
             calibrate_beta_trt("covid", 0.89)
 
-    def test_tolerance_below_the_bisection_budget_raises(self):
+    def test_tolerance_below_the_bisection_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(simulation, "CALIBRATION_MAX_ITERATIONS", 10)
         with pytest.raises(NotBracketedError):
-            calibrate_beta_trt("covid", 0.16, tolerance=0.0, max_iterations=10)
+            calibrate_beta_trt("covid", 0.16, tolerance=0.0)
 
 
 class TestReplicates:
