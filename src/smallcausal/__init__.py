@@ -7,7 +7,7 @@ counterparts, and a reproducible Monte Carlo harness with three benchmark
 scenarios, an effect-calibration oracle and metric aggregation.
 """
 
-from .bootstrap import BootstrapConfig, bootstrap_percentile_ci
+from .bootstrap import bootstrap_percentile_ci
 from .data import Dataset
 from .errors import (
     BootstrapCollapseError,
@@ -50,8 +50,6 @@ from .propensity import (
 from .simulation import (
     CounterfactualTruth,
     MethodMetrics,
-    MetricsSummary,
-    ReplicateResult,
     ScenarioSpec,
     calibrate_beta_trt,
     generate,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,43 +20,33 @@ PERCENTILES = (0.025, 0.975)
 MAX_FAILURE_FRACTION = 0.5
 
 
-@dataclass(frozen=True)
-class BootstrapConfig:
-    replications: int = 1000
-
-    def __post_init__(self):
-        if self.replications < 2:
-            raise ValueError("need at least 2 bootstrap replications")
-
-
 def bootstrap_percentile_ci(
     data: Dataset,
     estimator: Callable[[np.ndarray], np.ndarray],
-    config: BootstrapConfig,
+    replications: int,
     rng: np.random.Generator,
-) -> tuple[float, float] | list[tuple[float, float] | BootstrapCollapseError]:
-    """Percentile intervals over row resamples of the data.
+) -> list[tuple[float, float] | BootstrapCollapseError]:
+    """Percentile intervals of k statistics over ``replications`` row
+    resamples of the data.
 
-    The B resamples are the rows of one ``(B, n)`` index draw from ``rng``,
-    handed to ``estimator`` in ``(b, n)`` blocks, so the draw does not
-    depend on how the resamples are blocked.  ``estimator`` returns the
-    ``(b,)`` values of one statistic, or the ``(b, k)`` values of k
-    statistics that share the resamples; a non-finite value drops its
-    resample for that statistic.  Returns ``(lo, hi)`` for one statistic,
-    and more than ``MAX_FAILURE_FRACTION`` of its resamples dropped raises
-    BootstrapCollapseError.  For k statistics it returns a list of k
-    entries, each ``(lo, hi)`` or the BootstrapCollapseError of that
-    statistic alone.
+    The resamples are the rows of one ``(replications, n)`` index draw from
+    ``rng``, handed to ``estimator`` in ``(b, n)`` blocks, so the draw does
+    not depend on how the resamples are blocked.  ``estimator`` returns the
+    ``(b, k)`` values of the k statistics that share the resamples; a
+    non-finite value drops its resample for that statistic.  Returns k
+    entries, each ``(lo, hi)`` or, when more than ``MAX_FAILURE_FRACTION``
+    of that statistic's resamples dropped, its BootstrapCollapseError.
+    Fewer than 2 replications raise ValueError.
     """
-    n, replications = data.n_subjects, config.replications
+    if replications < 2:
+        raise ValueError("need at least 2 bootstrap replications")
+    n = data.n_subjects
     indices = rng.integers(0, n, size=(replications, n))
     n_blocks = math.ceil(replications * n / BATCH_DOUBLES)
     block = math.ceil(replications / n_blocks)  # blocks of near-equal size
     values = np.concatenate([
         estimator(indices[i : i + block]) for i in range(0, replications, block)
     ])
-    if values.ndim == 1:
-        return _percentile_interval(values)
     intervals = []
     for column in values.T:
         try:

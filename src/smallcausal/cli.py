@@ -27,14 +27,12 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .blas import cap_blas_threads
-from .bootstrap import BootstrapConfig
 from .data import Dataset
 from .errors import NotBracketedError
 from .estimators import METHODS, EffectEstimate, estimate_effects
 from .simulation import (
     SCENARIO_IDS,
-    MetricsSummary,
-    ReplicateResult,
+    MethodMetrics,
     calibrate_beta_trt,
     make_scenario,
     run_study,
@@ -70,10 +68,46 @@ SUMMARY_COLUMNS = (
 )
 #: bisection tolerance of a calibrated effect, on the rd and OR scales
 CALIBRATION_TOLERANCE = {"rd": 0.002, "or": 0.02}
-#: config fields that a JSON config file must give as integers, or as lists
-#: of strings (the flags give the lists comma-separated)
+#: config fields that a JSON config file must give as integers, as numbers
+#: or null, or as lists of strings (the flags give the lists comma-separated)
 INTEGER_FIELDS = {"n", "n_replicates", "bootstrap_b", "master_seed"}
+NUMBER_FIELDS = {"beta_trt", "target_effect", "beta0_override", "true_effect"}
 LIST_FIELDS = {"methods", "categorical"}
+#: every flag's argparse keywords; the dest is the RunConfig field it sets
+FLAGS = {
+    "--config": {"help": "JSON config file; flags override it"},
+    "--scenario": {"choices": SCENARIO_IDS},
+    "--n": {"type": int, "help": "subjects per dataset"},
+    "--replicates": {"type": int, "dest": "n_replicates"},
+    "--bootstrap": {"type": int, "dest": "bootstrap_b",
+                    "help": "bootstrap resamples (0: no intervals)"},
+    "--estimand": {"choices": ("rd", "or")},
+    "--methods": {"help": "comma-separated registry ids"},
+    "--seed": {"type": int, "dest": "master_seed"},
+    "--workers": {"help": 'worker count or "auto"'},
+    "--beta-trt": {"type": float},
+    "--target-effect": {"type": float},
+    "--beta0": {"type": float, "dest": "beta0_override"},
+    "--profile": {"choices": tuple(PROFILES)},
+    "--out": {},
+    "--data": {"help": "input CSV with y and a columns"},
+    "--categorical": {"help": "comma-separated covariates to dummy-expand"},
+    "--replicates-csv": {},
+    "--true-effect": {"type": float},
+}
+#: each subcommand's help and the flags it reads
+COMMANDS = {
+    "calibrate": ("find beta_trt for a target effect",
+                  "--config --scenario --estimand --target-effect --seed --out"),
+    "simulate": ("run a replicated simulation study",
+                 "--config --scenario --n --replicates --bootstrap --estimand --methods "
+                 "--seed --workers --beta-trt --target-effect --beta0 --profile --out"),
+    "analyze": ("estimate effects on a CSV dataset",
+                "--config --estimand --methods --bootstrap --seed --profile --out "
+                "--data --categorical"),
+    "summarize": ("summary table from a replicate CSV",
+                  "--config --replicates-csv --true-effect --out"),
+}
 
 
 class CliError(Exception):
@@ -136,43 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
         "small-sample simulation benchmark.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--scenario", choices=SCENARIO_IDS)
-        p.add_argument("--n", type=int, help="subjects per dataset")
-        p.add_argument("--replicates", type=int, dest="n_replicates")
-        p.add_argument(
-            "--bootstrap", type=int, dest="bootstrap_b",
-            help="bootstrap replications (0 disables bootstrap intervals)",
-        )
-        p.add_argument("--estimand", choices=("rd", "or"))
-        p.add_argument("--methods", help="comma-separated registry ids")
-        p.add_argument("--seed", type=int, dest="master_seed")
-        p.add_argument("--workers", help='worker count or "auto"')
-        p.add_argument("--beta-trt", type=float, dest="beta_trt")
-        p.add_argument("--target-effect", type=float, dest="target_effect")
-        p.add_argument("--beta0", type=float, dest="beta0_override")
-        p.add_argument("--profile", choices=tuple(PROFILES))
-        p.add_argument("--out")
-
-    p_cal = sub.add_parser("calibrate", help="find beta_trt for a target effect")
-    common(p_cal)
-
-    p_sim = sub.add_parser("simulate", help="run a replicated simulation study")
-    common(p_sim)
-
-    p_ana = sub.add_parser("analyze", help="estimate effects on a CSV dataset")
-    common(p_ana)
-    p_ana.add_argument("--data", help="input CSV with y and a columns")
-    p_ana.add_argument(
-        "--categorical", help="comma-separated covariates to dummy-expand"
-    )
-
-    p_sum = sub.add_parser("summarize", help="summary table from a replicate CSV")
-    common(p_sum)
-    p_sum.add_argument("--replicates-csv", dest="replicates_csv")
-    p_sum.add_argument("--true-effect", type=float, dest="true_effect")
+    for command, (help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
@@ -186,6 +187,12 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         for key in INTEGER_FIELDS & file_fields.keys():
             if type(file_fields[key]) is not int:  # a bool is refused too
                 raise CliError(f"config field {key!r} must be an integer")
+        for key in NUMBER_FIELDS & file_fields.keys():
+            if type(file_fields[key]) not in (int, float, type(None)):  # nor bool
+                raise CliError(f"config field {key!r} must be a number or null")
+        workers = file_fields.get("workers", "auto")
+        if workers != "auto" and type(workers) is not int:
+            raise CliError("config field 'workers' must be \"auto\" or an integer")
         for key in LIST_FIELDS & file_fields.keys():
             value = file_fields[key]
             if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
@@ -241,13 +248,13 @@ def _write_meta(path_prefix: str, cfg: RunConfig, extra: dict) -> None:
 
 
 def _failure_counts(
-    results: list[ReplicateResult], methods: tuple[str, ...]
+    results: list[dict[str, EffectEstimate]], methods: tuple[str, ...]
 ) -> dict[str, dict[str, int]]:
     """Method -> failure-reason tag -> number of replicates it failed."""
     counts: dict[str, dict[str, int]] = {m: {} for m in methods}
-    for res in results:
+    for estimates in results:
         for m in methods:
-            reason = res.estimates[m].failure_reason
+            reason = estimates[m].failure_reason
             if reason is not None:
                 counts[m][reason] = counts[m].get(reason, 0) + 1
     return counts
@@ -325,10 +332,10 @@ def _estimate_row(replicate: int, est: EffectEstimate) -> list[str]:
     ]
 
 
-def _summary_rows(summary: MetricsSummary, methods: tuple[str, ...]) -> list[list[str]]:
+def _summary_rows(summary: dict[str, MethodMetrics], methods: tuple[str, ...]) -> list[list[str]]:
     rows = []
     for m in methods:
-        mm = summary.per_method[m]
+        mm = summary[m]
         rows.append(
             [
                 m,
@@ -343,11 +350,11 @@ def _summary_rows(summary: MetricsSummary, methods: tuple[str, ...]) -> list[lis
     return rows
 
 
-def _print_summary(summary: MetricsSummary, methods: tuple[str, ...]) -> None:
+def _print_summary(summary: dict[str, MethodMetrics], methods: tuple[str, ...]) -> None:
     header = f"{'method':20s} {'mean_bias':>11s} {'rmse':>9s} {'mae':>9s} {'coverage':>9s} {'ci_len':>9s} {'fail':>5s}"
     print(header)
     for m in methods:
-        mm = summary.per_method[m]
+        mm = summary[m]
 
         def cell(v, width=9):
             return f"{v:>{width}.4f}" if v is not None else " " * (width - 2) + "--"
@@ -375,15 +382,12 @@ def cmd_simulate(cfg: RunConfig, blas: list[dict] | None) -> int:
         setup_seconds["truth_oracle"] = time.perf_counter() - started
     methods = cfg.resolved_methods()
     spec = make_scenario(cfg.scenario, cfg.n, beta_trt, cfg.beta0_override)
-    bootstrap = (
-        BootstrapConfig(replications=cfg.bootstrap_b) if cfg.bootstrap_b else None
-    )
     results, summary = run_study(
         spec,
         methods,
         cfg.estimand,
         cfg.n_replicates,
-        bootstrap,
+        cfg.bootstrap_b,
         cfg.master_seed,
         true_effect,
         workers=cfg.resolved_workers(),
@@ -391,8 +395,8 @@ def cmd_simulate(cfg: RunConfig, blas: list[dict] | None) -> int:
 
     rep_path = cfg.out + "_replicates.csv"
     _write_csv(rep_path, REPLICATE_COLUMNS, (
-        _estimate_row(res.replicate_index, res.estimates[m])
-        for res in results
+        _estimate_row(i, estimates[m])
+        for i, estimates in enumerate(results)
         for m in methods
     ))
     sum_path = cfg.out + "_summary.csv"
@@ -500,12 +504,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
             "propensity-based methods need at least one covariate; "
             f"requested: {ps_methods}"
         )
-    bootstrap = (
-        BootstrapConfig(replications=cfg.bootstrap_b) if cfg.bootstrap_b else None
-    )
     rng = derive_substream(cfg.master_seed, "analyze", 0, "bootstrap")
     estimates = estimate_effects(
-        data, methods, cfg.estimand, bootstrap=bootstrap, rng=rng
+        data, methods, cfg.estimand, bootstrap=cfg.bootstrap_b, rng=rng
     )
     _write_csv(cfg.out + "_estimates.csv", REPLICATE_COLUMNS, (
         _estimate_row(0, estimates[m]) for m in methods
@@ -591,10 +592,7 @@ def cmd_summarize(cfg: RunConfig) -> int:
         if method in by_replicate.setdefault(idx, {}):
             raise CliError(f"replicate CSV line {line} repeats {method} of replicate {idx}")
         by_replicate[idx][method] = est
-    results = [
-        ReplicateResult(idx, ests, cfg.true_effect)
-        for idx, ests in sorted(by_replicate.items())
-    ]
+    results = [ests for _, ests in sorted(by_replicate.items())]
     summary = summarize(results, cfg.true_effect)
     _write_csv(
         cfg.out + "_summary.csv", SUMMARY_COLUMNS, _summary_rows(summary, tuple(methods))

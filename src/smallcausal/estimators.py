@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from .bootstrap import BootstrapConfig, bootstrap_percentile_ci
+from .bootstrap import bootstrap_percentile_ci
 from .data import Dataset
 from .errors import (
     DegenerateStrataError,
@@ -365,11 +365,11 @@ def _gcomp_cis(
     data: Dataset,
     q_specs: tuple[str, ...],
     contrast: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    bootstrap: BootstrapConfig,
+    bootstrap: int,
     rng: np.random.Generator | None,
 ) -> list:
     """Percentile intervals of ``contrast(m1, m0)`` for each Q-model spec,
-    from one bootstrap pass over one index draw from ``rng``.
+    from one pass of ``bootstrap`` resamples over one index draw from ``rng``.
 
     Every resample refits the whole pipeline, propensity model included, a
     block at a time by :func:`_gcomp_batch_means`; a NaN contrast drops the
@@ -391,16 +391,16 @@ def _gcomp_cis(
 def _with_gcomp_cis(
     data: Dataset,
     estimates: list[EffectEstimate],
-    bootstrap: BootstrapConfig | None,
+    bootstrap: int,
     rng: np.random.Generator | None,
 ) -> list[EffectEstimate]:
     """The successful g-computation estimates of one estimand, each with its
     percentile interval from the one bootstrap pass they share.
 
-    A collapsed interval fails its own method only.  Without bootstrap or
-    without estimates nothing is drawn from ``rng``.
+    A collapsed interval fails its own method only.  With ``bootstrap`` 0
+    or without estimates nothing is drawn from ``rng``.
     """
-    if bootstrap is None or not estimates:
+    if not bootstrap or not estimates:
         return estimates
     estimand = estimates[0].estimand
     q_specs = tuple(METHODS[estimand][est.method].q_spec for est in estimates)
@@ -570,7 +570,7 @@ def estimate_effect(
     estimand: str,
     ps: PropensityScores | None = None,
     matched: MatchedSample | None = None,
-    bootstrap: BootstrapConfig | None = None,
+    bootstrap: int = 0,
     rng: np.random.Generator | None = None,
 ) -> EffectEstimate:
     """Run one registry method of ``estimand`` on one dataset.
@@ -578,8 +578,8 @@ def estimate_effect(
     A statistical failure comes back as a failed estimate with its reason
     tag.  An unknown method id raises ValueError, and so does a row called
     without the matched sample or propensity score its body reads.  A
-    g-computation method's bootstrap interval, when ``bootstrap`` is given,
-    is the one :func:`estimate_effects` gives it with an equal ``rng``.
+    g-computation method's interval over ``bootstrap`` resamples (none at
+    0) is the one :func:`estimate_effects` gives it with an equal ``rng``.
     """
     row = METHODS.get(estimand, {}).get(method)
     if row is None:
@@ -603,17 +603,17 @@ def estimate_effects(
     data: Dataset,
     methods: tuple[str, ...],
     estimand: str,
-    bootstrap: BootstrapConfig | None = None,
+    bootstrap: int = 0,
     rng: np.random.Generator | None = None,
 ) -> dict[str, EffectEstimate]:
     """Run every requested method on one dataset, in the requested order.
 
     A method whose propensity score or matched sample could not be built
     fails with that reason.  Every point comes first; then the g-computation
-    methods whose point succeeded share one bootstrap pass over one index
-    draw from ``rng``, so each interval is the one the method gets alone.  A
-    successful estimate with a non-finite point, SE or CI endpoint raises
-    ArithmeticError.
+    methods whose point succeeded share one pass of ``bootstrap`` resamples
+    (none at 0) over one index draw from ``rng``, so each interval is the
+    one the method gets alone.  A successful estimate with a non-finite
+    point, SE or CI endpoint raises ArithmeticError.
     """
     registry = METHODS.get(estimand, {})
     unknown = set(methods) - set(registry)

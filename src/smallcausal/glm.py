@@ -61,8 +61,8 @@ class LinearFit:
     residuals: np.ndarray
     hat_diagonals: np.ndarray
     covariance: np.ndarray
-    weights: np.ndarray | None = None
-    xtx_inverse: np.ndarray | None = field(repr=False, default=None)  # unweighted
+    xtx_inverse: np.ndarray = field(repr=False)  # (X'WX)^-1
+    weights: np.ndarray | None = None  # None for an unweighted fit
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,8 @@ def fit_ols(
 ) -> LinearFit:
     """Ordinary (or weighted) least squares via QR.
 
-    The default covariance is HC0 for an unweighted fit and the
-    fixed-weights sandwich for a weighted one; callers wanting HC3 use
+    An unweighted fit is the fit at unit weights.  The covariance is the
+    fixed-weights sandwich (HC0 at unit weights); callers wanting HC3 use
     :func:`hc3_covariance`.
 
     Raises RankDeficientError when a pivot falls below ``PIVOT_RTOL`` times
@@ -146,17 +146,7 @@ def fit_ols(
     if not np.isfinite(y).all():
         raise ValueError("response contains non-finite values")
 
-    if weights is None:
-        Q, R = np.linalg.qr(X)
-        beta = _least_squares(Q, R, y)
-        residuals = y - X @ beta
-        hat = np.einsum("ij,ij->i", Q, Q)
-        xtx_inv = _xtx_inverse(R)
-        meat = (X * residuals[:, None] ** 2).T @ X
-        cov = xtx_inv @ meat @ xtx_inv
-        return LinearFit(beta, residuals, hat, cov, xtx_inverse=xtx_inv)
-
-    w = np.asarray(weights, dtype=float)
+    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != y.shape:
         raise ValueError("weights length does not match response")
     if not np.isfinite(w).all() or (w < 0).any():
@@ -169,7 +159,9 @@ def fit_ols(
     bread_inv = _xtx_inverse(R)  # (X'WX)^-1
     meat = (X * (w * residuals)[:, None] ** 2).T @ X
     cov = bread_inv @ meat @ bread_inv
-    return LinearFit(beta, residuals, hat, cov, weights=w)
+    return LinearFit(
+        beta, residuals, hat, cov, bread_inv, None if weights is None else w
+    )
 
 
 def hc3_covariance(fit: LinearFit, X: np.ndarray) -> np.ndarray:

@@ -30,7 +30,6 @@ import numpy as np
 from scipy.special import expit, ndtr, roots_hermitenorm
 
 from .blas import cap_blas_threads
-from .bootstrap import BootstrapConfig
 from .data import Dataset
 from .errors import EstimationError, NotBracketedError, ReplicateError
 from .estimators import EffectEstimate, estimate_effects
@@ -289,13 +288,6 @@ def calibrate_beta_trt(
 
 
 @dataclass(frozen=True)
-class ReplicateResult:
-    replicate_index: int
-    estimates: dict[str, EffectEstimate]
-    true_effect: float
-
-
-@dataclass(frozen=True)
 class MethodMetrics:
     mean_bias: float | None
     rmse: float | None
@@ -303,26 +295,18 @@ class MethodMetrics:
     coverage: float | None
     median_ci_length: float | None
     n_failures: int
-    n_used: int
-
-
-@dataclass(frozen=True)
-class MetricsSummary:
-    true_effect: float
-    n_replicates: int
-    per_method: dict[str, MethodMetrics]
 
 
 def run_replicate(
     spec: ScenarioSpec,
     methods: tuple[str, ...],
     estimand: str,
-    bootstrap: BootstrapConfig | None,
+    bootstrap: int,
     master_seed: int,
     replicate_index: int,
-    true_effect: float,
-) -> ReplicateResult:
-    """Generate one dataset and run every requested method on it.
+) -> dict[str, EffectEstimate]:
+    """Generate one dataset and run every requested method on it, with
+    ``bootstrap`` resamples for the g-computation intervals (none at 0).
 
     All randomness comes from substreams keyed by (master seed, scenario,
     replicate index, purpose), so results are independent of scheduling.
@@ -337,7 +321,7 @@ def run_replicate(
         boot_rng = derive_substream(
             master_seed, spec.scenario_id, replicate_index, "bootstrap"
         )
-        estimates = estimate_effects(
+        return estimate_effects(
             data, tuple(methods), estimand, bootstrap=bootstrap, rng=boot_rng
         )
     except EstimationError:
@@ -348,55 +332,49 @@ def run_replicate(
             f"replicate {replicate_index} of scenario {spec.scenario_id!r} at "
             f"master seed {master_seed} raised {type(exc).__name__}: {exc}"
         ) from exc
-    return ReplicateResult(replicate_index, estimates, true_effect)
 
 
 def summarize(
-    results: list[ReplicateResult], true_effect: float
-) -> MetricsSummary:
-    """Bias/RMSE/MAE/coverage/CI-length/failure table over replicates.
+    results: list[dict[str, EffectEstimate]], true_effect: float
+) -> dict[str, MethodMetrics]:
+    """Bias/RMSE/MAE/coverage/CI-length/failure table over replicates, one
+    entry per method in first-seen order.
 
     Failed estimates are excluded from every metric and only counted; CI
     metrics additionally require an interval to be present.
     """
-    per_method = {}
-    for m in dict.fromkeys(name for res in results for name in res.estimates):
+    metrics = {}
+    for m in dict.fromkeys(name for estimates in results for name in estimates):
         errors = []
         lengths = []
         covered = []
         n_fail = 0
-        n_used = 0
-        for res in results:
-            est = res.estimates.get(m)
+        for estimates in results:
+            est = estimates.get(m)
             if est is None:
                 continue
             if est.failed:
                 n_fail += 1
                 continue
-            n_used += 1
             errors.append(est.point - true_effect)
             if est.ci is not None:
                 lo, hi = est.ci
                 lengths.append(hi - lo)
                 covered.append(1.0 if lo <= true_effect <= hi else 0.0)
         errors_arr = np.asarray(errors)
-        per_method[m] = MethodMetrics(
-            mean_bias=float(errors_arr.mean()) if n_used else None,
-            rmse=float(np.sqrt((errors_arr**2).mean())) if n_used else None,
-            mae=float(np.median(np.abs(errors_arr))) if n_used else None,
+        metrics[m] = MethodMetrics(
+            mean_bias=float(errors_arr.mean()) if errors else None,
+            rmse=float(np.sqrt((errors_arr**2).mean())) if errors else None,
+            mae=float(np.median(np.abs(errors_arr))) if errors else None,
             coverage=float(np.mean(covered)) if covered else None,
             median_ci_length=float(np.median(lengths)) if lengths else None,
             n_failures=n_fail,
-            n_used=n_used,
         )
-    return MetricsSummary(true_effect, len(results), per_method)
+    return metrics
 
 
-def _replicate_task(args) -> ReplicateResult:
-    spec, methods, estimand, bootstrap, master_seed, index, true_effect = args
-    return run_replicate(
-        spec, methods, estimand, bootstrap, master_seed, index, true_effect
-    )
+def _replicate_task(args) -> dict[str, EffectEstimate]:
+    return run_replicate(*args)
 
 
 def run_study(
@@ -404,19 +382,20 @@ def run_study(
     methods: tuple[str, ...],
     estimand: str,
     n_replicates: int,
-    bootstrap: BootstrapConfig | None,
+    bootstrap: int,
     master_seed: int,
     true_effect: float,
     workers: int = 1,
-) -> tuple[list[ReplicateResult], MetricsSummary]:
-    """Run ``n_replicates`` independent replicates, optionally in parallel.
+) -> tuple[list[dict[str, EffectEstimate]], dict[str, MethodMetrics]]:
+    """Run ``n_replicates`` independent replicates, optionally in parallel,
+    and summarize them against ``true_effect``.
 
-    Results are collected in replicate order, so output is identical for any
+    Results come back in replicate order, so output is identical for any
     worker count.  Each worker process runs its BLAS on one thread, under
     any start method, so the workers are the only parallelism.
     """
     tasks = [
-        (spec, methods, estimand, bootstrap, master_seed, i, true_effect)
+        (spec, methods, estimand, bootstrap, master_seed, i)
         for i in range(n_replicates)
     ]
     if workers <= 1:
@@ -425,6 +404,4 @@ def run_study(
         with ProcessPoolExecutor(workers, initializer=cap_blas_threads) as pool:
             chunk = max(1, n_replicates // (workers * 8))
             results = list(pool.map(_replicate_task, tasks, chunksize=chunk))
-    results.sort(key=lambda r: r.replicate_index)
     return results, summarize(results, true_effect)
-

@@ -11,7 +11,6 @@ import pytest
 from scipy.special import expit
 
 from helpers import greedy_match_oracle, summarize_oracle
-from smallcausal.bootstrap import BootstrapConfig
 from smallcausal.data import Dataset
 from smallcausal.estimators import (
     ESTIMAND_RD,
@@ -26,7 +25,6 @@ from smallcausal.propensity import (
     match_caliper,
 )
 from smallcausal.simulation import (
-    ReplicateResult,
     ScenarioSpec,
     generate,
     make_scenario,
@@ -120,7 +118,7 @@ def test_criterion_3_fast_estimators_n1000():
     # are point-estimator RMSEs plus the two closed-form interval lengths
     methods = ("crude", "cov_adjusted", "ps_covariate", "iptw", "gcomp_dr_quintiles")
     spec = make_scenario("covid", 1000, 0.0)
-    _, summary = run_study(spec, methods, "rd", 2000, None, 103, 0.0, workers=1)
+    _, summary = run_study(spec, methods, "rd", 2000, 0, 103, 0.0, workers=1)
     rmse_targets = {
         "crude": 0.1319,
         "cov_adjusted": 0.0304,
@@ -130,7 +128,7 @@ def test_criterion_3_fast_estimators_n1000():
     }
     checks = []
     for m, target in rmse_targets.items():
-        got = summary.per_method[m].rmse
+        got = summary[m].rmse
         checks.append(
             (
                 f"RMSE {m}",
@@ -140,7 +138,7 @@ def test_criterion_3_fast_estimators_n1000():
         )
     ci_targets = {"iptw": 0.04152, "cov_adjusted": 0.121}
     for m, target in ci_targets.items():
-        got = summary.per_method[m].median_ci_length
+        got = summary[m].median_ci_length
         checks.append(
             (
                 f"median CI length {m}",
@@ -155,12 +153,12 @@ def test_criterion_4_small_n_and_aipw_failures():
     spec100 = make_scenario("covid", 100, 3.128)
     true_rd = true_marginal_effect(spec100, "rd")
     _, s100 = run_study(
-        spec100, ("cov_adjusted", "aipw"), "rd", 2000, None, 104, true_rd, workers=1
+        spec100, ("cov_adjusted", "aipw"), "rd", 2000, 0, 104, true_rd, workers=1
     )
     spec40 = make_scenario("covid", 40, 3.128)
-    _, s40 = run_study(spec40, ("aipw",), "rd", 2000, None, 104, true_rd, workers=1)
+    _, s40 = run_study(spec40, ("aipw",), "rd", 2000, 0, 104, true_rd, workers=1)
 
-    cov = s100.per_method["cov_adjusted"]
+    cov = s100["cov_adjusted"]
     checks = [
         (
             "cov_adjusted RMSE (N=100)",
@@ -174,13 +172,13 @@ def test_criterion_4_small_n_and_aipw_failures():
         ),
         (
             "aipw failures (N=100)",
-            s100.per_method["aipw"].n_failures <= 5,
-            f"got {s100.per_method['aipw'].n_failures}, expect 0 +/- 5",
+            s100["aipw"].n_failures <= 5,
+            f"got {s100['aipw'].n_failures}, expect 0 +/- 5",
         ),
         (
             "aipw failures (N=40)",
-            30 <= s40.per_method["aipw"].n_failures <= 100,
-            f"got {s40.per_method['aipw'].n_failures}, expect in [30, 100]",
+            30 <= s40["aipw"].n_failures <= 100,
+            f"got {s40['aipw'].n_failures}, expect in [30, 100]",
         ),
     ]
     run_checks(checks)
@@ -188,15 +186,15 @@ def test_criterion_4_small_n_and_aipw_failures():
 
 def test_criterion_5_unmeasured_confounding_signature():
     spec = make_scenario("unmeasured", 1000, 0.0)
-    _, summary = run_study(spec, RD_METHODS, "rd", 2000, None, 105, 0.0, workers=1)
+    _, summary = run_study(spec, RD_METHODS, "rd", 2000, 0, 105, 0.0, workers=1)
     checks = []
     for m in RD_METHODS:
-        got = summary.per_method[m].rmse
+        got = summary[m].rmse
         checks.append(
             (f"RMSE {m} >= 0.25", got is not None and got >= 0.25, f"got {got:.4f}")
         )
-    crude_rmse = summary.per_method["crude"].rmse
-    adj_rmse = summary.per_method["cov_adjusted"].rmse
+    crude_rmse = summary["crude"].rmse
+    adj_rmse = summary["cov_adjusted"].rmse
     checks.append(
         (
             "crude RMSE > cov_adjusted RMSE",
@@ -204,7 +202,7 @@ def test_criterion_5_unmeasured_confounding_signature():
             f"{crude_rmse:.4f} > {adj_rmse:.4f}",
         )
     )
-    adj_cov = summary.per_method["cov_adjusted"].coverage
+    adj_cov = summary["cov_adjusted"].coverage
     checks.append(
         ("cov_adjusted coverage < 50%", adj_cov < 0.5, f"got {adj_cov:.3f}")
     )
@@ -346,12 +344,9 @@ def _dr_misspecification_check():
 
 def _bootstrap_determinism_check():
     spec = make_scenario("covid", 50, 0.0)
-    cfg = BootstrapConfig(replications=16)
-    r1, _ = run_study(spec, ("gcomp",), "rd", 4, cfg, 67, 0.0, workers=1)
-    r2, _ = run_study(spec, ("gcomp",), "rd", 4, cfg, 67, 0.0, workers=4)
-    same = all(
-        a.estimates["gcomp"] == b.estimates["gcomp"] for a, b in zip(r1, r2)
-    )
+    r1, _ = run_study(spec, ("gcomp",), "rd", 4, 16, 67, 0.0, workers=1)
+    r2, _ = run_study(spec, ("gcomp",), "rd", 4, 16, 67, 0.0, workers=4)
+    same = all(a["gcomp"] == b["gcomp"] for a, b in zip(r1, r2))
     return same, "bootstrap intervals bit-identical for 1 vs 4 workers"
 
 
@@ -367,9 +362,9 @@ def _summarize_oracle_check():
             pt = float(rng.normal(0.1, 0.2))
             se = float(rng.uniform(0.02, 0.3))
             est = EffectEstimate(ESTIMAND_RD, "m", pt, se, (pt - se, pt + se))
-        results.append(ReplicateResult(i, {"m": est}, 0.1))
-    got = summarize(results, 0.1).per_method["m"]
-    ests = [r.estimates["m"] for r in results]
+        results.append({"m": est})
+    got = summarize(results, 0.1)["m"]
+    ests = [r["m"] for r in results]
     want = summarize_oracle(
         [e.point for e in ests],
         [e.ci[0] if e.ci else None for e in ests],

@@ -10,7 +10,6 @@ from scipy.special import expit
 
 from smallcausal import bootstrap as bootstrap_module
 from smallcausal import estimators, glm
-from smallcausal.bootstrap import BootstrapConfig
 from smallcausal.errors import (
     EstimationError,
     NotConvergedError,
@@ -418,12 +417,12 @@ class TestPointAgainstDenseOracle:
             assert {"ExtremeOR", "NotConverged", "RankDeficient"} <= tags
 
 
-def scalar_ci(data, q_spec, contrast, config, rng):
+def scalar_ci(data, q_spec, contrast, replications, rng):
     """The g-computation bootstrap as an explicit loop of dense scalar fits
     (:func:`helpers.gcomp_oracle`)."""
     n = data.n_subjects
     values, dropped = [], 0
-    for indices in rng.integers(0, n, size=(config.replications, n)):
+    for indices in rng.integers(0, n, size=(replications, n)):
         resample = take_rows(data, indices)
         try:
             if resample.n_treated in (0, n):
@@ -441,27 +440,27 @@ def scalar_ci(data, q_spec, contrast, config, rng):
     return (lo, hi), dropped
 
 
-def _gcomp_ci(data, q_spec, contrast, config, rng):
+def _gcomp_ci(data, q_spec, contrast, replications, rng):
     """The bootstrap pass with one Q-model spec: its one interval."""
-    (ci,) = _gcomp_cis(data, (q_spec,), contrast, config, rng)
+    (ci,) = _gcomp_cis(data, (q_spec,), contrast, replications, rng)
     return ci
 
 
-def counted_ci(monkeypatch, data, q_spec, contrast, config, rng):
+def counted_ci(monkeypatch, data, q_spec, contrast, replications, rng):
     """``_gcomp_ci`` plus the number of resamples it dropped."""
     real = bootstrap_module.bootstrap_percentile_ci
     dropped = []
 
-    def spy(data, estimator, config, rng):
+    def spy(data, estimator, replications, rng):
         def counting(indices):
             values = estimator(indices)
             dropped.append(int(np.isnan(values).sum()))
             return values
 
-        return real(data, counting, config, rng)
+        return real(data, counting, replications, rng)
 
     monkeypatch.setattr(estimators, "bootstrap_percentile_ci", spy)
-    return _gcomp_ci(data, q_spec, contrast, config, rng), sum(dropped)
+    return _gcomp_ci(data, q_spec, contrast, replications, rng), sum(dropped)
 
 
 class TestBatchedGcompCi:
@@ -469,24 +468,24 @@ class TestBatchedGcompCi:
     @pytest.mark.parametrize("contrast", [operator.sub, _log_or])
     def test_matches_scalar_loop(self, monkeypatch, q_spec, contrast):
         data = scenario_data("covid", 5)
-        config = BootstrapConfig(replications=40)
+        replications = 40
         expected, expected_dropped = scalar_ci(
-            data, q_spec, contrast, config, np.random.default_rng(6)
+            data, q_spec, contrast, replications, np.random.default_rng(6)
         )
         ci, dropped = counted_ci(
-            monkeypatch, data, q_spec, contrast, config, np.random.default_rng(6)
+            monkeypatch, data, q_spec, contrast, replications, np.random.default_rng(6)
         )
         np.testing.assert_allclose(ci, expected, rtol=0, atol=1e-10)
         assert dropped == expected_dropped
 
     def test_drops_match_scalar_loop_on_separated_data(self, monkeypatch):
         data = scenario_data("austin", 1, beta0=-1.5)
-        config = BootstrapConfig(replications=40)
+        replications = 40
         expected, expected_dropped = scalar_ci(
-            data, "simple_dr", _log_or, config, np.random.default_rng(7)
+            data, "simple_dr", _log_or, replications, np.random.default_rng(7)
         )
         ci, dropped = counted_ci(
-            monkeypatch, data, "simple_dr", _log_or, config,
+            monkeypatch, data, "simple_dr", _log_or, replications,
             np.random.default_rng(7),
         )
         assert expected_dropped > 0
@@ -496,25 +495,25 @@ class TestBatchedGcompCi:
     @pytest.mark.parametrize("q_spec", ["plain", "simple_dr", "dr_quintiles"])
     def test_same_interval_in_one_block_or_several(self, monkeypatch, q_spec):
         data = scenario_data("covid", 8)
-        config = BootstrapConfig(replications=30)
+        replications = 30
         real = bootstrap_module.bootstrap_percentile_ci
         blocks = []
 
-        def spy(data, estimator, config, rng):
+        def spy(data, estimator, replications, rng):
             def recording(indices):
                 blocks.append(len(indices))
                 return estimator(indices)
 
-            return real(data, recording, config, rng)
+            return real(data, recording, replications, rng)
 
         monkeypatch.setattr(estimators, "bootstrap_percentile_ci", spy)
-        one = _gcomp_ci(data, q_spec, operator.sub, config, np.random.default_rng(9))
+        one = _gcomp_ci(data, q_spec, operator.sub, replications, np.random.default_rng(9))
         assert blocks == [30]
         # 30 resamples of n=100 over 400 doubles a block: 8 blocks of 4 or less
         monkeypatch.setattr(bootstrap_module, "BATCH_DOUBLES", 400)
         blocks.clear()
         several = _gcomp_ci(
-            data, q_spec, operator.sub, config, np.random.default_rng(9)
+            data, q_spec, operator.sub, replications, np.random.default_rng(9)
         )
         assert blocks == [4] * 7 + [2]
         np.testing.assert_allclose(several, one, rtol=0, atol=1e-12)

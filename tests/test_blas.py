@@ -72,7 +72,7 @@ def test_run_study_workers_run_one_thread(method, two_numpy_threads, monkeypatch
 
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", ProbedPool)
     spec = make_scenario("covid", 40, 0.0)
-    run_study(spec, ("crude",), "rd", 2, None, 1, 0.0, workers=2)
+    run_study(spec, ("crude",), "rd", 2, 0, 1, 0.0, workers=2)
     (probe,) = probes
     assert numpy_entry(probe.result(timeout=120))["threads_before"] == 1
     # a forked worker inherited 2; the parent keeps its own count

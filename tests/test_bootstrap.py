@@ -4,7 +4,7 @@ from scipy.stats import chi2
 
 from helpers import take_rows
 from smallcausal import bootstrap as bootstrap_module
-from smallcausal.bootstrap import PERCENTILES, BootstrapConfig, bootstrap_percentile_ci
+from smallcausal.bootstrap import PERCENTILES, bootstrap_percentile_ci
 from smallcausal.data import Dataset
 from smallcausal.errors import BootstrapCollapseError
 from smallcausal.streams import derive_substream
@@ -20,11 +20,10 @@ def tiny_dataset(n, rng):
 
 def test_constant_estimator_degenerate_interval():
     data = tiny_dataset(20, np.random.default_rng(0))
-    ci = bootstrap_percentile_ci(
-        data, lambda idx: np.full(len(idx), 3.25), BootstrapConfig(replications=50),
-        np.random.default_rng(1),
+    cis = bootstrap_percentile_ci(
+        data, lambda idx: np.full((len(idx), 2), 3.25), 50, np.random.default_rng(1)
     )
-    assert ci == (3.25, 3.25)
+    assert cis == [(3.25, 3.25), (3.25, 3.25)]
 
 
 def test_mean_interval_width_near_normal_theory():
@@ -33,10 +32,10 @@ def test_mean_interval_width_near_normal_theory():
     n = 400
     rng = np.random.default_rng(2)
     data = tiny_dataset(n, rng)
-    ci = bootstrap_percentile_ci(
+    (ci,) = bootstrap_percentile_ci(
         data,
-        lambda idx: data.outcome[idx].mean(axis=1),
-        BootstrapConfig(replications=2000),
+        lambda idx: data.outcome[idx].mean(axis=1)[:, None],
+        2000,
         np.random.default_rng(3),
     )
     width = ci[1] - ci[0]
@@ -46,19 +45,18 @@ def test_mean_interval_width_near_normal_theory():
 
 def test_reproducible_bit_exact():
     data = tiny_dataset(30, np.random.default_rng(4))
-    est = lambda idx: (data.outcome[idx] - data.treatment[idx]).mean(axis=1)
-    cfg = BootstrapConfig(replications=4)
-    first = bootstrap_percentile_ci(data, est, cfg, derive_substream(9, "x", 0, "boot"))
-    second = bootstrap_percentile_ci(data, est, cfg, derive_substream(9, "x", 0, "boot"))
+    est = lambda idx: (data.outcome[idx] - data.treatment[idx]).mean(axis=1)[:, None]
+    first = bootstrap_percentile_ci(data, est, 4, derive_substream(9, "x", 0, "boot"))
+    second = bootstrap_percentile_ci(data, est, 4, derive_substream(9, "x", 0, "boot"))
     assert first == second
 
 
 def test_lower_bounded_by_upper():
     data = tiny_dataset(25, np.random.default_rng(5))
-    ci = bootstrap_percentile_ci(
+    (ci,) = bootstrap_percentile_ci(
         data,
-        lambda idx: data.outcome[idx].mean(axis=1),
-        BootstrapConfig(replications=200),
+        lambda idx: data.outcome[idx].mean(axis=1)[:, None],
+        200,
         np.random.default_rng(6),
     )
     assert ci[0] <= ci[1]
@@ -73,12 +71,10 @@ def test_collapse_when_most_replicates_fail():
         for _ in idx:
             calls["n"] += 1
             values.append(np.nan if calls["n"] % 4 != 0 else 0.0)
-        return np.array(values)
+        return np.array(values)[:, None]
 
-    with pytest.raises(BootstrapCollapseError):
-        bootstrap_percentile_ci(
-            data, flaky, BootstrapConfig(replications=100), np.random.default_rng(8)
-        )
+    (ci,) = bootstrap_percentile_ci(data, flaky, 100, np.random.default_rng(8))
+    assert isinstance(ci, BootstrapCollapseError)
 
 
 def test_resample_indices_uniform_chisquare():
@@ -93,9 +89,14 @@ def test_resample_indices_uniform_chisquare():
     assert stat < chi2.ppf(0.999, df=n - 1)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        BootstrapConfig(replications=1)
+def test_fewer_than_two_replications_refused():
+    data = tiny_dataset(10, np.random.default_rng(7))
+    for replications in (1, -3):
+        with pytest.raises(ValueError, match="at least 2"):
+            bootstrap_percentile_ci(
+                data, lambda idx: np.zeros((len(idx), 1)), replications,
+                np.random.default_rng(8),
+            )
 
 
 def nan_on_every_third(data, indices, calls):
@@ -114,26 +115,20 @@ def test_non_finite_resamples_are_dropped(monkeypatch, non_finite):
 
     def estimator(indices):
         values = nan_on_every_third(data, indices, calls)
-        return np.where(np.isnan(values), non_finite, values)
+        return np.where(np.isnan(values), non_finite, values)[:, None]
 
-    ci = bootstrap_percentile_ci(
-        data, estimator, BootstrapConfig(replications=60), np.random.default_rng(11)
-    )
+    (ci,) = bootstrap_percentile_ci(data, estimator, 60, np.random.default_rng(11))
     assert np.isfinite(ci).all()
     assert calls["n"] == 60
     monkeypatch.setattr(bootstrap_module, "MAX_FAILURE_FRACTION", 0.3)
-    with pytest.raises(BootstrapCollapseError):
-        bootstrap_percentile_ci(
-            data, estimator, BootstrapConfig(replications=60),
-            np.random.default_rng(11),
-        )
+    (ci,) = bootstrap_percentile_ci(data, estimator, 60, np.random.default_rng(11))
+    assert isinstance(ci, BootstrapCollapseError)
 
 
 def test_block_values_match_a_loop_over_resamples():
     data = tiny_dataset(30, np.random.default_rng(12))
-    cfg = BootstrapConfig(replications=50)
-    block = bootstrap_percentile_ci(
-        data, lambda idx: data.outcome[idx].mean(axis=1), cfg,
+    (block,) = bootstrap_percentile_ci(
+        data, lambda idx: data.outcome[idx].mean(axis=1)[:, None], 50,
         np.random.default_rng(13),
     )
     # the same resamples, one at a time in the rows of their one draw

@@ -77,6 +77,33 @@ class TestCalibrate:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_config_target_effect_of_the_wrong_type_refused(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"target_effect": "0.16"}))
+        rc = run_cli("calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "c"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config field 'target_effect' must be a number or null" in err
+        assert not (tmp_path / "c_calibration.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["summarize", "--methods", "crude"],
+        ["summarize", "--estimand", "or"],
+        ["calibrate", "--bootstrap", "7"],
+        ["calibrate", "--methods", "nonsense"],
+        ["calibrate", "--n", "40"],
+        ["analyze", "--workers", "2"],
+    ],
+)
+def test_a_flag_the_subcommand_does_not_read_is_refused(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(argv)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_csv_schema_and_determinism(self, tmp_path):
@@ -322,6 +349,13 @@ class TestSimulate:
             ("methods", "crude", "a list of strings"),
             ("methods", ["crude", 3], "a list of strings"),
             ("categorical", "status", "a list of strings"),
+            ("beta_trt", "0.5", "a number or null"),
+            ("beta_trt", True, "a number or null"),
+            ("target_effect", "0.16", "a number or null"),
+            ("beta0_override", "-1.5", "a number or null"),
+            ("true_effect", "x", "a number or null"),
+            ("workers", True, '"auto" or an integer'),
+            ("workers", "2", '"auto" or an integer'),
         ],
     )
     def test_config_field_of_the_wrong_type_refused(

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from smallcausal import bootstrap as bootstrap_module
-from smallcausal.bootstrap import BootstrapConfig
 from smallcausal.data import Dataset
 from smallcausal.errors import EstimationError, ExtremeOrError
 from smallcausal.estimators import (
@@ -71,7 +70,7 @@ class TestFailureTags:
             data,
             "gcomp",
             ESTIMAND_RD,
-            bootstrap=BootstrapConfig(replications=200),
+            bootstrap=200,
             rng=derive_substream(3, "edge", 0, "boot"),
         )
         assert est.failed and est.failure_reason == "BootstrapCollapse"

@@ -6,7 +6,6 @@ import pytest
 from scipy.special import expit
 
 from smallcausal import estimators, simulation
-from smallcausal.bootstrap import BootstrapConfig
 from smallcausal.data import Dataset
 from smallcausal.errors import ReplicateError
 from smallcausal.estimators import (
@@ -232,14 +231,13 @@ class TestGcompRd:
 
     def test_bootstrap_ci_present_and_deterministic(self):
         data = random_dataset(10, n=60)
-        cfg = BootstrapConfig(replications=40)
         first = estimate_effect(
             data, "gcomp", ESTIMAND_RD,
-            bootstrap=cfg, rng=derive_substream(1, "t", 0, "b"),
+            bootstrap=40, rng=derive_substream(1, "t", 0, "b"),
         )
         second = estimate_effect(
             data, "gcomp", ESTIMAND_RD,
-            bootstrap=cfg, rng=derive_substream(1, "t", 0, "b"),
+            bootstrap=40, rng=derive_substream(1, "t", 0, "b"),
         )
         assert first.ci == second.ci
         assert first.ci[0] <= first.point <= first.ci[1]
@@ -415,7 +413,14 @@ class TestEstimateEffects:
         with pytest.raises(ValueError, match="repeated"):
             estimate_effects(
                 data, ("gcomp", "crude", "gcomp"), estimand,
-                BootstrapConfig(replications=10), np.random.default_rng(0),
+                10, np.random.default_rng(0),
+            )
+
+    def test_one_bootstrap_replication_refused(self):
+        data = random_dataset(21, n=60)
+        with pytest.raises(ValueError, match="at least 2"):
+            estimate_effects(
+                data, ("gcomp",), ESTIMAND_RD, bootstrap=1, rng=np.random.default_rng(0)
             )
 
     def test_non_finite_success_raises(self, monkeypatch):
@@ -427,7 +432,7 @@ class TestEstimateEffects:
             estimate_effects(random_dataset(20, n=40), ("crude",), ESTIMAND_RD)
         spec = simulation.make_scenario("covid", 40, 0.5)
         with pytest.raises(ReplicateError, match="ArithmeticError"):
-            simulation.run_replicate(spec, ("crude",), "rd", None, 3, 5, 0.1)
+            simulation.run_replicate(spec, ("crude",), "rd", 0, 3, 5)
 
     @pytest.mark.parametrize("estimand", [ESTIMAND_RD, ESTIMAND_LOG_OR])
     def test_iptw_weight_overflow_fails_as_separation(self, monkeypatch, estimand):

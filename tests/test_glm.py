@@ -9,7 +9,6 @@ from scipy.stats import norm
 
 from helpers import weighted_sandwich_covariance
 from smallcausal import glm
-from smallcausal.bootstrap import BootstrapConfig
 from smallcausal.errors import (
     LeverageOneError,
     NotConvergedError,
@@ -230,6 +229,19 @@ class TestFitLogistic:
 
 
 class TestWeightedSandwich:
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_unweighted_fit_is_the_unit_weight_fit_bit_for_bit(self, seed):
+        X, y = random_design(seed, k=3)
+        plain = fit_ols(X, y)
+        unit = fit_ols(X, y, weights=np.ones(len(y)))
+        for name in ("coefficients", "residuals", "hat_diagonals", "covariance"):
+            np.testing.assert_array_equal(getattr(plain, name), getattr(unit, name))
+        assert plain.weights is None
+        hc3_covariance(plain, X)
+        with pytest.raises(ValueError, match="unweighted"):
+            hc3_covariance(unit, X)
+
     def test_unit_weights_reduce_to_hc0(self):
         X, y = random_design(7, n=25, k=2)
         fit = fit_ols(X, y)
@@ -341,8 +353,8 @@ class TestOneBlasPool:
     @pytest.mark.parametrize(
         "scenario, beta0, n, estimand, methods, bootstrap",
         [
-            ("covid", None, 1000, "rd", RD_METHODS, None),
-            ("austin", -1.5, 100, "or", OR_METHODS, BootstrapConfig(20)),
+            ("covid", None, 1000, "rd", RD_METHODS, 0),
+            ("austin", -1.5, 100, "or", OR_METHODS, 20),
         ],
     )
     def test_scipy_solves_get_vectors_only(
@@ -358,8 +370,8 @@ class TestOneBlasPool:
 
         monkeypatch.setattr(glm, "_solve_r", recording_solve)
         spec = make_scenario(scenario, n, 1.0, beta0)
-        result = run_replicate(spec, methods, estimand, bootstrap, 7, 0, 0.0)
-        assert any(not est.failed for est in result.estimates.values())
+        estimates = run_replicate(spec, methods, estimand, bootstrap, 7, 0)
+        assert any(not est.failed for est in estimates.values())
         assert shapes and all(len(shape) == 1 for shape in shapes)
 
     @pytest.mark.parametrize("scenario, beta0", [("covid", None), ("austin", -1.5)])

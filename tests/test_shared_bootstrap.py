@@ -10,7 +10,6 @@ import pytest
 
 from smallcausal import bootstrap as bootstrap_module
 from smallcausal import estimators
-from smallcausal.bootstrap import BootstrapConfig
 from smallcausal.errors import SeparationError
 from smallcausal.estimators import (
     ESTIMAND_LOG_OR,
@@ -28,7 +27,7 @@ CASES = [
     ("covid", None, ESTIMAND_LOG_OR),
     ("austin", -1.5, ESTIMAND_LOG_OR),
 ]
-CONFIG = BootstrapConfig(replications=30)
+REPLICATIONS = 30
 
 
 def scenario_data(scenario, beta0, seed=3, n=100):
@@ -40,8 +39,8 @@ def gcomp_ids(estimand):
     return tuple(m for m, row in METHODS[estimand].items() if row.q_spec)
 
 
-def cis(data, methods, estimand, seed=11, config=CONFIG):
-    out = estimate_effects(data, methods, estimand, config, np.random.default_rng(seed))
+def cis(data, methods, estimand, seed=11, bootstrap=REPLICATIONS):
+    out = estimate_effects(data, methods, estimand, bootstrap, np.random.default_rng(seed))
     return {m: out[m] for m in gcomp_ids(estimand) if m in out}
 
 
@@ -84,7 +83,7 @@ def test_standalone_interval_equals_the_shared_one(scenario, beta0, estimand):
     shared = cis(data, tuple(METHODS[estimand]), estimand)
     for method in gcomp_ids(estimand):
         rng = np.random.default_rng(11)
-        alone = estimate_effect(data, method, estimand, ps, None, CONFIG, rng)
+        alone = estimate_effect(data, method, estimand, ps, None, REPLICATIONS, rng)
         assert alone == shared[method]
 
 
@@ -104,8 +103,7 @@ def test_a_collapse_fails_only_its_own_method(monkeypatch):
     # no resample may drop: plain keeps all of them here, simple_dr does not
     data = scenario_data("austin", -1.5, seed=1)
     monkeypatch.setattr(bootstrap_module, "MAX_FAILURE_FRACTION", 0.0)
-    strict = BootstrapConfig(replications=40)
-    out = cis(data, gcomp_ids(ESTIMAND_LOG_OR), ESTIMAND_LOG_OR, config=strict)
+    out = cis(data, gcomp_ids(ESTIMAND_LOG_OR), ESTIMAND_LOG_OR, bootstrap=40)
     assert out["gcomp_simple_dr"].failure_reason == "BootstrapCollapse"
     assert not out["gcomp"].failed and out["gcomp"].ci is not None
 
@@ -114,6 +112,6 @@ def test_no_draw_without_bootstrap():
     data = scenario_data("covid", None)
     rng = np.random.default_rng(2)
     state = rng.bit_generator.state
-    out = estimate_effects(data, tuple(METHODS[ESTIMAND_RD]), ESTIMAND_RD, None, rng)
+    out = estimate_effects(data, tuple(METHODS[ESTIMAND_RD]), ESTIMAND_RD, 0, rng)
     assert all(est.ci is None for est in out.values() if est.method.startswith("gcomp"))
     assert rng.bit_generator.state == state

@@ -5,12 +5,10 @@ import pytest
 
 from helpers import monte_carlo_truth, summarize_oracle
 from smallcausal import simulation
-from smallcausal.bootstrap import BootstrapConfig
 from smallcausal.errors import NotBracketedError
 from smallcausal.estimators import ESTIMAND_RD, RD_METHODS, EffectEstimate
 from smallcausal.simulation import (
     CounterfactualTruth,
-    ReplicateResult,
     calibrate_beta_trt,
     generate,
     make_scenario,
@@ -198,24 +196,22 @@ class TestCalibration:
 class TestReplicates:
     def test_replicate_deterministic(self):
         spec = make_scenario("covid", 60, 0.5)
-        a = run_replicate(spec, ("crude",), "rd", None, 3, 5, 0.1)
-        b = run_replicate(spec, ("crude",), "rd", None, 3, 5, 0.1)
-        assert a.estimates["crude"] == b.estimates["crude"]
+        a = run_replicate(spec, ("crude",), "rd", 0, 3, 5)
+        b = run_replicate(spec, ("crude",), "rd", 0, 3, 5)
+        assert a["crude"] == b["crude"]
 
     def test_degenerate_draw_still_returns_full_registry(self):
         # at n=2 single-arm draws happen; every method must report
         spec = make_scenario("covid", 2, 0.0)
         for i in range(10):
-            res = run_replicate(spec, RD_METHODS, "rd", None, 11, i, 0.0)
-            assert set(res.estimates) == set(RD_METHODS)
+            estimates = run_replicate(spec, RD_METHODS, "rd", 0, 11, i)
+            assert set(estimates) == set(RD_METHODS)
 
     def test_worker_count_invariance(self):
         spec = make_scenario("covid", 50, 0.0)
-        cfg = BootstrapConfig(replications=20)
-        r1, s1 = run_study(spec, ("crude", "gcomp"), "rd", 6, cfg, 21, 0.0, workers=1)
-        r2, s2 = run_study(spec, ("crude", "gcomp"), "rd", 6, cfg, 21, 0.0, workers=3)
-        for a, b in zip(r1, r2):
-            assert a.estimates == b.estimates
+        r1, s1 = run_study(spec, ("crude", "gcomp"), "rd", 6, 20, 21, 0.0, workers=1)
+        r2, s2 = run_study(spec, ("crude", "gcomp"), "rd", 6, 20, 21, 0.0, workers=3)
+        assert r1 == r2
         assert s1 == s2
 
 
@@ -238,14 +234,14 @@ class TestSummarize:
                     se,
                     (points[i] - 2 * se, points[i] + 2 * se),
                 )
-            results.append(ReplicateResult(i, {"crude": est}, 0.2))
+            results.append({"crude": est})
         return results
 
     def test_matches_spreadsheet_oracle(self):
         results = self.synthetic_results(np.random.default_rng(13))
         summary = summarize(results, 0.2)
-        got = summary.per_method["crude"]
-        ests = [r.estimates["crude"] for r in results]
+        got = summary["crude"]
+        ests = [r["crude"] for r in results]
         expected = summarize_oracle(
             [e.point for e in ests],
             [e.ci[0] if e.ci else None for e in ests],
@@ -264,8 +260,7 @@ class TestSummarize:
 
     def test_single_perfect_replicate(self):
         est = EffectEstimate(ESTIMAND_RD, "crude", 0.3, 0.1, (0.1, 0.5))
-        summary = summarize([ReplicateResult(0, {"crude": est}, 0.3)], 0.3)
-        m = summary.per_method["crude"]
+        m = summarize([{"crude": est}], 0.3)["crude"]
         assert m.mean_bias == 0.0 and m.rmse == 0.0 and m.coverage == 1.0
 
     def test_symmetric_errors(self):
@@ -273,8 +268,7 @@ class TestSummarize:
             EffectEstimate(ESTIMAND_RD, "crude", 0.3 + e, 0.1, (0.0, 1.0))
             for e in (-0.05, 0.05)
         ]
-        results = [ReplicateResult(i, {"crude": e}, 0.3) for i, e in enumerate(ests)]
-        m = summarize(results, 0.3).per_method["crude"]
+        m = summarize([{"crude": e} for e in ests], 0.3)["crude"]
         assert m.mean_bias == pytest.approx(0.0, abs=1e-15)
         assert m.rmse == pytest.approx(0.05)
         assert m.mae == pytest.approx(0.05)
@@ -283,7 +277,5 @@ class TestSummarize:
         est = EffectEstimate(
             ESTIMAND_RD, "crude", None, failed=True, failure_reason="NoPairs"
         )
-        m = summarize([ReplicateResult(0, {"crude": est}, 0.0)], 0.0).per_method[
-            "crude"
-        ]
+        m = summarize([{"crude": est}], 0.0)["crude"]
         assert m.rmse is None and m.n_failures == 1
