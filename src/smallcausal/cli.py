@@ -188,8 +188,15 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             if type(file_fields[key]) is not int:  # a bool is refused too
                 raise CliError(f"config field {key!r} must be an integer")
         for key in NUMBER_FIELDS & file_fields.keys():
-            if type(file_fields[key]) not in (int, float, type(None)):  # nor bool
+            value = file_fields[key]
+            if type(value) not in (int, float, type(None)):  # nor bool
                 raise CliError(f"config field {key!r} must be a number or null")
+            try:  # json reads NaN and Infinity
+                finite = value is None or math.isfinite(value)
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
+                raise CliError(f"config field {key!r} must be finite")
         workers = file_fields.get("workers", "auto")
         if workers != "auto" and type(workers) is not int:
             raise CliError("config field 'workers' must be \"auto\" or an integer")
@@ -205,6 +212,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise CliError(f"unknown profile {profile!r}")
         for key, value in PROFILES[profile].items():
             fields.setdefault(key, value)
+    for flag, keywords in FLAGS.items():  # float() reads nan and inf
+        value = getattr(args, keywords.get("dest", flag[2:].replace("-", "_")), None)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CliError(f"{flag} must be finite")
     for key in RunConfig.__dataclass_fields__:
         value = getattr(args, key, None)
         if value is not None and key in LIST_FIELDS:  # comma-separated

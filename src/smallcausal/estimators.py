@@ -11,7 +11,8 @@ whether it needs a propensity score or a matched sample, its body and, for
 g-computation, its Q-model.  ``RD_METHODS``, ``OR_METHODS``,
 :func:`shared_inputs`, :func:`estimate_effect`, :func:`estimate_effects` and
 the command line all read that table, so adding a method means adding one
-row (and the body it calls).
+row (and the body it calls).  How an estimand contrasts g-computation's
+counterfactual means is the registry fact ``CONTRASTS``.
 """
 
 from __future__ import annotations
@@ -66,6 +67,15 @@ OR_FAILURE_THRESHOLD = 3000.0
 _LOG_OR_FAILURE = math.log(OR_FAILURE_THRESHOLD)
 
 
+def _log_or(m1, m0):
+    """Log odds ratio of two counterfactual means (or arrays of them); NaN
+    when a mean is on the boundary 0 or 1, or NaN itself."""
+    inside = (np.minimum(m1, m0) > 0.0) & (np.maximum(m1, m0) < 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_or = np.log(m1) - np.log1p(-m1) - np.log(m0) + np.log1p(-m0)
+    return np.where(inside, log_or, np.nan)
+
+
 @dataclass(frozen=True)
 class Method:
     """One registry row.
@@ -88,6 +98,13 @@ class Method:
     q_spec: str | None = None
 
 
+def _gcomp_row(id: str, estimand: str, q_spec: str) -> Method:
+    """The registry row of a g-computation method: :func:`_gcomp` with the
+    Q-model ``q_spec``, which needs a propensity score unless it is plain."""
+    return Method(id, estimand, q_spec != "plain", False,
+                  lambda d, ps, m: _gcomp(d, q_spec, ps, estimand), q_spec)
+
+
 _RD, _OR = ESTIMAND_RD, ESTIMAND_LOG_OR
 _ROWS = (
     Method("crude", _RD, False, False,
@@ -101,12 +118,9 @@ _ROWS = (
     Method("matched", _RD, True, True, lambda d, ps, m: _matched_rd(d, m)),
     Method("iptw", _RD, True, False,
            lambda d, ps, m: _iptw_rd(d, iptw_weights(ps, d.treatment))),
-    Method("gcomp", _RD, False, False, lambda d, ps, m: _gcomp_rd(d, "plain", None),
-           "plain"),
-    Method("gcomp_simple_dr", _RD, True, False,
-           lambda d, ps, m: _gcomp_rd(d, "simple_dr", ps), "simple_dr"),
-    Method("gcomp_dr_quintiles", _RD, True, False,
-           lambda d, ps, m: _gcomp_rd(d, "dr_quintiles", ps), "dr_quintiles"),
+    _gcomp_row("gcomp", _RD, "plain"),
+    _gcomp_row("gcomp_simple_dr", _RD, "simple_dr"),
+    _gcomp_row("gcomp_dr_quintiles", _RD, "dr_quintiles"),
     Method("aipw", _RD, True, False, lambda d, ps, m: _aipw_rd(d, ps)),
     Method("crude", _OR, False, False,
            lambda d, ps, m: _logistic_or(_intercept_design(d.treatment), d.outcome)),
@@ -124,12 +138,9 @@ _ROWS = (
            lambda d, ps, m: _logistic_or(
                _intercept_design(d.treatment), d.outcome,
                iptw_weights(ps, d.treatment))),
-    Method("gcomp", _OR, False, False, lambda d, ps, m: _gcomp_or(d, "plain", None),
-           "plain"),
-    Method("gcomp_simple_dr", _OR, True, False,
-           lambda d, ps, m: _gcomp_or(d, "simple_dr", ps), "simple_dr"),
-    Method("gcomp_dr_quintiles", _OR, True, False,
-           lambda d, ps, m: _gcomp_or(d, "dr_quintiles", ps), "dr_quintiles"),
+    _gcomp_row("gcomp", _OR, "plain"),
+    _gcomp_row("gcomp_simple_dr", _OR, "simple_dr"),
+    _gcomp_row("gcomp_dr_quintiles", _OR, "dr_quintiles"),
 )
 
 #: the registry: estimand -> method id -> row; CSV rows follow this order
@@ -140,6 +151,9 @@ METHODS = {
 #: fixed registry ids used in every CSV/JSON output
 RD_METHODS = tuple(METHODS[ESTIMAND_RD])
 OR_METHODS = tuple(METHODS[ESTIMAND_LOG_OR])
+#: how each estimand contrasts g-computation's counterfactual means
+#: ``(m1, m0)``; the point and every bootstrap resample read it
+CONTRASTS = {ESTIMAND_RD: operator.sub, ESTIMAND_LOG_OR: _log_or}
 
 
 @dataclass(frozen=True)
@@ -286,11 +300,17 @@ def _q_means(
     return means[0], means[1], status
 
 
-def _gcomp_means(
-    data: Dataset, q_spec: str, ps: PropensityScores | None
-) -> tuple[float, float]:
-    """Counterfactual outcome means from a Q-model fitted on the given PS:
-    the one-row call of :func:`_q_means`, every count 1.
+def _gcomp(data: Dataset, q_spec: str, ps: PropensityScores | None, estimand: str):
+    """Outcome-model standardization: predict both potential outcomes for
+    every subject and contrast the averages as ``CONTRASTS[estimand]`` says.
+
+    ``q_spec`` selects the Q-model: ``plain`` (treatment + covariates),
+    ``simple_dr`` (adds the signed inverse-probability covariate of the
+    given PS) or ``dr_quintiles`` (adds four score-quintile dummies).  The
+    means are the one-row call of :func:`_q_means`, every count 1.  The
+    interval is a percentile bootstrap that refits the whole pipeline
+    (propensity model included) inside each resample
+    (:func:`_with_gcomp_cis`).
 
     Fewer than 5 distinct logits (``dr_quintiles``) raise
     DegenerateStrataError; a Q fit that fails raises RankDeficientError or
@@ -315,14 +335,21 @@ def _gcomp_means(
         raise NotConvergedError("outcome-model IRLS did not converge")
     if math.isnan(m1) or math.isnan(m0):
         raise SeparationError("counterfactual mean is not finite")
-    return float(m1), float(m0)
+    point = float(CONTRASTS[estimand](m1, m0))
+    if estimand == ESTIMAND_RD:
+        return point, None, None
+    # the extreme-OR rule applies to the point only, so a method it fails
+    # never enters the bootstrap pass; resamples drop on the boundary check
+    if math.isnan(point):  # the means are never NaN here
+        raise ExtremeOrError("counterfactual mean on the boundary")
+    return _or_point_guard(point), None, None
 
 
 def _gcomp_batch_means(
     data: Dataset, q_specs: tuple[str, ...], indices: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """:func:`_gcomp_means` for every resample of a ``(b, n)`` index block,
-    for each Q-model spec in ``q_specs``.
+    """The counterfactual means of :func:`_gcomp` for every resample of a
+    ``(b, n)`` index block, for each Q-model spec in ``q_specs``.
 
     A resample is its row counts, so the propensity and Q-models are
     count-weighted fits on the original rows.  The counts, the propensity
@@ -361,33 +388,6 @@ def _gcomp_batch_means(
     return means
 
 
-def _gcomp_cis(
-    data: Dataset,
-    q_specs: tuple[str, ...],
-    contrast: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    bootstrap: int,
-    rng: np.random.Generator | None,
-) -> list:
-    """Percentile intervals of ``contrast(m1, m0)`` for each Q-model spec,
-    from one pass of ``bootstrap`` resamples over one index draw from ``rng``.
-
-    Every resample refits the whole pipeline, propensity model included, a
-    block at a time by :func:`_gcomp_batch_means`; a NaN contrast drops the
-    resample for its spec.  One entry per spec: ``(lo, hi)``, or the
-    BootstrapCollapseError of that spec alone.
-    """
-    if rng is None:
-        raise ValueError("bootstrap interval needs a random stream")
-
-    def estimator(indices: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [contrast(m1, m0) for m1, m0 in _gcomp_batch_means(data, q_specs, indices)],
-            axis=1,
-        )
-
-    return bootstrap_percentile_ci(data, estimator, bootstrap, rng)
-
-
 def _with_gcomp_cis(
     data: Dataset,
     estimates: list[EffectEstimate],
@@ -395,36 +395,35 @@ def _with_gcomp_cis(
     rng: np.random.Generator | None,
 ) -> list[EffectEstimate]:
     """The successful g-computation estimates of one estimand, each with its
-    percentile interval from the one bootstrap pass they share.
+    percentile interval from the one pass of ``bootstrap`` resamples they
+    share, over one index draw from ``rng``.
 
-    A collapsed interval fails its own method only.  With ``bootstrap`` 0
-    or without estimates nothing is drawn from ``rng``.
+    Every resample refits the whole pipeline, propensity model included, a
+    block at a time by :func:`_gcomp_batch_means`, and contrasts its means
+    as the point does (``CONTRASTS``); a NaN contrast drops the resample
+    for its method.  A collapsed interval fails its own method only.  With
+    ``bootstrap`` 0 or without estimates nothing is drawn from ``rng``.
     """
     if not bootstrap or not estimates:
         return estimates
+    if rng is None:
+        raise ValueError("bootstrap interval needs a random stream")
     estimand = estimates[0].estimand
     q_specs = tuple(METHODS[estimand][est.method].q_spec for est in estimates)
-    contrast = operator.sub if estimand == ESTIMAND_RD else _log_or
-    cis = _gcomp_cis(data, q_specs, contrast, bootstrap, rng)
+    contrast = CONTRASTS[estimand]
+
+    def estimator(indices: np.ndarray) -> np.ndarray:
+        return np.stack(
+            [contrast(m1, m0) for m1, m0 in _gcomp_batch_means(data, q_specs, indices)],
+            axis=1,
+        )
+
+    cis = bootstrap_percentile_ci(data, estimator, bootstrap, rng)
     return [
         _failed(estimand, est.method, ci) if isinstance(ci, EstimationError)
         else replace(est, ci=ci)
         for est, ci in zip(estimates, cis)
     ]
-
-
-def _gcomp_rd(data: Dataset, q_spec: str, ps: PropensityScores | None):
-    """Outcome-model standardization: predict both potential outcomes for
-    every subject and contrast the averages.
-
-    ``q_spec`` selects the Q-model: ``plain`` (treatment + covariates),
-    ``simple_dr`` (adds the signed inverse-probability covariate) or
-    ``dr_quintiles`` (adds four score-quintile dummies).  The interval is a
-    percentile bootstrap that refits the whole pipeline (propensity model
-    included) inside each resample (:func:`_with_gcomp_cis`).
-    """
-    m1, m0 = _gcomp_means(data, q_spec, ps)
-    return m1 - m0, None, None
 
 
 def _aipw_rd(data: Dataset, ps: PropensityScores):
@@ -511,24 +510,6 @@ def _match_conditional_or(data: Dataset, matched: MatchedSample):
     point = _or_point_guard(math.log(b / c))
     se = math.sqrt(1.0 / b + 1.0 / c)
     return point, se, wald_ci(point, se)
-
-
-def _log_or(m1, m0):
-    """Log odds ratio of two counterfactual means (or arrays of them); NaN
-    when a mean is on the boundary 0 or 1, or NaN itself."""
-    inside = (np.minimum(m1, m0) > 0.0) & (np.maximum(m1, m0) < 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_or = np.log(m1) - np.log1p(-m1) - np.log(m0) + np.log1p(-m0)
-    return np.where(inside, log_or, np.nan)
-
-
-def _gcomp_or(data: Dataset, q_spec: str, ps: PropensityScores | None):
-    # the extreme-OR rule applies to the point only, so a method it fails
-    # never enters the bootstrap pass; resamples drop on the boundary check
-    point = float(_log_or(*_gcomp_means(data, q_spec, ps)))
-    if math.isnan(point):  # the means are never NaN here
-        raise ExtremeOrError("counterfactual mean on the boundary")
-    return _or_point_guard(point), None, None
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """The batched g-computation bootstrap against the scalar path it replaces."""
 
 import math
-import operator
 import warnings
 
 import numpy as np
@@ -16,13 +15,15 @@ from smallcausal.errors import (
     RankDeficientError,
 )
 from smallcausal.estimators import (
+    CONTRASTS,
     ESTIMAND_LOG_OR,
     ESTIMAND_RD,
+    METHODS,
     OR_FAILURE_THRESHOLD,
-    _gcomp_cis,
-    _gcomp_means,
+    EffectEstimate,
     _intercept_design,
-    _log_or,
+    _q_means,
+    _with_gcomp_cis,
     estimate_effect,
 )
 from smallcausal.glm import (
@@ -417,7 +418,7 @@ class TestPointAgainstDenseOracle:
             assert {"ExtremeOR", "NotConverged", "RankDeficient"} <= tags
 
 
-def scalar_ci(data, q_spec, contrast, replications, rng):
+def scalar_ci(data, q_spec, estimand, replications, rng):
     """The g-computation bootstrap as an explicit loop of dense scalar fits
     (:func:`helpers.gcomp_oracle`)."""
     n = data.n_subjects
@@ -428,7 +429,7 @@ def scalar_ci(data, q_spec, contrast, replications, rng):
             if resample.n_treated in (0, n):
                 raise RankDeficientError("single-arm")
             logits = None if q_spec == "plain" else estimate_ps(resample).logits
-            value = float(contrast(*gcomp_oracle(resample, q_spec, logits)[:2]))
+            value = float(CONTRASTS[estimand](*gcomp_oracle(resample, q_spec, logits)[:2]))
         except EstimationError:
             dropped += 1
             continue
@@ -440,13 +441,15 @@ def scalar_ci(data, q_spec, contrast, replications, rng):
     return (lo, hi), dropped
 
 
-def _gcomp_ci(data, q_spec, contrast, replications, rng):
+def _gcomp_ci(data, q_spec, estimand, replications, rng):
     """The bootstrap pass with one Q-model spec: its one interval."""
-    (ci,) = _gcomp_cis(data, (q_spec,), contrast, replications, rng)
-    return ci
+    method = next(m for m, row in METHODS[estimand].items() if row.q_spec == q_spec)
+    estimate = EffectEstimate(estimand, method, 0.0)
+    (est,) = _with_gcomp_cis(data, [estimate], replications, rng)
+    return est.ci
 
 
-def counted_ci(monkeypatch, data, q_spec, contrast, replications, rng):
+def counted_ci(monkeypatch, data, q_spec, estimand, replications, rng):
     """``_gcomp_ci`` plus the number of resamples it dropped."""
     real = bootstrap_module.bootstrap_percentile_ci
     dropped = []
@@ -460,20 +463,23 @@ def counted_ci(monkeypatch, data, q_spec, contrast, replications, rng):
         return real(data, counting, replications, rng)
 
     monkeypatch.setattr(estimators, "bootstrap_percentile_ci", spy)
-    return _gcomp_ci(data, q_spec, contrast, replications, rng), sum(dropped)
+    return _gcomp_ci(data, q_spec, estimand, replications, rng), sum(dropped)
 
 
 class TestBatchedGcompCi:
     @pytest.mark.parametrize("q_spec", ["plain", "simple_dr", "dr_quintiles"])
-    @pytest.mark.parametrize("contrast", [operator.sub, _log_or])
-    def test_matches_scalar_loop(self, monkeypatch, q_spec, contrast):
+    # each id names the estimand's contrast
+    @pytest.mark.parametrize(
+        "estimand", [ESTIMAND_RD, ESTIMAND_LOG_OR], ids=lambda e: CONTRASTS[e].__name__
+    )
+    def test_matches_scalar_loop(self, monkeypatch, q_spec, estimand):
         data = scenario_data("covid", 5)
         replications = 40
         expected, expected_dropped = scalar_ci(
-            data, q_spec, contrast, replications, np.random.default_rng(6)
+            data, q_spec, estimand, replications, np.random.default_rng(6)
         )
         ci, dropped = counted_ci(
-            monkeypatch, data, q_spec, contrast, replications, np.random.default_rng(6)
+            monkeypatch, data, q_spec, estimand, replications, np.random.default_rng(6)
         )
         np.testing.assert_allclose(ci, expected, rtol=0, atol=1e-10)
         assert dropped == expected_dropped
@@ -482,10 +488,10 @@ class TestBatchedGcompCi:
         data = scenario_data("austin", 1, beta0=-1.5)
         replications = 40
         expected, expected_dropped = scalar_ci(
-            data, "simple_dr", _log_or, replications, np.random.default_rng(7)
+            data, "simple_dr", ESTIMAND_LOG_OR, replications, np.random.default_rng(7)
         )
         ci, dropped = counted_ci(
-            monkeypatch, data, "simple_dr", _log_or, replications,
+            monkeypatch, data, "simple_dr", ESTIMAND_LOG_OR, replications,
             np.random.default_rng(7),
         )
         assert expected_dropped > 0
@@ -507,13 +513,13 @@ class TestBatchedGcompCi:
             return real(data, recording, replications, rng)
 
         monkeypatch.setattr(estimators, "bootstrap_percentile_ci", spy)
-        one = _gcomp_ci(data, q_spec, operator.sub, replications, np.random.default_rng(9))
+        one = _gcomp_ci(data, q_spec, ESTIMAND_RD, replications, np.random.default_rng(9))
         assert blocks == [30]
         # 30 resamples of n=100 over 400 doubles a block: 8 blocks of 4 or less
         monkeypatch.setattr(bootstrap_module, "BATCH_DOUBLES", 400)
         blocks.clear()
         several = _gcomp_ci(
-            data, q_spec, operator.sub, replications, np.random.default_rng(9)
+            data, q_spec, ESTIMAND_RD, replications, np.random.default_rng(9)
         )
         assert blocks == [4] * 7 + [2]
         np.testing.assert_allclose(several, one, rtol=0, atol=1e-12)
@@ -555,7 +561,7 @@ class TestNonFiniteGcomp:
         i = np.flatnonzero(data.treatment == 1)[0]
         logits = np.linspace(-2.0, 1.0, data.n_subjects)
         logits[i] = 800.0
-        m1, m0 = _gcomp_means(data, "simple_dr", self.scores(data, logits))
+        (m1,), (m0,), _ = _q_means(data, "simple_dr", np.ones((1, 60)), logits[None], None)
         X = gcomp_design(data, "simple_dr", data.treatment, logits)
         coef = fit_logistic(X, data.outcome).coefficients
         X0 = gcomp_design(data, "simple_dr", np.zeros(60), logits)

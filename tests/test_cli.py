@@ -105,6 +105,20 @@ def test_a_flag_the_subcommand_does_not_read_is_refused(argv, capsys):
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["calibrate", "--target-effect", "nan"], "--target-effect"),
+        (["summarize", "--replicates-csv", "r.csv", "--true-effect=-inf"], "--true-effect"),
+    ],
+)
+def test_a_non_finite_number_flag_is_refused(tmp_path, capsys, argv, flag):
+    # argparse's float() reads nan and inf
+    assert run_cli(*argv, "--out", str(tmp_path / "x")) == 2
+    assert f"error: {flag} must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestSimulate:
     def test_csv_schema_and_determinism(self, tmp_path):
         common = [
@@ -286,6 +300,9 @@ class TestSimulate:
             ("--n", "-1"),
             ("--n", "0"),
             ("--n", "1"),
+            ("--beta-trt", "nan"),
+            ("--beta-trt", "inf"),
+            ("--beta0", "inf"),
         ],
     )
     def test_bad_run_sizes_refused(self, tmp_path, capsys, flag, value):
@@ -354,6 +371,11 @@ class TestSimulate:
             ("target_effect", "0.16", "a number or null"),
             ("beta0_override", "-1.5", "a number or null"),
             ("true_effect", "x", "a number or null"),
+            ("beta_trt", float("nan"), "finite"),
+            ("target_effect", float("inf"), "finite"),
+            ("beta0_override", float("-inf"), "finite"),
+            ("true_effect", float("nan"), "finite"),
+            pytest.param("beta_trt", 10**400, "finite", id="beta_trt-10**400-finite"),
             ("workers", True, '"auto" or an integer'),
             ("workers", "2", '"auto" or an integer'),
         ],

@@ -1,6 +1,8 @@
 """Coverage for the less-travelled paths: weighted logistic odds ratios,
 failure-tag propagation, and the collapse-chain invariant."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,14 @@ from smallcausal.errors import EstimationError, ExtremeOrError
 from smallcausal.estimators import (
     ESTIMAND_LOG_OR,
     ESTIMAND_RD,
+    OR_FAILURE_THRESHOLD,
     _or_point_guard,
     estimate_effect,
     estimate_effects,
 )
 from smallcausal.glm import fit_logistic, fit_ols, hc3_covariance, wald_ci
 from smallcausal.propensity import (
+    MatchedSample,
     PropensityScores,
     estimate_ps,
     iptw_weights,
@@ -96,6 +100,33 @@ class TestFailureTags:
         data = self.austin_n40(21, 0)
         est = estimate_effect(data, "ps_covariate", ESTIMAND_LOG_OR, estimate_ps(data))
         assert est.failed and est.failure_reason == "ExtremeOR"
+
+    def test_extreme_or_threshold_point_guard(self):
+        at = math.log(OR_FAILURE_THRESHOLD)
+        with pytest.raises(ExtremeOrError):
+            _or_point_guard(at)
+        below = math.nextafter(at, 0.0)
+        assert _or_point_guard(below) == below
+
+    @pytest.mark.parametrize("b, failed", [(3000, True), (2999, False)])
+    def test_extreme_or_threshold_through_match_conditional(self, b, failed):
+        # b pairs where only the treated member has the event, c = 1 where
+        # only the control has it
+        pairs = b + 1
+        a = np.repeat([1.0, 0.0], pairs)
+        y = np.zeros(2 * pairs)
+        y[:b] = 1.0
+        y[pairs + b] = 1.0
+        data = Dataset(np.zeros((2 * pairs, 0)), a, y)
+        matched = MatchedSample(tuple((i, pairs + i) for i in range(pairs)))
+        est = estimate_effect(
+            data, "match_conditional", ESTIMAND_LOG_OR, matched=matched
+        )
+        if failed:
+            assert est.failed and est.failure_reason == "ExtremeOR"
+        else:
+            assert est.point == math.log(b)
+            assert est.se == math.sqrt(1.0 / b + 1.0)
 
     def test_degenerate_strata_tag(self):
         # nine identical logits cannot form five strata

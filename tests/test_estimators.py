@@ -114,14 +114,18 @@ class TestPsCovariateRd:
         assert est.point == pytest.approx(crude.point, abs=2e-4)
 
 
+def matched_pairs(y_t, y_c):
+    """Treated subject i matched to control n + i, with outcomes y_t and y_c."""
+    n = len(y_t)
+    a = np.concatenate([np.ones(n), np.zeros(n)])
+    y = np.concatenate([y_t, y_c])
+    data = Dataset(np.zeros((2 * n, 0)), a, y)
+    matched = MatchedSample(tuple((i, n + i) for i in range(n)))
+    return data, matched
+
+
 class TestMatchedRd:
-    def pairs(self, y_t, y_c):
-        n = len(y_t)
-        a = np.concatenate([np.ones(n), np.zeros(n)])
-        y = np.concatenate([y_t, y_c])
-        data = Dataset(np.zeros((2 * n, 0)), a, y)
-        matched = MatchedSample(tuple((i, n + i) for i in range(n)))
-        return data, matched
+    pairs = staticmethod(matched_pairs)
 
     def test_formula_arithmetic(self):
         # b=3, c=1, n=10
@@ -351,6 +355,26 @@ class TestOrFamily:
         )
         assert est.point == pytest.approx(0.0)
         assert est.se == pytest.approx(math.sqrt(1 / 2 + 1 / 2))
+
+    def test_conditional_brute_force_pair_table(self):
+        outcomes = set()
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            y_t = (rng.random(8) < 0.6).astype(float)
+            y_c = (rng.random(8) < 0.4).astype(float)
+            data, matched = matched_pairs(y_t, y_c)
+            b = int(((y_t == 1) & (y_c == 0)).sum())
+            c = int(((y_t == 0) & (y_c == 1)).sum())
+            est = estimate_effect(
+                data, "match_conditional", ESTIMAND_LOG_OR, matched=matched
+            )
+            if b == 0 or c == 0:
+                assert est.failed and est.failure_reason == "DegenerateVariance"
+            else:
+                assert est.point == math.log(b / c)
+                assert est.se == math.sqrt(1 / b + 1 / c)
+            outcomes.add(est.failed)
+        assert outcomes == {True, False}  # both branches were drawn
 
     def test_conditional_zero_count_fails(self):
         y_t = np.ones(4)
