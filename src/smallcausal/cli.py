@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -68,45 +68,24 @@ SUMMARY_COLUMNS = (
 )
 #: bisection tolerance of a calibrated effect, on the rd and OR scales
 CALIBRATION_TOLERANCE = {"rd": 0.002, "or": 0.02}
-#: config fields that a JSON config file must give as integers, as numbers
-#: or null, or as lists of strings (the flags give the lists comma-separated)
-INTEGER_FIELDS = {"n", "n_replicates", "bootstrap_b", "master_seed"}
-NUMBER_FIELDS = {"beta_trt", "target_effect", "beta0_override", "true_effect"}
-LIST_FIELDS = {"methods", "categorical"}
-#: every flag's argparse keywords; the dest is the RunConfig field it sets
-FLAGS = {
-    "--config": {"help": "JSON config file; flags override it"},
-    "--scenario": {"choices": SCENARIO_IDS},
-    "--n": {"type": int, "help": "subjects per dataset"},
-    "--replicates": {"type": int, "dest": "n_replicates"},
-    "--bootstrap": {"type": int, "dest": "bootstrap_b",
-                    "help": "bootstrap resamples (0: no intervals)"},
-    "--estimand": {"choices": ("rd", "or")},
-    "--methods": {"help": "comma-separated registry ids"},
-    "--seed": {"type": int, "dest": "master_seed"},
-    "--workers": {"help": 'worker count or "auto"'},
-    "--beta-trt": {"type": float},
-    "--target-effect": {"type": float},
-    "--beta0": {"type": float, "dest": "beta0_override"},
-    "--profile": {"choices": tuple(PROFILES)},
-    "--out": {},
-    "--data": {"help": "input CSV with y and a columns"},
-    "--categorical": {"help": "comma-separated covariates to dummy-expand"},
-    "--replicates-csv": {},
-    "--true-effect": {"type": float},
+#: each JSON type a --config field may have: the phrase its refusal prints
+#: and its test (a JSON true or false is no integer or number)
+NUMBER, LIST = "a number or null", "a list of strings"
+JSON_TYPES = {
+    "an integer": lambda v: type(v) is int,
+    NUMBER: lambda v: v is None or type(v) in (int, float),
+    "a string": lambda v: type(v) is str,
+    LIST: lambda v: type(v) is list and all(type(s) is str for s in v),
+    '"auto" or an integer': lambda v: v == "auto" or type(v) is int,
 }
-#: each subcommand's help and the flags it reads
+#: how a flag reads its text, by its field's JSON type; the others keep the string
+FLAG_TYPES = {"an integer": int, NUMBER: float, LIST: lambda t: tuple(filter(None, t.split(",")))}
+#: each subcommand's help
 COMMANDS = {
-    "calibrate": ("find beta_trt for a target effect",
-                  "--config --scenario --estimand --target-effect --seed --out"),
-    "simulate": ("run a replicated simulation study",
-                 "--config --scenario --n --replicates --bootstrap --estimand --methods "
-                 "--seed --workers --beta-trt --target-effect --beta0 --profile --out"),
-    "analyze": ("estimate effects on a CSV dataset",
-                "--config --estimand --methods --bootstrap --seed --profile --out "
-                "--data --categorical"),
-    "summarize": ("summary table from a replicate CSV",
-                  "--config --replicates-csv --true-effect --out"),
+    "calibrate": "find beta_trt for a target effect",
+    "simulate": "run a replicated simulation study",
+    "analyze": "estimate effects on a CSV dataset",
+    "summarize": "summary table from a replicate CSV",
 }
 
 
@@ -114,25 +93,62 @@ class CliError(Exception):
     """Configuration or input problem reported with a nonzero exit."""
 
 
+def setting(default, flag: str, json_type: str, commands: str, check=None,
+            needed_by: str = "", **argparse_keywords):
+    """A RunConfig field with its flag, its JSON_TYPES key, the subcommands
+    that take the flag, a (test, error) pair for the final value and the
+    subcommand that cannot run without one."""
+    return field(default=default, metadata={
+        "flag": flag, "json_type": json_type, "commands": commands.split(),
+        "check": check, "needed_by": needed_by, "argparse": argparse_keywords})
+
+
+def _workers_ok(value) -> bool:
+    try:
+        return value == "auto" or int(value) >= 1
+    except ValueError:
+        return False
+
+
 @dataclass
 class RunConfig:
+    """One run's settings, each declared once with its flag and checks."""
+
     command: str
-    scenario: str = "covid"
-    n: int = 100
-    n_replicates: int = 2000
-    bootstrap_b: int = 1000
-    estimand: str = "rd"
-    methods: tuple[str, ...] = ()
-    master_seed: int = 0
-    workers: int | str = "auto"
-    beta_trt: float | None = None
-    target_effect: float | None = None
-    beta0_override: float | None = None
-    out: str = "results"
-    data: str | None = None
-    categorical: tuple[str, ...] = ()
-    true_effect: float | None = None
-    replicates_csv: str | None = None
+    scenario: str = setting(
+        "covid", "--scenario", "a string", "calibrate simulate", choices=SCENARIO_IDS,
+        check=(lambda v: v in SCENARIO_IDS, f"scenario must be one of {SCENARIO_IDS}"))
+    n: int = setting(100, "--n", "an integer", "simulate", help="subjects per dataset",
+                     check=(lambda v: v >= 2, "--n must be at least 2"))
+    n_replicates: int = setting(2000, "--replicates", "an integer", "simulate",
+                                check=(lambda v: v >= 1, "--replicates must be at least 1"))
+    bootstrap_b: int = setting(
+        1000, "--bootstrap", "an integer", "simulate analyze",
+        help="bootstrap resamples (0: no intervals)",
+        check=(lambda v: v == 0 or v >= 2, "--bootstrap must be 0 (no intervals) or at least 2"))
+    estimand: str = setting(
+        "rd", "--estimand", "a string", "calibrate simulate analyze", choices=("rd", "or"),
+        check=(lambda v: v in ("rd", "or"), "estimand must be rd or or"))
+    methods: tuple[str, ...] = setting((), "--methods", LIST, "simulate analyze",
+                                       help="comma-separated registry ids")
+    master_seed: int = setting(0, "--seed", "an integer", "calibrate simulate analyze",
+                               check=(lambda v: v >= 0, "--seed must be at least 0"))
+    workers: int | str = setting(
+        "auto", "--workers", '"auto" or an integer', "simulate", help='worker count or "auto"',
+        check=(_workers_ok, '--workers must be "auto" or at least 1'))
+    beta_trt: float | None = setting(None, "--beta-trt", NUMBER, "simulate")
+    target_effect: float | None = setting(None, "--target-effect", NUMBER, "calibrate simulate",
+                                          needed_by="calibrate")
+    beta0_override: float | None = setting(None, "--beta0", NUMBER, "simulate")
+    out: str = setting("results", "--out", "a string", "calibrate simulate analyze summarize")
+    data: str | None = setting(None, "--data", "a string", "analyze", needed_by="analyze",
+                               help="input CSV with y and a columns")
+    categorical: tuple[str, ...] = setting((), "--categorical", LIST, "analyze",
+                                           help="comma-separated covariates to dummy-expand")
+    replicates_csv: str | None = setting(None, "--replicates-csv", "a string", "summarize",
+                                         needed_by="summarize")
+    true_effect: float | None = setting(None, "--true-effect", NUMBER, "summarize",
+                                        needed_by="summarize")
 
     def resolved_workers(self) -> int:
         if self.workers == "auto":
@@ -156,6 +172,9 @@ class RunConfig:
         return tuple(self.methods)
 
 
+SETTINGS = fields(RunConfig)[1:]  # every field but the subcommand
+
+
 def fmt(value) -> str:
     """17-significant-digit serialization; empty string for missing."""
     if value is None:
@@ -170,78 +189,64 @@ def build_parser() -> argparse.ArgumentParser:
         "small-sample simulation benchmark.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags) in COMMANDS.items():
+    for command, help_text in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        for flag in flags.split():
-            p.add_argument(flag, **FLAGS[flag])
+        p.add_argument("--config", help="JSON config file; flags override it")
+        if command in ("simulate", "analyze"):  # the subcommands that bootstrap
+            p.add_argument("--profile", choices=tuple(PROFILES))
+        for s in SETTINGS:
+            if command in s.metadata["commands"]:
+                p.add_argument(s.metadata["flag"], dest=s.name, **s.metadata["argparse"],
+                               type=FLAG_TYPES.get(s.metadata["json_type"]))
     return parser
 
 
+def _finite(value) -> bool:
+    """False for NaN, an infinity and an integer beyond the float range."""
+    return value is None or abs(value) <= sys.float_info.max
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
-    fields: dict = {"command": args.command}
+    file_fields: dict = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             file_fields = json.load(fh)
         if not isinstance(file_fields, dict):
             raise CliError("config file must hold a JSON object")
-        for key in INTEGER_FIELDS & file_fields.keys():
-            if type(file_fields[key]) is not int:  # a bool is refused too
-                raise CliError(f"config field {key!r} must be an integer")
-        for key in NUMBER_FIELDS & file_fields.keys():
-            value = file_fields[key]
-            if type(value) not in (int, float, type(None)):  # nor bool
-                raise CliError(f"config field {key!r} must be a number or null")
-            try:  # json reads NaN and Infinity
-                finite = value is None or math.isfinite(value)
-            except OverflowError:  # an integer beyond the float range
-                finite = False
-            if not finite:
-                raise CliError(f"config field {key!r} must be finite")
-        workers = file_fields.get("workers", "auto")
-        if workers != "auto" and type(workers) is not int:
-            raise CliError("config field 'workers' must be \"auto\" or an integer")
-        for key in LIST_FIELDS & file_fields.keys():
-            value = file_fields[key]
-            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                raise CliError(f"config field {key!r} must be a list of strings")
-            file_fields[key] = tuple(value)
-        fields.update(file_fields)
-    profile = getattr(args, "profile", None) or fields.pop("profile", None)
+    profile = file_fields.pop("profile", "")
+    if type(profile) is not str:
+        raise CliError("config field 'profile' must be a string")
+    profile = getattr(args, "profile", None) or profile
+    values = {**file_fields, "command": args.command}
+    for s in SETTINGS:  # a flag overrides the file's field
+        json_type, flag = s.metadata["json_type"], s.metadata["flag"]
+        if s.name in file_fields:
+            value = file_fields[s.name]
+            if not JSON_TYPES[json_type](value):
+                raise CliError(f"config field {s.name!r} must be {json_type}")
+            if json_type == NUMBER and not _finite(value):
+                raise CliError(f"config field {s.name!r} must be finite")
+            values[s.name] = tuple(value) if json_type == LIST else value
+        value = getattr(args, s.name, None)
+        if json_type == NUMBER and not _finite(value):  # float() reads nan and inf
+            raise CliError(f"{flag} must be finite")
+        if value is not None:
+            values[s.name] = value
     if profile:
         if profile not in PROFILES:
             raise CliError(f"unknown profile {profile!r}")
         for key, value in PROFILES[profile].items():
-            fields.setdefault(key, value)
-    for flag, keywords in FLAGS.items():  # float() reads nan and inf
-        value = getattr(args, keywords.get("dest", flag[2:].replace("-", "_")), None)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise CliError(f"{flag} must be finite")
-    for key in RunConfig.__dataclass_fields__:
-        value = getattr(args, key, None)
-        if value is not None and key in LIST_FIELDS:  # comma-separated
-            fields[key] = tuple(v for v in value.split(",") if v)
-        elif value is not None:
-            fields[key] = value
-    unknown = set(fields) - set(RunConfig.__dataclass_fields__)
+            values.setdefault(key, value)
+    unknown = set(values) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise CliError(f"unknown config fields: {sorted(unknown)}")
-    cfg = RunConfig(**fields)
-    if cfg.estimand not in ("rd", "or"):
-        raise CliError("estimand must be rd or or")
-    if cfg.scenario not in SCENARIO_IDS:
-        raise CliError(f"scenario must be one of {SCENARIO_IDS}")
-    if cfg.n < 2:
-        raise CliError("--n must be at least 2")
-    if cfg.n_replicates < 1:
-        raise CliError("--replicates must be at least 1")
-    if cfg.bootstrap_b != 0 and cfg.bootstrap_b < 2:
-        raise CliError("--bootstrap must be 0 (no intervals) or at least 2")
-    try:
-        workers_ok = cfg.workers == "auto" or int(cfg.workers) >= 1
-    except (TypeError, ValueError):
-        workers_ok = False
-    if not workers_ok:
-        raise CliError('--workers must be "auto" or at least 1')
+    cfg = RunConfig(**values)
+    for s in SETTINGS:
+        value, check = getattr(cfg, s.name), s.metadata["check"]
+        if check and not check[0](value):
+            raise CliError(check[1])
+        if cfg.command == s.metadata["needed_by"] and value in (None, ""):
+            raise CliError(f"{cfg.command} needs {s.metadata['flag']}")
     return cfg
 
 
@@ -310,8 +315,6 @@ def _calibrated_beta_trt(cfg: RunConfig) -> float:
 
 
 def cmd_calibrate(cfg: RunConfig) -> int:
-    if cfg.target_effect is None:
-        raise CliError("calibrate needs --target-effect")
     beta_trt = _calibrated_beta_trt(cfg)
     spec = make_scenario(cfg.scenario, cfg.n, beta_trt, cfg.beta0_override)
     achieved = true_marginal_effect(spec, cfg.estimand)
@@ -504,8 +507,6 @@ def read_dataset_csv(path: str, categorical: tuple[str, ...]) -> Dataset:
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
-    if not cfg.data:
-        raise CliError("analyze needs --data CSV")
     data = read_dataset_csv(cfg.data, cfg.categorical)
     methods = cfg.resolved_methods()
     registry = METHODS[cfg.estimand]
@@ -564,10 +565,6 @@ def read_replicates_csv(path: str) -> list[tuple[int, dict]]:
 
 
 def cmd_summarize(cfg: RunConfig) -> int:
-    if not cfg.replicates_csv:
-        raise CliError("summarize needs --replicates-csv")
-    if cfg.true_effect is None:
-        raise CliError("summarize needs --true-effect")
     rows = read_replicates_csv(cfg.replicates_csv)
     estimands = sorted({row["estimand"] for _, row in rows})
     if len(estimands) > 1:

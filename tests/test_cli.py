@@ -105,6 +105,24 @@ def test_a_flag_the_subcommand_does_not_read_is_refused(argv, capsys):
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
+def test_readme_flag_table_matches_the_parser():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        lines = fh.read().split("| subcommand | flags |\n|---|---|\n", 1)[1]
+    table = {}
+    for line in lines.splitlines():
+        if not line.startswith("|"):
+            break
+        command, flags = (cell.strip(" `") for cell in line.strip("|").split("|"))
+        table[command] = flags.split()
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    parsed = {
+        command: [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")]
+        for command, p in commands.items()
+    }
+    assert table == parsed
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -303,6 +321,7 @@ class TestSimulate:
             ("--beta-trt", "nan"),
             ("--beta-trt", "inf"),
             ("--beta0", "inf"),
+            ("--seed", "-1"),
         ],
     )
     def test_bad_run_sizes_refused(self, tmp_path, capsys, flag, value):
@@ -323,6 +342,16 @@ class TestSimulate:
         )
         cfg = load_config(args)
         assert cfg.bootstrap_b == 0 and cfg.workers == "auto"
+
+    @pytest.mark.parametrize("file_profile", ["express", "paper"])
+    def test_profile_flag_overrides_the_file_profile(self, tmp_path, file_profile):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"profile": file_profile}))
+        args = build_parser().parse_args(
+            ["analyze", "--config", str(cfg_path), "--profile", "express", "--data", "d.csv"]
+        )
+        cfg = load_config(args)
+        assert (cfg.n_replicates, cfg.bootstrap_b) == (500, 250)  # express
 
     def test_auto_workers_follow_cpu_affinity(self, monkeypatch):
         cfg = RunConfig("simulate", workers="auto")
@@ -378,6 +407,13 @@ class TestSimulate:
             pytest.param("beta_trt", 10**400, "finite", id="beta_trt-10**400-finite"),
             ("workers", True, '"auto" or an integer'),
             ("workers", "2", '"auto" or an integer'),
+            ("scenario", 5, "a string"),
+            ("estimand", None, "a string"),
+            ("out", 7, "a string"),
+            ("out", None, "a string"),
+            ("data", True, "a string"),
+            ("replicates_csv", ["r.csv"], "a string"),
+            ("profile", ["paper"], "a string"),
         ],
     )
     def test_config_field_of_the_wrong_type_refused(
