@@ -1,4 +1,5 @@
-"""One BLAS thread per process.
+"""The OpenBLAS libraries loaded here: one BLAS thread per process, and
+scipy's LAPACK triangular solve without ``scipy.linalg``.
 
 numpy and scipy each load their own OpenBLAS, and each sizes its thread pool
 to the machine.  The fits here are small, so a pool thread woken by a QR
@@ -7,7 +8,8 @@ beside the main thread: one process burns two cores for one core of work,
 and ``simulate --workers`` processes crowd each other out.
 :func:`cap_blas_threads` sets every loaded OpenBLAS to one thread, so
 parallelism comes only from ``--workers``.  The cap changed no output byte
-in any run compared (see CHANGES.md).
+in any run compared (see CHANGES.md).  :func:`scipy_dtrtrs` finds the
+``dtrtrs`` of scipy's OpenBLAS for ``glm``'s triangular solves.
 """
 
 from __future__ import annotations
@@ -22,13 +24,15 @@ OPENBLAS_SYMBOLS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
 )
+# LAPACK's triangular solve in scipy's build; numpy's build exports it as
+# scipy_dtrtrs_64_, but that is another OpenBLAS, whose last bits may differ
+SCIPY_DTRTRS = "scipy_dtrtrs_"
 
 
-def loaded_openblas() -> list[tuple[str, Callable[[int], None], Callable[[], int]]]:
-    """(path, set_threads, get_threads) of each known OpenBLAS loaded here.
+def _loaded_libraries() -> list[tuple[str, ctypes.CDLL]]:
+    """(path, handle) of each OpenBLAS mapped into this process.
 
-    Reads the process's memory map, so it finds libraries only on Linux;
-    elsewhere, and for an OpenBLAS without a known setter, it finds none.
+    Reads the process's memory map, so it finds libraries only on Linux.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -45,6 +49,18 @@ def loaded_openblas() -> list[tuple[str, Callable[[int], None], Callable[[], int
             lib = ctypes.CDLL(path)  # already loaded: dlopen returns its handle
         except OSError:  # e.g. a mapped file since deleted or replaced
             continue
+        found.append((path, lib))
+    return found
+
+
+def loaded_openblas() -> list[tuple[str, Callable[[int], None], Callable[[], int]]]:
+    """(path, set_threads, get_threads) of each known OpenBLAS loaded here.
+
+    Finds libraries only on Linux; elsewhere, and for an OpenBLAS without a
+    known setter, it finds none.
+    """
+    found = []
+    for path, lib in _loaded_libraries():
         for setter, getter in OPENBLAS_SYMBOLS:
             if hasattr(lib, setter) and hasattr(lib, getter):
                 set_threads, get_threads = getattr(lib, setter), getattr(lib, getter)
@@ -53,6 +69,23 @@ def loaded_openblas() -> list[tuple[str, Callable[[int], None], Callable[[], int
                 found.append((path, set_threads, get_threads))
                 break
     return found
+
+
+def scipy_dtrtrs() -> Callable[..., None] | None:
+    """scipy's LAPACK ``dtrtrs`` (Fortran arguments, 32-bit integers), or
+    None where scipy's OpenBLAS is not loaded or not found.
+
+    Importing ``scipy.special`` maps that library.  No argtypes are set: a
+    caller passes ctypes objects, which ctypes hands on unconverted.  The
+    call holds the GIL (a ``PyDLL`` function), so no two threads are ever
+    inside it at once.
+    """
+    for path, lib in _loaded_libraries():
+        if hasattr(lib, SCIPY_DTRTRS):
+            dtrtrs = getattr(ctypes.PyDLL(path), SCIPY_DTRTRS)
+            dtrtrs.restype = None
+            return dtrtrs
+    return None
 
 
 def cap_blas_threads() -> list[dict] | None:

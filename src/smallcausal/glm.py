@@ -11,13 +11,14 @@ row.  :func:`fit_logistic` is its one-row call and raises on a failure code.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit, ndtri
 
+from . import blas
 from .errors import (
     LeverageOneError,
     NotConvergedError,
@@ -102,12 +103,41 @@ def _checked_r(R: np.ndarray) -> np.ndarray:
     return R
 
 
+# scipy's LAPACK dtrtrs, in the OpenBLAS the scipy.special import above
+# mapped; None where it is not found.  Bound once per process: a forked
+# worker inherits it, a spawned one binds its own
+_DTRTRS = blas.scipy_dtrtrs()
+_TRANS = (b"T", b"N")  # dtrtrs's trans for R x = b and for R' x = b
+_ONE = ctypes.byref(ctypes.c_int(1))
+_ORDERS: dict[int, object] = {}  # k -> a reference to the integer k
+# dtrtrs's status, written and never read (R's diagonal is nonzero); one
+# shared by every call, since a call holds the GIL
+_INFO = ctypes.byref(ctypes.c_int())
+
+
 def _solve_r(R: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """``R x = b``, or ``R' x = b`` for ``trans=1``, on the upper triangle of
-    a C-ordered ``R`` with a nonzero diagonal (the rest is not read) and a
-    vector ``b``: the LAPACK call scipy's ``solve_triangular`` makes for
-    them, without its wrapper."""
-    return dtrtrs(R.T, b, lower=1, trans=1 - trans)[0]
+    a float ``R`` with a nonzero diagonal (the rest is not read) and a
+    contiguous float vector ``b``.
+
+    This is the LAPACK call scipy's ``solve_triangular`` makes for a
+    C-ordered ``R``: ``dtrtrs`` with Fortran ``A`` the C buffer of ``R``,
+    read as a lower triangle with a general diagonal, ``trans="T"`` for
+    ``R x = b`` and ``"N"`` for ``R' x = b``, one right-hand side, on a copy
+    of ``b``.  It calls scipy's ``dtrtrs`` through ctypes, as found by
+    :func:`blas.scipy_dtrtrs`; where that finds none it calls
+    ``scipy.linalg.lapack.dtrtrs``, imported only then.
+    """
+    if _DTRTRS is None:
+        from scipy.linalg.lapack import dtrtrs
+
+        return dtrtrs(R.T, b, lower=1, trans=1 - trans)[0]
+    k = len(b)
+    x = (ctypes.c_double * k).from_buffer_copy(b)  # the copy of b it solves on
+    order = _ORDERS.get(k) or _ORDERS.setdefault(k, ctypes.byref(ctypes.c_int(k)))
+    # R's bytes in C order, which dtrtrs reads and does not write
+    _DTRTRS(b"L", _TRANS[trans], b"N", order, _ONE, R.tobytes(), order, x, order, _INFO)
+    return np.frombuffer(x)
 
 
 def _least_squares(Q: np.ndarray, R: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -122,7 +152,9 @@ def _xtx_inverse(R: np.ndarray) -> np.ndarray:
     # numpy, not scipy: a matrix right-hand side to scipy's solve_triangular
     # woke the BLAS thread pool scipy ships beside numpy's, and it spun.  Both
     # pools now run one thread (blas.cap_blas_threads); numpy stays because
-    # scipy would move every covariance, so every SE, at rounding level
+    # scipy would move every covariance, so every SE, at rounding level, and
+    # because it keeps scipy.linalg out: only _solve_r's vector solves reach
+    # scipy's LAPACK, through the dtrtrs symbol it binds
     r_inv = np.linalg.inv(R)
     return r_inv @ r_inv.T
 

@@ -22,7 +22,6 @@ weighted sums over that law: no Monte Carlo noise enters either.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -401,6 +400,9 @@ def run_study(
     if workers <= 1:
         results = [_replicate_task(t) for t in tasks]
     else:
+        # imported here: the pool's modules load only into runs that use it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(workers, initializer=cap_blas_threads) as pool:
             chunk = max(1, n_replicates // (workers * 8))
             results = list(pool.map(_replicate_task, tasks, chunksize=chunk))

@@ -1,5 +1,6 @@
 """One BLAS thread per process: in the command line and in every pool worker."""
 
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -7,7 +8,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from smallcausal import simulation
 from smallcausal.blas import cap_blas_threads, loaded_openblas
 from smallcausal.cli import main
 from smallcausal.simulation import make_scenario, run_study
@@ -70,7 +70,8 @@ def test_run_study_workers_run_one_thread(method, two_numpy_threads, monkeypatch
             super().__init__(*args, mp_context=context, **kwargs)
             probes.append(self.submit(cap_blas_threads))
 
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", ProbedPool)
+    # run_study imports the pool class when it builds the pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ProbedPool)
     spec = make_scenario("covid", 40, 0.0)
     run_study(spec, ("crude",), "rd", 2, 0, 1, 0.0, workers=2)
     (probe,) = probes

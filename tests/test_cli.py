@@ -46,6 +46,22 @@ def test_import_leaves_scipy_stats_out():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_scipy_linalg_and_the_process_pool_out():
+    # the triangular solves call the dtrtrs scipy.special already loaded, and
+    # only a run with --workers above 1 builds a process pool
+    src = os.path.dirname(os.path.dirname(smallcausal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, smallcausal.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[:2] == ['scipy', 'linalg'] or m == 'concurrent.futures.process'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 class TestCalibrate:
     def test_target_zero_is_immediate_and_deterministic(self, tmp_path, capsys):
         args = [
@@ -135,6 +151,45 @@ def test_a_non_finite_number_flag_is_refused(tmp_path, capsys, argv, flag):
     assert run_cli(*argv, "--out", str(tmp_path / "x")) == 2
     assert f"error: {flag} must be finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# simulate's fields at values simulate refuses; calibrate and summarize read none
+SIMULATE_ONLY_FIELDS = {"n": 1, "workers": 0, "n_replicates": 0}
+REPLICATES_CSV = (
+    "replicate,method,estimand,point,se,ci_lo,ci_hi,failed,failure_reason\n"
+    "0,crude,rd,0.125,0.05,,,false,\n"
+    "1,crude,rd,,,,,true,Separation\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, output",
+    [
+        (["calibrate", "--target-effect", "0.16"], "_calibration.json"),
+        (["summarize", "--replicates-csv", "r.csv", "--true-effect", "0"], "_summary.csv"),
+    ],
+    ids=["calibrate", "summarize"],
+)
+def test_a_config_file_field_the_subcommand_does_not_take_is_not_checked(
+    tmp_path, monkeypatch, argv, output
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.csv").write_text(REPLICATES_CSV)
+    (tmp_path / "shared.json").write_text(json.dumps(SIMULATE_ONLY_FIELDS))
+    assert run_cli(*argv, "--out", "plain") == 0
+    assert run_cli(*argv, "--config", "shared.json", "--out", "shared") == 0
+    assert (tmp_path / f"shared{output}").read_bytes() == (tmp_path / f"plain{output}").read_bytes()
+
+
+def test_a_config_file_field_the_subcommand_takes_is_checked(tmp_path, capsys):
+    (tmp_path / "shared.json").write_text(json.dumps(SIMULATE_ONLY_FIELDS))
+    rc = run_cli(
+        "simulate", "--config", str(tmp_path / "shared.json"), "--beta-trt", "0",
+        "--out", str(tmp_path / "s"),
+    )
+    assert rc == 2
+    assert "error: --n must be at least 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "shared.json"]
 
 
 class TestSimulate:

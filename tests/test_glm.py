@@ -8,7 +8,7 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from helpers import weighted_sandwich_covariance
-from smallcausal import glm
+from smallcausal import blas, glm
 from smallcausal.errors import (
     LeverageOneError,
     NotConvergedError,
@@ -321,10 +321,26 @@ class TestSolveR:
     """``glm._solve_r`` calls LAPACK's trtrs as scipy's solve_triangular
     does for a C-ordered upper triangle, so both give the same bits."""
 
-    @pytest.mark.parametrize("scenario, beta0", [("covid", None), ("austin", -1.5)])
+    @pytest.mark.parametrize(
+        "scenario, beta0, binding",
+        [
+            pytest.param("covid", None, "ctypes", id="covid-None"),
+            pytest.param("austin", -1.5, "ctypes", id="austin--1.5"),
+            pytest.param("covid", None, "fallback", id="covid-None-fallback"),
+            pytest.param("austin", -1.5, "fallback", id="austin--1.5-fallback"),
+        ],
+    )
     @pytest.mark.parametrize("n", [100, 1000])
     @pytest.mark.parametrize("trans", [0, 1])
-    def test_bit_identical_to_solve_triangular(self, scenario, beta0, n, trans):
+    def test_bit_identical_to_solve_triangular(
+        self, monkeypatch, scenario, beta0, binding, n, trans
+    ):
+        if binding == "ctypes" and glm._DTRTRS is None:
+            pytest.skip("scipy's OpenBLAS dtrtrs is not found here")
+        if binding == "fallback":  # as where no scipy OpenBLAS is found
+            monkeypatch.setattr(blas, "_loaded_libraries", lambda: [])
+            monkeypatch.setattr(glm, "_DTRTRS", blas.scipy_dtrtrs())
+            assert glm._DTRTRS is None
         rng = np.random.default_rng(n)
         data = generate(make_scenario(scenario, n, 0.5, beta0), rng)[0]
         X = np.column_stack([np.ones(n), data.treatment, data.covariates])
