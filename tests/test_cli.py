@@ -48,12 +48,18 @@ def test_import_leaves_scipy_stats_out():
 
 def test_import_leaves_scipy_linalg_and_the_process_pool_out():
     # the triangular solves call the dtrtrs scipy.special already loaded, and
-    # only a run with --workers above 1 builds a process pool
+    # only a run with --workers above 1 builds a process pool. Before scipy
+    # 1.17 (gh-23420) scipy.special itself imports scipy.linalg, so only the
+    # scipy.linalg modules the package adds on top of scipy.special count.
     src = os.path.dirname(os.path.dirname(smallcausal.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     probe = (
-        "import sys, smallcausal.cli; print(sorted(m for m in sys.modules"
-        " if m.split('.')[:2] == ['scipy', 'linalg'] or m == 'concurrent.futures.process'))"
+        "import sys, scipy.special\n"
+        "def loaded(): return {m for m in sys.modules"
+        " if m.split('.')[:2] == ['scipy', 'linalg'] or m == 'concurrent.futures.process'}\n"
+        "base = loaded() - {'concurrent.futures.process'}\n"
+        "import smallcausal.cli\n"
+        "print(sorted(loaded() - base))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
