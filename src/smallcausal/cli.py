@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -29,7 +28,7 @@ import numpy as np
 from .blas import cap_blas_threads
 from .data import Dataset
 from .errors import NotBracketedError
-from .estimators import METHODS, EffectEstimate, estimate_effects
+from .estimators import ESTIMAND_RD, ESTIMANDS, METHODS, EffectEstimate, estimate_effects
 from .simulation import (
     SCENARIO_IDS,
     MethodMetrics,
@@ -66,8 +65,6 @@ SUMMARY_COLUMNS = (
     "median_ci_length",
     "n_failures",
 )
-#: bisection tolerance of a calibrated effect, on the rd and OR scales
-CALIBRATION_TOLERANCE = {"rd": 0.002, "or": 0.02}
 #: each JSON type a --config field may have: the phrase its refusal prints
 #: and its test (a JSON true or false is no integer or number)
 NUMBER, LIST = "a number or null", "a list of strings"
@@ -103,6 +100,11 @@ def setting(default, flag: str, json_type: str, commands: str, check=None,
         "check": check, "needed_by": needed_by, "argparse": argparse_keywords})
 
 
+def _per_estimand(describe) -> str:
+    """``describe(row)`` for each ESTIMANDS row, after its estimand id."""
+    return "; ".join(f"{e}: {describe(row)}" for e, row in ESTIMANDS.items())
+
+
 def _workers_ok(value) -> bool:
     try:
         return value == "auto" or int(value) >= 1
@@ -127,8 +129,10 @@ class RunConfig:
         help="bootstrap resamples (0: no intervals)",
         check=(lambda v: v == 0 or v >= 2, "--bootstrap must be 0 (no intervals) or at least 2"))
     estimand: str = setting(
-        "rd", "--estimand", "a string", "calibrate simulate analyze", choices=("rd", "or"),
-        check=(lambda v: v in ("rd", "or"), "estimand must be rd or or"))
+        ESTIMAND_RD, "--estimand", "a string", "calibrate simulate analyze",
+        choices=tuple(ESTIMANDS), help="scale of every point, interval and true effect ("
+        + _per_estimand(lambda row: row.scale) + ")",
+        check=(lambda v: v in ESTIMANDS, "estimand must be " + " or ".join(ESTIMANDS)))
     methods: tuple[str, ...] = setting((), "--methods", LIST, "simulate analyze",
                                        help="comma-separated registry ids")
     master_seed: int = setting(0, "--seed", "an integer", "calibrate simulate analyze",
@@ -137,8 +141,10 @@ class RunConfig:
         "auto", "--workers", '"auto" or an integer', "simulate", help='worker count or "auto"',
         check=(_workers_ok, '--workers must be "auto" or at least 1'))
     beta_trt: float | None = setting(None, "--beta-trt", NUMBER, "simulate")
-    target_effect: float | None = setting(None, "--target-effect", NUMBER, "calibrate simulate",
-                                          needed_by="calibrate")
+    target_effect: float | None = setting(
+        None, "--target-effect", NUMBER, "calibrate simulate", needed_by="calibrate",
+        help="marginal effect that calibration bisects beta_trt to (" + _per_estimand(
+            lambda row: f"{row.target_scale} within {row.tolerance:g}") + ")")
     beta0_override: float | None = setting(None, "--beta0", NUMBER, "simulate")
     out: str = setting("results", "--out", "a string", "calibrate simulate analyze summarize")
     data: str | None = setting(None, "--data", "a string", "analyze", needed_by="analyze",
@@ -147,8 +153,10 @@ class RunConfig:
                                            help="comma-separated covariates to dummy-expand")
     replicates_csv: str | None = setting(None, "--replicates-csv", "a string", "summarize",
                                          needed_by="summarize")
-    true_effect: float | None = setting(None, "--true-effect", NUMBER, "summarize",
-                                        needed_by="summarize")
+    true_effect: float | None = setting(
+        None, "--true-effect", NUMBER, "summarize", needed_by="summarize",
+        help="true effect on the replicate CSV's scale ("
+        + _per_estimand(lambda row: row.scale) + ")")
 
     def resolved_workers(self) -> int:
         if self.workers == "auto":
@@ -295,23 +303,17 @@ def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
 
 
 def _truth_for(cfg: RunConfig, beta_trt: float) -> float:
-    """Marginal effect on the metric scale (rd, or log-OR for estimand=or)."""
+    """Marginal effect on the estimand's reported scale."""
     if beta_trt == 0.0:
-        return 0.0  # the null on both scales, without running the oracle
+        return 0.0  # the null on every reported scale, without running the oracle
     spec = make_scenario(cfg.scenario, cfg.n, beta_trt, cfg.beta0_override)
-    value = true_marginal_effect(spec, cfg.estimand)
-    return math.log(value) if cfg.estimand == "or" else value
+    return true_marginal_effect(spec, cfg.estimand)
 
 
 def _calibrated_beta_trt(cfg: RunConfig) -> float:
     """Treatment coefficient for ``cfg.target_effect``; 0.0 at the null."""
     try:
-        return calibrate_beta_trt(
-            cfg.scenario,
-            cfg.target_effect,
-            estimand=cfg.estimand,
-            tolerance=CALIBRATION_TOLERANCE[cfg.estimand],
-        )
+        return calibrate_beta_trt(cfg.scenario, cfg.target_effect, estimand=cfg.estimand)
     except NotBracketedError as exc:
         raise CliError(f"calibration failed: {exc}")
 
@@ -320,7 +322,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     beta_trt = _calibrated_beta_trt(cfg)
     # the exact truth reads no sample size, so calibrate reads no n
     spec = make_scenario(cfg.scenario, 1, beta_trt, cfg.beta0_override)
-    achieved = true_marginal_effect(spec, cfg.estimand)
+    achieved = ESTIMANDS[cfg.estimand].to_target(true_marginal_effect(spec, cfg.estimand))
     report = {
         "scenario": cfg.scenario,
         "estimand": cfg.estimand,

@@ -11,8 +11,10 @@ whether it needs a propensity score or a matched sample, its body and, for
 g-computation, its Q-model.  ``RD_METHODS``, ``OR_METHODS``,
 :func:`shared_inputs`, :func:`estimate_effect`, :func:`estimate_effects` and
 the command line all read that table, so adding a method means adding one
-row (and the body it calls).  How an estimand contrasts g-computation's
-counterfactual means is the registry fact ``CONTRASTS``.
+row (and the body it calls).  Each estimand is one row of ``ESTIMANDS``:
+how it contrasts counterfactual means, the scale of ``--target-effect`` and
+calibration's tolerance there.  The g-computation point and resamples, the
+truth oracle, calibration and the command line all read that table.
 """
 
 from __future__ import annotations
@@ -74,6 +76,32 @@ def _log_or(m1, m0):
     with np.errstate(divide="ignore", invalid="ignore"):
         log_or = np.log(m1) - np.log1p(-m1) - np.log(m0) + np.log1p(-m0)
     return np.where(inside, log_or, np.nan)
+
+
+@dataclass(frozen=True)
+class Estimand:
+    """One row of ``ESTIMANDS``.
+
+    ``contrast(m1, m0)`` is the effect of counterfactual means (floats or
+    arrays) on the reported scale ``scale``, the scale of every point,
+    interval and true effect.  ``to_target`` maps a reported effect to
+    ``target_scale``, the scale of ``--target-effect``, on which calibration
+    bisects to within ``tolerance``.
+    """
+
+    contrast: Callable
+    to_target: Callable[[float], float]
+    tolerance: float
+    scale: str
+    target_scale: str
+
+
+#: the estimand table: estimand id -> row, in command-line order
+ESTIMANDS = {
+    ESTIMAND_RD: Estimand(operator.sub, lambda effect: effect, 0.002,
+                          "risk difference", "risk difference"),
+    ESTIMAND_LOG_OR: Estimand(_log_or, math.exp, 0.02, "log odds ratio", "odds ratio"),
+}
 
 
 @dataclass(frozen=True)
@@ -146,14 +174,11 @@ _ROWS = (
 #: the registry: estimand -> method id -> row; CSV rows follow this order
 METHODS = {
     estimand: {row.id: row for row in _ROWS if row.estimand == estimand}
-    for estimand in (ESTIMAND_RD, ESTIMAND_LOG_OR)
+    for estimand in ESTIMANDS
 }
 #: fixed registry ids used in every CSV/JSON output
 RD_METHODS = tuple(METHODS[ESTIMAND_RD])
 OR_METHODS = tuple(METHODS[ESTIMAND_LOG_OR])
-#: how each estimand contrasts g-computation's counterfactual means
-#: ``(m1, m0)``; the point and every bootstrap resample read it
-CONTRASTS = {ESTIMAND_RD: operator.sub, ESTIMAND_LOG_OR: _log_or}
 
 
 @dataclass(frozen=True)
@@ -302,7 +327,7 @@ def _q_means(
 
 def _gcomp(data: Dataset, q_spec: str, ps: PropensityScores | None, estimand: str):
     """Outcome-model standardization: predict both potential outcomes for
-    every subject and contrast the averages as ``CONTRASTS[estimand]`` says.
+    every subject and contrast the averages as ``ESTIMANDS[estimand]`` says.
 
     ``q_spec`` selects the Q-model: ``plain`` (treatment + covariates),
     ``simple_dr`` (adds the signed inverse-probability covariate of the
@@ -335,7 +360,7 @@ def _gcomp(data: Dataset, q_spec: str, ps: PropensityScores | None, estimand: st
         raise NotConvergedError("outcome-model IRLS did not converge")
     if math.isnan(m1) or math.isnan(m0):
         raise SeparationError("counterfactual mean is not finite")
-    point = float(CONTRASTS[estimand](m1, m0))
+    point = float(ESTIMANDS[estimand].contrast(m1, m0))
     if estimand == ESTIMAND_RD:
         return point, None, None
     # the extreme-OR rule applies to the point only, so a method it fails
@@ -400,7 +425,7 @@ def _with_gcomp_cis(
 
     Every resample refits the whole pipeline, propensity model included, a
     block at a time by :func:`_gcomp_batch_means`, and contrasts its means
-    as the point does (``CONTRASTS``); a NaN contrast drops the resample
+    as the point does (``ESTIMANDS``); a NaN contrast drops the resample
     for its method.  A collapsed interval fails its own method only.  With
     ``bootstrap`` 0 or without estimates nothing is drawn from ``rng``.
     """
@@ -410,7 +435,7 @@ def _with_gcomp_cis(
         raise ValueError("bootstrap interval needs a random stream")
     estimand = estimates[0].estimand
     q_specs = tuple(METHODS[estimand][est.method].q_spec for est in estimates)
-    contrast = CONTRASTS[estimand]
+    contrast = ESTIMANDS[estimand].contrast
 
     def estimator(indices: np.ndarray) -> np.ndarray:
         return np.stack(

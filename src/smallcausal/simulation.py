@@ -26,12 +26,12 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, ndtr, roots_hermitenorm
+from scipy.special import expit, ndtr
 
 from .blas import cap_blas_threads
 from .data import Dataset
 from .errors import EstimationError, NotBracketedError, ReplicateError
-from .estimators import EffectEstimate, estimate_effects
+from .estimators import ESTIMANDS, EffectEstimate, Estimand, estimate_effects
 from .streams import derive_substream
 
 SCENARIO_IDS = ("covid", "unmeasured", "austin")
@@ -186,7 +186,10 @@ def _covariate_factors(scenario_id: str) -> list[tuple[np.ndarray, np.ndarray]]:
             (np.arange(11.0)[:, None], np.r_[0.05, np.full(9, 0.1), 0.05]),
         ]
         if scenario_id == "unmeasured":
-            nodes, weights = roots_hermitenorm(HERMITE_NODES)
+            # numpy's nodes: scipy's roots_hermitenorm would load scipy.linalg
+            from numpy.polynomial.hermite_e import hermegauss
+
+            nodes, weights = hermegauss(HERMITE_NODES)
             factors.append((nodes[:, None], weights / weights.sum()))
         return factors
     if scenario_id == "austin":
@@ -212,54 +215,63 @@ def _outcome_law(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
     return eta, prob
 
 
+def _estimand(estimand: str) -> Estimand:
+    """The ``ESTIMANDS`` row of ``estimand``; ValueError for an unknown id."""
+    if estimand not in ESTIMANDS:
+        raise ValueError(f"unknown estimand: {estimand!r}")
+    return ESTIMANDS[estimand]
+
+
 def _effect_curve(spec: ScenarioSpec, estimand: str) -> Callable[[float], float]:
     """Marginal effect of ``spec``'s outcome model as a function of the
-    treatment coefficient, summed exactly over the covariate law."""
+    treatment coefficient, summed exactly over the covariate law and
+    contrasted as the estimators contrast their means."""
     eta, prob = _outcome_law(spec)
     m0 = float(prob @ expit(eta))
-    return lambda beta_trt: _contrast(float(prob @ expit(eta + beta_trt)), m0, estimand)
+    contrast = _estimand(estimand).contrast
+    return lambda beta_trt: float(contrast(float(prob @ expit(eta + beta_trt)), m0))
 
 
 def true_marginal_effect(spec: ScenarioSpec, estimand: str = "rd") -> float:
-    """Marginal effect implied by the generative model.
+    """Marginal effect implied by the generative model, on the estimand's
+    reported scale (a risk difference, or a log odds ratio for "or").
 
     Sums both counterfactual outcome probabilities over the covariate law,
-    so no Monte Carlo noise enters.  ``estimand`` "rd" returns the
-    difference of the two marginal probabilities, "or" their odds ratio.
-    Only the outcome model matters: the treatment model does not move it.
+    so no Monte Carlo noise enters.  Only the outcome model matters: the
+    treatment model does not move it.
     """
     return _effect_curve(spec, estimand)(spec.beta_trt)
-
-
-def _contrast(m1: float, m0: float, estimand: str) -> float:
-    """Effect of the marginal probabilities ``m1`` (treated), ``m0`` (control)."""
-    if estimand == "rd":
-        return m1 - m0
-    if estimand == "or":
-        return (m1 / (1.0 - m1)) / (m0 / (1.0 - m0))
-    raise ValueError(f"unknown estimand: {estimand!r}")
 
 
 def calibrate_beta_trt(
     scenario_id: str,
     target: float,
     estimand: str = "rd",
-    tolerance: float = 0.002,
+    tolerance: float | None = None,
 ) -> float:
     """Treatment coefficient achieving a target marginal effect, by bisection
     on ``[0, CALIBRATION_UPPER]`` in at most ``CALIBRATION_MAX_ITERATIONS``
     halvings.
 
+    ``target`` and ``tolerance`` (by default the estimand's) are on the
+    estimand's target scale: a risk difference, or an odds ratio for "or".
     The objective is the exact marginal effect, a deterministic, strictly
     increasing function of the coefficient, so bisection is well posed.
     """
-    null_value = 0.0 if estimand == "rd" else 1.0
+    row = _estimand(estimand)
+    if tolerance is None:
+        tolerance = row.tolerance
+    null_value = row.to_target(0.0)
     if target == null_value:
         return 0.0
     if target < null_value:
         raise NotBracketedError("targets below the null effect are not searched")
 
-    objective = _effect_curve(make_scenario(scenario_id, 1, 0.0), estimand)
+    curve = _effect_curve(make_scenario(scenario_id, 1, 0.0), estimand)
+
+    def objective(beta_trt: float) -> float:
+        return row.to_target(curve(beta_trt))
+
     if objective(CALIBRATION_UPPER) < target - tolerance:
         raise NotBracketedError(
             f"target {target} not reachable with coefficient at most "

@@ -100,7 +100,7 @@ def test_criterion_2_calibration_oracle():
     or_cases = [("covid", 0.8678, 2.0, 0.05), ("covid", 2.7565, 10.0, 0.3)]
     for scen, beta_trt, expect, tol in or_cases:
         spec = make_scenario(scen, 10_000, beta_trt)
-        odds = true_marginal_effect(spec, "or")
+        odds = np.exp(true_marginal_effect(spec, "or"))
         checks.append(
             (
                 f"marginal OR {scen} beta_trt={beta_trt}",

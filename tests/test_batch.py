@@ -15,9 +15,9 @@ from smallcausal.errors import (
     RankDeficientError,
 )
 from smallcausal.estimators import (
-    CONTRASTS,
     ESTIMAND_LOG_OR,
     ESTIMAND_RD,
+    ESTIMANDS,
     METHODS,
     OR_FAILURE_THRESHOLD,
     EffectEstimate,
@@ -429,7 +429,7 @@ def scalar_ci(data, q_spec, estimand, replications, rng):
             if resample.n_treated in (0, n):
                 raise RankDeficientError("single-arm")
             logits = None if q_spec == "plain" else estimate_ps(resample).logits
-            value = float(CONTRASTS[estimand](*gcomp_oracle(resample, q_spec, logits)[:2]))
+            value = float(ESTIMANDS[estimand].contrast(*gcomp_oracle(resample, q_spec, logits)[:2]))
         except EstimationError:
             dropped += 1
             continue
@@ -470,7 +470,7 @@ class TestBatchedGcompCi:
     @pytest.mark.parametrize("q_spec", ["plain", "simple_dr", "dr_quintiles"])
     # each id names the estimand's contrast
     @pytest.mark.parametrize(
-        "estimand", [ESTIMAND_RD, ESTIMAND_LOG_OR], ids=lambda e: CONTRASTS[e].__name__
+        "estimand", [ESTIMAND_RD, ESTIMAND_LOG_OR], ids=lambda e: ESTIMANDS[e].contrast.__name__
     )
     def test_matches_scalar_loop(self, monkeypatch, q_spec, estimand):
         data = scenario_data("covid", 5)

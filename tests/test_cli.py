@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import smallcausal
 from smallcausal import simulation
@@ -19,7 +20,7 @@ from smallcausal.cli import (
 )
 from smallcausal.data import Dataset
 from smallcausal.errors import ReplicateError
-from smallcausal.estimators import estimate_effects, ESTIMAND_RD
+from smallcausal.estimators import estimate_effects, ESTIMAND_RD, ESTIMANDS
 
 
 def run_cli(*argv):
@@ -47,10 +48,11 @@ def test_import_leaves_scipy_stats_out():
 
 
 def test_import_leaves_scipy_linalg_and_the_process_pool_out():
-    # the triangular solves call the dtrtrs scipy.special already loaded, and
-    # only a run with --workers above 1 builds a process pool. Before scipy
-    # 1.17 (gh-23420) scipy.special itself imports scipy.linalg, so only the
-    # scipy.linalg modules the package adds on top of scipy.special count.
+    # the triangular solves call the dtrtrs scipy.special already loaded, the
+    # unmeasured truth takes numpy's Gauss-Hermite nodes, and only a run with
+    # --workers above 1 builds a process pool. Before scipy 1.17 (gh-23420)
+    # scipy.special itself imports scipy.linalg, so only the scipy.linalg
+    # modules the package adds on top of scipy.special count.
     src = os.path.dirname(os.path.dirname(smallcausal.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     probe = (
@@ -59,6 +61,8 @@ def test_import_leaves_scipy_linalg_and_the_process_pool_out():
         " if m.split('.')[:2] == ['scipy', 'linalg'] or m == 'concurrent.futures.process'}\n"
         "base = loaded() - {'concurrent.futures.process'}\n"
         "import smallcausal.cli\n"
+        "from smallcausal.simulation import make_scenario, true_marginal_effect\n"
+        "true_marginal_effect(make_scenario('unmeasured', 1, 1.0))\n"
         "print(sorted(loaded() - base))"
     )
     out = subprocess.run(
@@ -143,6 +147,31 @@ def test_readme_flag_table_matches_the_parser():
         for command, p in commands.items()
     }
     assert table == parsed
+
+
+def test_the_estimand_choices_are_the_table(tmp_path, capsys):
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    for command in ("calibrate", "simulate", "analyze"):
+        (action,) = [a for a in commands[command]._actions if a.dest == "estimand"]
+        assert action.choices == tuple(ESTIMANDS)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"estimand": "hr"}))
+    args = ["--config", str(cfg_path), "--target-effect", "0.16", "--out", str(tmp_path / "c")]
+    assert run_cli("calibrate", *args) == 2
+    assert "error: estimand must be rd or or" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_the_or_truth_is_the_table_contrast_of_the_exact_means(tmp_path):
+    assert run_cli(
+        "simulate", "--scenario", "austin", "--beta0", "-1.5", "--estimand", "or",
+        "--beta-trt", "1", "--n", "40", "--replicates", "1", "--bootstrap", "0",
+        "--methods", "crude", "--workers", "1", "--out", str(tmp_path / "t"),
+    ) == 0
+    eta, prob = simulation._outcome_law(simulation.make_scenario("austin", 40, 1.0, -1.5))
+    m1, m0 = float(prob @ expit(eta + 1.0)), float(prob @ expit(eta))
+    meta = json.loads((tmp_path / "t_meta.json").read_text())
+    assert meta["true_effect"] == float(ESTIMANDS["or"].contrast(m1, m0))
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import pytest
 from helpers import monte_carlo_truth, summarize_oracle
 from smallcausal import simulation
 from smallcausal.errors import NotBracketedError
-from smallcausal.estimators import ESTIMAND_RD, RD_METHODS, EffectEstimate
+from smallcausal.estimators import ESTIMAND_RD, ESTIMANDS, RD_METHODS, EffectEstimate
 from smallcausal.simulation import (
     CounterfactualTruth,
     calibrate_beta_trt,
@@ -89,7 +89,7 @@ class TestTruthOracle:
 
     def test_or_estimand(self):
         value = true_marginal_effect(make_scenario("covid", 2000, 0.0), "or")
-        assert value == pytest.approx(1.0, abs=1e-12)
+        assert value == pytest.approx(0.0, abs=1e-12)
 
 
 class TestExactOracle:
@@ -104,8 +104,6 @@ class TestExactOracle:
         rng = derive_substream(2007, scenario, 0, "truth")
         expected, se = monte_carlo_truth(spec, estimand, 100, 10_000, rng)
         got = true_marginal_effect(spec, estimand)
-        if estimand == "or":
-            got = np.log(got)
         assert abs(got - expected) <= 4.0 * se
 
     @pytest.mark.parametrize(
@@ -158,6 +156,17 @@ class TestCalibration:
         assert calibrate_beta_trt("covid", 0.0) == 0.0
         assert calibrate_beta_trt("covid", 1.0, estimand="or") == 0.0
 
+    @pytest.mark.parametrize("estimand,null", [("rd", 0.0), ("or", 1.0)])
+    def test_the_table_null_is_the_calibration_short_circuit(self, estimand, null):
+        row = ESTIMANDS[estimand]
+        assert row.to_target(0.0) == null
+        assert calibrate_beta_trt("covid", null, estimand) == 0.0
+        # the log odds ratio's four logs cancel at equal means only to rounding
+        for means in (0.25, np.array([0.001, 0.01, 0.5, 0.99])):
+            effects = np.atleast_1d(row.contrast(means, means))
+            assert np.abs(effects).max() <= 4.4e-16
+            assert max(abs(row.to_target(x) - null) for x in effects) <= 4.4e-16
+
     # the coefficients the Monte Carlo calibration picked at seeds 2007, 1 and
     # 7920: a changed pin changes every --target-effect run's data
     @pytest.mark.parametrize(
@@ -180,7 +189,8 @@ class TestCalibration:
         self, scenario, estimand, target, tolerance
     ):
         beta_trt = calibrate_beta_trt(scenario, target, estimand, tolerance)
-        achieved = true_marginal_effect(make_scenario(scenario, 100, beta_trt), estimand)
+        achieved = ESTIMANDS[estimand].to_target(
+            true_marginal_effect(make_scenario(scenario, 100, beta_trt), estimand))
         assert abs(achieved - target) <= tolerance
 
     def test_unreachable_target_raises(self):
