@@ -1,15 +1,17 @@
 """The OpenBLAS libraries loaded here: one BLAS thread per process, and
-scipy's LAPACK triangular solve without ``scipy.linalg``.
+LAPACK's triangular solve from numpy's own OpenBLAS.
 
-numpy and scipy each load their own OpenBLAS, and each sizes its thread pool
-to the machine.  The fits here are small, so a pool thread woken by a QR
-factorisation or a matrix product does little work and then busy-waits
-beside the main thread: one process burns two cores for one core of work,
-and ``simulate --workers`` processes crowd each other out.
+numpy loads its OpenBLAS (and scipy, where a caller imports it, another),
+and each sizes its thread pool to the machine.  The fits here are small, so
+a pool thread woken by a QR factorisation or a matrix product does little
+work and then busy-waits beside the main thread: one process burns two
+cores for one core of work, and ``simulate --workers`` processes crowd
+each other out.
 :func:`cap_blas_threads` sets every loaded OpenBLAS to one thread, so
 parallelism comes only from ``--workers``.  The cap changed no output byte
 in any run compared (see CHANGES.md).  :func:`scipy_dtrtrs` finds the
-``dtrtrs`` of scipy's OpenBLAS for ``glm``'s triangular solves.
+``dtrtrs`` of numpy's OpenBLAS for ``glm``'s triangular solves, so the
+package needs no scipy at run time.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ OPENBLAS_SYMBOLS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
 )
-# LAPACK's triangular solve in scipy's build; numpy's build exports it as
-# scipy_dtrtrs_64_, but that is another OpenBLAS, whose last bits may differ
-SCIPY_DTRTRS = "scipy_dtrtrs_"
+# LAPACK's triangular solve as numpy's build exports it (64-bit integers)
+SCIPY_DTRTRS = "scipy_dtrtrs_64_"
 
 
 def _loaded_libraries() -> list[tuple[str, ctypes.CDLL]]:
@@ -72,10 +73,10 @@ def loaded_openblas() -> list[tuple[str, Callable[[int], None], Callable[[], int
 
 
 def scipy_dtrtrs() -> Callable[..., None] | None:
-    """scipy's LAPACK ``dtrtrs`` (Fortran arguments, 32-bit integers), or
-    None where scipy's OpenBLAS is not loaded or not found.
+    """LAPACK's ``dtrtrs`` in numpy's OpenBLAS (Fortran arguments, 64-bit
+    integers), or None where that library is not found.
 
-    Importing ``scipy.special`` maps that library.  No argtypes are set: a
+    Importing numpy maps that library.  No argtypes are set: a
     caller passes ctypes objects, which ctypes hands on unconverted.  The
     call holds the GIL (a ``PyDLL`` function), so no two threads are ever
     inside it at once.

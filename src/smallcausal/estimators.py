@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .bootstrap import bootstrap_percentile_ci
 from .data import Dataset
@@ -43,6 +42,8 @@ from .glm import (
     NOT_CONVERGED,
     PLATEAU,
     RANK_DEFICIENT,
+    expit,
+    expit_rows,
     fit_logistic,
     fit_logistic_batch,
     fit_ols,
@@ -321,7 +322,7 @@ def _q_means(
         X_a = _intercept_design(a, *data.covariates.T)
         with np.errstate(over="ignore", invalid="ignore"):
             eta = linear_predictors(X_a, beta, **resample_part(a))
-        means.append((counts * expit(eta)).sum(axis=1) / n)
+        means.append((counts * expit_rows(eta)).sum(axis=1) / n)
     return means[0], means[1], status
 
 

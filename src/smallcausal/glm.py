@@ -7,6 +7,10 @@ silently dropping columns, because the simulation harness counts failures.
 Every logistic fit runs through one IRLS kernel, :func:`fit_logistic_batch`,
 which fits a stack of count-weighted resamples and returns a status code per
 row.  :func:`fit_logistic` is its one-row call and raises on a failure code.
+
+The logistic is :func:`expit`, which gives ``scipy.special.expit``'s bits
+without importing scipy, wherever one fit's last bits matter; a batch of
+resamples takes numpy's vectorised ``exp`` (:func:`expit_rows`).
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, ndtri
 
 from . import blas
 from .errors import (
@@ -47,8 +50,10 @@ SEPARATION_PROB_EPS = 1e-10
 
 LEVERAGE_EPS = 1e-12
 
-#: confidence level of every Wald interval
+#: confidence level of every Wald interval, and its normal quantile
+#: z_{(1+WALD_LEVEL)/2}, as scipy.stats.norm.ppf computes it
 WALD_LEVEL = 0.95
+WALD_Z = 1.959963984540054
 
 # fit_logistic_batch status codes, one per row; the first two are usable fits
 CONVERGED, PLATEAU, RANK_DEFICIENT, NOT_CONVERGED, NON_FINITE = range(5)
@@ -82,6 +87,32 @@ class LogisticFit:
     separation_flag: bool
 
 
+def expit(x: np.ndarray) -> np.ndarray:
+    """The logistic ``1 / (1 + exp(-x))`` with the C library's ``exp``.
+
+    numpy's real ``exp`` is its own vectorised routine, whose last bit
+    differs from the C library's at some points; its complex ``exp`` calls
+    the C library's, and at a zero imaginary part the real part is ``exp``
+    itself.  So this is ``scipy.special.expit``'s formula and bits, except
+    for ``x`` in (-709.78, -709), where the C library's complex ``exp``
+    scales its argument and the result, below 1.2e-308, may differ by one
+    subnormal ulp.
+    """
+    with np.errstate(over="ignore"):
+        e = np.exp(np.negative(x, dtype=complex))
+    return 1.0 / (1.0 + e.real)
+
+
+def expit_rows(eta: np.ndarray) -> np.ndarray:
+    """The logistic of a ``(b, n)`` stack of linear predictors: :func:`expit`
+    for one row, numpy's vectorised ``exp`` for a batch, whose rows' last
+    bits already depend on their block."""
+    if len(eta) == 1:
+        return expit(eta)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-eta))
+
+
 def _as_design(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -103,16 +134,15 @@ def _checked_r(R: np.ndarray) -> np.ndarray:
     return R
 
 
-# scipy's LAPACK dtrtrs, in the OpenBLAS the scipy.special import above
-# mapped; None where it is not found.  Bound once per process: a forked
-# worker inherits it, a spawned one binds its own
+# LAPACK's dtrtrs in numpy's OpenBLAS; None where it is not found.  Bound
+# once per process: a forked worker inherits it, a spawned one binds its own
 _DTRTRS = blas.scipy_dtrtrs()
 _TRANS = (b"T", b"N")  # dtrtrs's trans for R x = b and for R' x = b
-_ONE = ctypes.byref(ctypes.c_int(1))
+_ONE = ctypes.byref(ctypes.c_int64(1))
 _ORDERS: dict[int, object] = {}  # k -> a reference to the integer k
 # dtrtrs's status, written and never read (R's diagonal is nonzero); one
 # shared by every call, since a call holds the GIL
-_INFO = ctypes.byref(ctypes.c_int())
+_INFO = ctypes.byref(ctypes.c_int64())
 
 
 def _solve_r(R: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
@@ -124,17 +154,16 @@ def _solve_r(R: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     C-ordered ``R``: ``dtrtrs`` with Fortran ``A`` the C buffer of ``R``,
     read as a lower triangle with a general diagonal, ``trans="T"`` for
     ``R x = b`` and ``"N"`` for ``R' x = b``, one right-hand side, on a copy
-    of ``b``.  It calls scipy's ``dtrtrs`` through ctypes, as found by
-    :func:`blas.scipy_dtrtrs`; where that finds none it calls
-    ``scipy.linalg.lapack.dtrtrs``, imported only then.
+    of ``b``.  It calls the ``dtrtrs`` of numpy's OpenBLAS through ctypes,
+    as found by :func:`blas.scipy_dtrtrs`, which gives scipy's bits; where
+    that finds none it solves the triangle with ``np.linalg.solve``.
     """
     if _DTRTRS is None:
-        from scipy.linalg.lapack import dtrtrs
-
-        return dtrtrs(R.T, b, lower=1, trans=1 - trans)[0]
+        upper = np.triu(R)
+        return np.linalg.solve(upper.T if trans else upper, b)
     k = len(b)
     x = (ctypes.c_double * k).from_buffer_copy(b)  # the copy of b it solves on
-    order = _ORDERS.get(k) or _ORDERS.setdefault(k, ctypes.byref(ctypes.c_int(k)))
+    order = _ORDERS.get(k) or _ORDERS.setdefault(k, ctypes.byref(ctypes.c_int64(k)))
     # R's bytes in C order, which dtrtrs reads and does not write
     _DTRTRS(b"L", _TRANS[trans], b"N", order, _ONE, R.tobytes(), order, x, order, _INFO)
     return np.frombuffer(x)
@@ -149,12 +178,8 @@ def _least_squares(Q: np.ndarray, R: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _xtx_inverse(R: np.ndarray) -> np.ndarray:
     """(M'M)^-1 from the R factor of M's QR decomposition."""
-    # numpy, not scipy: a matrix right-hand side to scipy's solve_triangular
-    # woke the BLAS thread pool scipy ships beside numpy's, and it spun.  Both
-    # pools now run one thread (blas.cap_blas_threads); numpy stays because
-    # scipy would move every covariance, so every SE, at rounding level, and
-    # because it keeps scipy.linalg out: only _solve_r's vector solves reach
-    # scipy's LAPACK, through the dtrtrs symbol it binds
+    # numpy's inverse, not a triangular solve on the identity: that would
+    # move every covariance, so every SE, at rounding level
     r_inv = np.linalg.inv(R)
     return r_inv @ r_inv.T
 
@@ -522,7 +547,7 @@ def fit_logistic_batch(
     for it in range(1, IRLS_MAX_ITER + 1):
         if rows.size == 0:
             break
-        prob = expit(_linear_predictors(X, Er, br))
+        prob = expit_rows(_linear_predictors(X, Er, br))
         score = _weighted_column_sums(X, Er, wr * (y - prob))
         converged = np.abs(score).max(axis=1) <= IRLS_SCORE_TOL
         irls_w = wr * prob * (1.0 - prob)
@@ -543,7 +568,9 @@ def fit_logistic_batch(
         stopped |= diverged  # the rows that took no step
         done = stopped | (size <= IRLS_TOL)
         if it >= IRLS_MAX_ITER - 1:  # the plateau rule needs the final pair
-            deviance = _binomial_deviance(y, expit(_linear_predictors(X, Er, br)), wr)
+            deviance = _binomial_deviance(
+                y, expit_rows(_linear_predictors(X, Er, br)), wr
+            )
             plateau = _plateaued(deviance, deviance_prev)
             deviance_prev = deviance
         at_cap = it == IRLS_MAX_ITER
@@ -566,8 +593,7 @@ def fit_logistic_batch(
 
 
 def wald_ci(point: float, se: float) -> tuple[float, float]:
-    """point +/- z_{(1+WALD_LEVEL)/2} * se."""
+    """point +/- WALD_Z * se."""
     if se < 0:
         raise ValueError("standard error must be nonnegative")
-    z = ndtri(0.5 * (1.0 + WALD_LEVEL))  # what scipy.stats.norm.ppf computes
-    return point - z * se, point + z * se
+    return point - WALD_Z * se, point + WALD_Z * se

@@ -7,11 +7,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+import numpy.ma  # np.quantile loads it on first use: here, not in a replicate
 
 from .data import Dataset
 from .errors import NoPairsError, SeparationError
-from .glm import fit_logistic
+from .glm import expit, fit_logistic
 
 DEFAULT_CALIPER_SD = 0.2
 QUINTILES = (0.2, 0.4, 0.6, 0.8)

@@ -26,12 +26,12 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, ndtr
 
 from .blas import cap_blas_threads
 from .data import Dataset
 from .errors import EstimationError, NotBracketedError, ReplicateError
 from .estimators import ESTIMANDS, EffectEstimate, Estimand, estimate_effects
+from .glm import expit
 from .streams import derive_substream
 
 SCENARIO_IDS = ("covid", "unmeasured", "austin")
@@ -165,6 +165,11 @@ CALIBRATION_MAX_ITERATIONS = 80
 _BERNOULLI_HALF = (np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
 
 
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """The standard normal CDF of each entry, through the C library's erfc."""
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
+
+
 def _covariate_factors(scenario_id: str) -> list[tuple[np.ndarray, np.ndarray]]:
     """The law ``_draw_covariates`` samples from, as independent factors.
 
@@ -180,13 +185,12 @@ def _covariate_factors(scenario_id: str) -> list[tuple[np.ndarray, np.ndarray]]:
         near = (np.abs(age - 45.0) - 0.5) / 15.0
         factors = [
             _BERNOULLI_HALF,
-            (age[:, None], ndtr(-near) - ndtr(-near - 1.0 / 15.0)),
+            (age[:, None], _ndtr(-near) - _ndtr(-near - 1.0 / 15.0)),
             (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
              np.array([0.25, 0.5, 0.25])),
             (np.arange(11.0)[:, None], np.r_[0.05, np.full(9, 0.1), 0.05]),
         ]
         if scenario_id == "unmeasured":
-            # numpy's nodes: scipy's roots_hermitenorm would load scipy.linalg
             from numpy.polynomial.hermite_e import hermegauss
 
             nodes, weights = hermegauss(HERMITE_NODES)

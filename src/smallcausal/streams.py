@@ -16,6 +16,7 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
+import numpy.random  # numpy loads it on first use: here, not in a replicate
 
 
 def _as_entropy(value: int | str) -> int:

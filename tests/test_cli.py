@@ -35,41 +35,49 @@ def study_counts_csv(path):
     return path
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats costs about a second and 38 MB at start-up
+# a 2-replicate covid cell with a bootstrap, whose output prefix is argv[1]
+PROBE_RUN = (
+    "smallcausal.cli.main(['simulate', '--scenario', 'covid', '--n', '100',"
+    " '--beta-trt', '0.5', '--bootstrap', '5', '--replicates', '2',"
+    " '--workers', '1', '--out', sys.argv[1]])\n"
+)
+
+
+def probe_last_line(probe, tmp_path):
+    """The last line a fresh interpreter prints running ``probe``."""
     src = os.path.dirname(os.path.dirname(smallcausal.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, smallcausal.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-        check=True, timeout=120,
+        [sys.executable, "-c", probe, str(tmp_path / "probe")], env=env,
+        capture_output=True, text=True, check=True, timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
 
 
-def test_import_leaves_scipy_linalg_and_the_process_pool_out():
-    # the triangular solves call the dtrtrs scipy.special already loaded, the
-    # unmeasured truth takes numpy's Gauss-Hermite nodes, and only a run with
-    # --workers above 1 builds a process pool. Before scipy 1.17 (gh-23420)
-    # scipy.special itself imports scipy.linalg, so only the scipy.linalg
-    # modules the package adds on top of scipy.special count.
-    src = os.path.dirname(os.path.dirname(smallcausal.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+def test_import_leaves_scipy_linalg_and_the_process_pool_out(tmp_path):
+    # no scipy module at all, through the import and a run: the logistic, the
+    # normal quantile and CDF and the triangular solves are numpy's or the C
+    # library's, and only a run with --workers above 1 builds a process pool
     probe = (
-        "import sys, scipy.special\n"
-        "def loaded(): return {m for m in sys.modules"
-        " if m.split('.')[:2] == ['scipy', 'linalg'] or m == 'concurrent.futures.process'}\n"
-        "base = loaded() - {'concurrent.futures.process'}\n"
-        "import smallcausal.cli\n"
-        "from smallcausal.simulation import make_scenario, true_marginal_effect\n"
-        "true_marginal_effect(make_scenario('unmeasured', 1, 1.0))\n"
-        "print(sorted(loaded() - base))"
+        "import sys, smallcausal.cli\n"
+        + PROBE_RUN
+        + "print(sorted(m for m in sys.modules"
+        " if m.startswith('scipy') or m == 'concurrent.futures.process'))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-        check=True, timeout=120,
+    assert probe_last_line(probe, tmp_path) == "[]"
+
+
+def test_a_run_imports_nothing(tmp_path):
+    # every numpy submodule a run uses is imported with the package, so no
+    # replicate pays an import; argparse's first parser loads locale
+    probe = (
+        "import sys, smallcausal.cli\n"
+        "smallcausal.cli.build_parser()\n"
+        "before = set(sys.modules)\n"
+        + PROBE_RUN
+        + "print(sorted(set(sys.modules) - before))"
     )
-    assert out.stdout.strip() == "[]"
+    assert probe_last_line(probe, tmp_path) == "[]"
 
 
 class TestCalibrate:
