@@ -54,6 +54,12 @@ def probe_last_line(probe, tmp_path):
     return out.stdout.strip().splitlines()[-1]
 
 
+def test_import_leaves_scipy_stats_out(tmp_path):
+    # scipy.stats costs about a second and 38 MB at start-up
+    probe = "import sys, smallcausal.cli; print('scipy.stats' in sys.modules)"
+    assert probe_last_line(probe, tmp_path) == "False"
+
+
 def test_import_leaves_scipy_linalg_and_the_process_pool_out(tmp_path):
     # no scipy module at all, through the import and a run: the logistic, the
     # normal quantile and CDF and the triangular solves are numpy's or the C
