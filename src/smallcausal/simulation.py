@@ -1,7 +1,7 @@
 """Benchmark data-generating processes, the effect-calibration oracle,
 replicate execution and metric aggregation.
 
-Three scenarios are built in:
+Three scenarios are built in, one ``SCENARIOS`` row each:
 
 * ``covid``      - four mixed-type covariates sized like a small open-label
                    treatment study;
@@ -26,6 +26,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 
 from .blas import cap_blas_threads
 from .data import Dataset
@@ -34,16 +35,93 @@ from .estimators import ESTIMANDS, EffectEstimate, Estimand, estimate_effects
 from .glm import expit
 from .streams import derive_substream
 
-SCENARIO_IDS = ("covid", "unmeasured", "austin")
-
 LOG5 = math.log(5.0)
 LOG2 = math.log(2.0)
+
+#: Gauss-Hermite nodes integrating the unmeasured scenario's N(0, 1) confounder
+HERMITE_NODES = 40
+
+_BERNOULLI_HALF = (np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+
+
+def _round_half_away(x: np.ndarray) -> np.ndarray:
+    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """The standard normal CDF of each entry, through the C library's erfc."""
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
+
+
+def _draw_covid(n: int, rng: np.random.Generator) -> np.ndarray:
+    x1 = (rng.random(n) < 0.5).astype(float)
+    x2 = _round_half_away(rng.normal(45.0, 15.0, n))
+    x3 = rng.binomial(2, 0.5, n)
+    x4 = _round_half_away(rng.uniform(0.0, 10.0, n))
+    return np.column_stack([x1, x2, (x3 == 1).astype(float), (x3 == 2).astype(float), x4])
+
+
+def _covid_law() -> list[tuple[np.ndarray, np.ndarray]]:
+    """Age keeps the integers within 12 SD of its mean."""
+    age = np.arange(45.0 - 180.0, 45.0 + 181.0)
+    # mass of [k - 1/2, k + 1/2] from its edge nearer the mean, by symmetry
+    # about 45, so the upper tail does not cancel against ndtr's 1
+    near = (np.abs(age - 45.0) - 0.5) / 15.0
+    return [
+        _BERNOULLI_HALF,
+        (age[:, None], _ndtr(-near) - _ndtr(-near - 1.0 / 15.0)),
+        (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([0.25, 0.5, 0.25])),
+        (np.arange(11.0)[:, None], np.r_[0.05, np.full(9, 0.1), 0.05]),
+    ]
+
+
+def _unmeasured_law() -> list[tuple[np.ndarray, np.ndarray]]:
+    """The confounder is integrated by Gauss-Hermite nodes."""
+    nodes, weights = hermegauss(HERMITE_NODES)
+    return _covid_law() + [(nodes[:, None], weights / weights.sum())]
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One built-in scenario, stated once.  ``draw(n, rng)`` samples the
+    covariate matrix, categorical columns dummy-coded; its draw order is part
+    of the reproducibility contract.  ``law()`` is the exact law it samples,
+    as independent factors: each a ``(k, c)`` array of the values its ``c``
+    columns take together and their ``k`` probabilities, in column order."""
+
+    beta: tuple[float, ...]  # treatment model, intercept first
+    alpha: tuple[float, ...]  # outcome model, intercept first (no A term)
+    mask: tuple[bool, ...]  # the columns the estimators see
+    draw: Callable[[int, np.random.Generator], np.ndarray]
+    law: Callable[[], list[tuple[np.ndarray, np.ndarray]]]
+
 
 _COVID_BETA = (-2.3, 0.31, 0.03, 1.099, -0.1054, 0.1031)
 _COVID_ALPHA = (-1.06, 0.619, 0.0077, 0.9461, -1.3499, 0.0896)
 
-_AUSTIN_BETA = (-3.5, LOG5, LOG2, 0.0, LOG5, LOG2, 0.0, LOG5, LOG2, 0.0)
-_AUSTIN_ALPHA = (-5.0, LOG5, LOG5, LOG5, LOG2, LOG2, LOG2, 0.0, 0.0, 0.0)
+SCENARIOS = {
+    "covid": Scenario(_COVID_BETA, _COVID_ALPHA, (True,) * 5, _draw_covid, _covid_law),
+    "unmeasured": Scenario(
+        _COVID_BETA + (LOG5,), _COVID_ALPHA + (LOG5,), (True,) * 5 + (False,),
+        lambda n, rng: np.column_stack([_draw_covid(n, rng), rng.normal(0.0, 1.0, n)]),
+        _unmeasured_law,
+    ),
+    "austin": Scenario(
+        (-3.5, LOG5, LOG2, 0.0, LOG5, LOG2, 0.0, LOG5, LOG2, 0.0),
+        (-5.0, LOG5, LOG5, LOG5, LOG2, LOG2, LOG2, 0.0, 0.0, 0.0),
+        (True,) * 9,
+        lambda n, rng: (rng.random((n, 9)) < 0.5).astype(float),
+        lambda: [_BERNOULLI_HALF] * 9,
+    ),
+}
+SCENARIO_IDS = tuple(SCENARIOS)
+
+
+def _scenario(scenario_id: str) -> Scenario:
+    """The ``SCENARIOS`` row of ``scenario_id``; ValueError for an unknown id."""
+    if scenario_id not in SCENARIOS:
+        raise ValueError(f"unknown scenario: {scenario_id!r}")
+    return SCENARIOS[scenario_id]
 
 
 @dataclass(frozen=True)
@@ -81,53 +159,9 @@ def make_scenario(
     beta_trt: float,
     beta0_override: float | None = None,
 ) -> ScenarioSpec:
-    if scenario_id == "covid":
-        beta, alpha = _COVID_BETA, _COVID_ALPHA
-        mask = (True,) * 5
-    elif scenario_id == "unmeasured":
-        beta = _COVID_BETA + (LOG5,)
-        alpha = _COVID_ALPHA + (LOG5,)
-        mask = (True,) * 5 + (False,)
-    elif scenario_id == "austin":
-        beta, alpha = _AUSTIN_BETA, _AUSTIN_ALPHA
-        mask = (True,) * 9
-    else:
-        raise ValueError(f"unknown scenario: {scenario_id!r}")
-    if beta0_override is not None:
-        beta = (beta0_override,) + beta[1:]
-    return ScenarioSpec(scenario_id, beta, alpha, beta_trt, n_subjects, mask)
-
-
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
-def _draw_covariates(
-    scenario_id: str, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Generated covariate matrix, categorical columns already dummy-coded.
-
-    Draw order (one block per covariate, subjects vectorized) is part of the
-    reproducibility contract.
-    """
-    if scenario_id in ("covid", "unmeasured"):
-        x1 = (rng.random(n) < 0.5).astype(float)
-        x2 = _round_half_away(rng.normal(45.0, 15.0, n))
-        x3 = rng.binomial(2, 0.5, n)
-        x4 = _round_half_away(rng.uniform(0.0, 10.0, n))
-        cols = [
-            x1,
-            x2,
-            (x3 == 1).astype(float),
-            (x3 == 2).astype(float),
-            x4,
-        ]
-        if scenario_id == "unmeasured":
-            cols.append(rng.normal(0.0, 1.0, n))
-        return np.column_stack(cols)
-    if scenario_id == "austin":
-        return (rng.random((n, 9)) < 0.5).astype(float)
-    raise ValueError(f"unknown scenario: {scenario_id!r}")
+    row = _scenario(scenario_id)
+    beta = row.beta if beta0_override is None else (beta0_override,) + row.beta[1:]
+    return ScenarioSpec(scenario_id, beta, row.alpha, beta_trt, n_subjects, row.mask)
 
 
 def generate(
@@ -139,7 +173,7 @@ def generate(
     mask; the truth is always computed from the full generative model.
     """
     n = spec.n_subjects
-    X = _draw_covariates(spec.scenario_id, n, rng)
+    X = _scenario(spec.scenario_id).draw(n, rng)
     beta = np.asarray(spec.beta)
     alpha = np.asarray(spec.alpha)
     p_trt = expit(beta[0] + X @ beta[1:])
@@ -156,49 +190,9 @@ def generate(
 # truth oracle and calibration
 # ---------------------------------------------------------------------------
 
-#: Gauss-Hermite nodes integrating the unmeasured scenario's N(0, 1) confounder
-HERMITE_NODES = 40
 #: calibration bisects the treatment coefficient on [0, CALIBRATION_UPPER]
 CALIBRATION_UPPER = 6.0
 CALIBRATION_MAX_ITERATIONS = 80
-
-_BERNOULLI_HALF = (np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-
-
-def _ndtr(x: np.ndarray) -> np.ndarray:
-    """The standard normal CDF of each entry, through the C library's erfc."""
-    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
-
-
-def _covariate_factors(scenario_id: str) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The law ``_draw_covariates`` samples from, as independent factors.
-
-    Each factor is a ``(k, c)`` array of the values its ``c`` generated
-    columns take together and their ``k`` probabilities, in column order.
-    Age keeps the integers within 12 SD of its mean; the unmeasured
-    confounder is integrated by Gauss-Hermite nodes.
-    """
-    if scenario_id in ("covid", "unmeasured"):
-        age = np.arange(45.0 - 180.0, 45.0 + 181.0)
-        # mass of [k - 1/2, k + 1/2] from its edge nearer the mean, by symmetry
-        # about 45, so the upper tail does not cancel against ndtr's 1
-        near = (np.abs(age - 45.0) - 0.5) / 15.0
-        factors = [
-            _BERNOULLI_HALF,
-            (age[:, None], _ndtr(-near) - _ndtr(-near - 1.0 / 15.0)),
-            (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-             np.array([0.25, 0.5, 0.25])),
-            (np.arange(11.0)[:, None], np.r_[0.05, np.full(9, 0.1), 0.05]),
-        ]
-        if scenario_id == "unmeasured":
-            from numpy.polynomial.hermite_e import hermegauss
-
-            nodes, weights = hermegauss(HERMITE_NODES)
-            factors.append((nodes[:, None], weights / weights.sum()))
-        return factors
-    if scenario_id == "austin":
-        return [_BERNOULLI_HALF] * 9
-    raise ValueError(f"unknown scenario: {scenario_id!r}")
 
 
 def _outcome_law(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +205,7 @@ def _outcome_law(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
     alpha = np.asarray(spec.alpha)
     eta, prob = alpha[:1], np.ones(1)
     column = 1
-    for values, probabilities in _covariate_factors(spec.scenario_id):
+    for values, probabilities in _scenario(spec.scenario_id).law():
         width = values.shape[1]
         eta = np.add.outer(eta, values @ alpha[column : column + width]).ravel()
         prob = np.outer(prob, probabilities).ravel()
@@ -229,11 +223,14 @@ def _estimand(estimand: str) -> Estimand:
 def _effect_curve(spec: ScenarioSpec, estimand: str) -> Callable[[float], float]:
     """Marginal effect of ``spec``'s outcome model as a function of the
     treatment coefficient, summed exactly over the covariate law and
-    contrasted as the estimators contrast their means."""
+    contrasted as the estimators contrast their means.
+
+    numpy's pairwise ``np.sum`` calls no BLAS, so the bits do not depend on
+    the BLAS thread count (a ``ddot`` splits its sum across threads)."""
     eta, prob = _outcome_law(spec)
-    m0 = float(prob @ expit(eta))
+    m0 = float(np.sum(prob * expit(eta)))
     contrast = _estimand(estimand).contrast
-    return lambda beta_trt: float(contrast(float(prob @ expit(eta + beta_trt)), m0))
+    return lambda beta_trt: float(contrast(float(np.sum(prob * expit(eta + beta_trt))), m0))
 
 
 def true_marginal_effect(spec: ScenarioSpec, estimand: str = "rd") -> float:

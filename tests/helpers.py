@@ -13,7 +13,7 @@ from scipy.special import expit
 from smallcausal.data import Dataset
 from smallcausal.errors import DegenerateStrataError, SeparationError
 from smallcausal.glm import LogisticFit, fit_logistic
-from smallcausal.simulation import _draw_covariates
+from smallcausal.simulation import SCENARIOS
 
 
 def take_rows(data, indices):
@@ -214,7 +214,7 @@ def monte_carlo_truth(spec, estimand, n_datasets, dataset_size, rng):
     alpha = np.asarray(spec.alpha)
     sums = np.zeros(5)  # p1, p0, p1^2, p0^2, p1*p0
     for _ in range(n_datasets):
-        X = _draw_covariates(spec.scenario_id, dataset_size, rng)
+        X = SCENARIOS[spec.scenario_id].draw(dataset_size, rng)
         eta = alpha[0] + X @ alpha[1:]
         p1, p0 = expit(eta + spec.beta_trt), expit(eta)
         sums += [p1.sum(), p0.sum(), p1 @ p1, p0 @ p0, p1 @ p0]

@@ -1,16 +1,21 @@
-"""One BLAS thread per process: in the command line and in every pool worker."""
+"""One BLAS thread per process: in the command line and in every pool worker;
+and truths that do not depend on the thread count."""
 
 import concurrent.futures
 import json
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+from scipy.special import expit
 
+from smallcausal import simulation
 from smallcausal.blas import cap_blas_threads, loaded_openblas
 from smallcausal.cli import main
-from smallcausal.simulation import make_scenario, run_study
+from smallcausal.estimators import ESTIMANDS
+from smallcausal.simulation import SCENARIO_IDS, make_scenario, run_study, true_marginal_effect
 
 # numpy's OpenBLAS is the 64-bit-integer build
 NUMPY_OPENBLAS = "libscipy_openblas64_"
@@ -95,3 +100,37 @@ def test_worker_count_leaves_outputs_byte_identical(tmp_path):
             for suffix in ("_replicates.csv", "_summary.csv")
         ]
     assert outputs["1"] == outputs["2"]
+
+
+TRUTH_GRID = [
+    (scenario, estimand, beta_trt)
+    for scenario in SCENARIO_IDS
+    for estimand in ESTIMANDS
+    for beta_trt in (0.25, 0.5, 0.8671875, 1.0, 2.0)
+]
+
+
+def test_truths_do_not_depend_on_the_thread_count():
+    # the exact means are numpy's pairwise sums, not OpenBLAS's ddot, which
+    # splits a long sum across its threads; each truth also lies within
+    # 1e-15 of the contrast of exactly rounded sums
+    set_threads, get_threads = numpy_openblas()
+    original = get_threads()
+    truths = {}
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            truths[threads] = [
+                true_marginal_effect(make_scenario(scenario, 100, beta_trt), estimand)
+                for scenario, estimand, beta_trt in TRUTH_GRID
+            ]
+    finally:
+        set_threads(original)
+    assert truths[1] == truths[2]
+    for scenario in SCENARIO_IDS:
+        eta, prob = simulation._outcome_law(make_scenario(scenario, 100, 0.0))
+        m0 = math.fsum(prob * expit(eta))
+        for (s, estimand, beta_trt), truth in zip(TRUTH_GRID, truths[1]):
+            if s == scenario:
+                m1 = math.fsum(prob * expit(eta + beta_trt))
+                assert abs(truth - ESTIMANDS[estimand].contrast(m1, m0)) <= 1e-15

@@ -41,6 +41,12 @@ PROBE_RUN = (
     " '--beta-trt', '0.5', '--bootstrap', '5', '--replicates', '2',"
     " '--workers', '1', '--out', sys.argv[1]])\n"
 )
+# an unmeasured cell, whose truth integrates the hidden confounder
+PROBE_UNMEASURED_RUN = (
+    "smallcausal.cli.main(['simulate', '--scenario', 'unmeasured', '--n', '100',"
+    " '--beta-trt', '0.5', '--bootstrap', '0', '--replicates', '2',"
+    " '--workers', '1', '--out', sys.argv[1] + '_unmeasured'])\n"
+)
 
 
 def probe_last_line(probe, tmp_path):
@@ -81,6 +87,7 @@ def test_a_run_imports_nothing(tmp_path):
         "smallcausal.cli.build_parser()\n"
         "before = set(sys.modules)\n"
         + PROBE_RUN
+        + PROBE_UNMEASURED_RUN
         + "print(sorted(set(sys.modules) - before))"
     )
     assert probe_last_line(probe, tmp_path) == "[]"
@@ -163,6 +170,19 @@ def test_readme_flag_table_matches_the_parser():
     assert table == parsed
 
 
+def test_readme_scenario_bullets_are_the_table():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        lines = fh.read().split("**Simulation scenarios** (`--scenario`):\n\n", 1)[1]
+    bullets = []
+    for line in lines.splitlines():
+        if not line:
+            break
+        if line.startswith("* "):
+            bullets.append(line.split("`")[1])
+    assert tuple(bullets) == simulation.SCENARIO_IDS
+
+
 def test_the_estimand_choices_are_the_table(tmp_path, capsys):
     commands = next(a for a in build_parser()._actions if a.dest == "command").choices
     for command in ("calibrate", "simulate", "analyze"):
@@ -183,7 +203,7 @@ def test_the_or_truth_is_the_table_contrast_of_the_exact_means(tmp_path):
         "--methods", "crude", "--workers", "1", "--out", str(tmp_path / "t"),
     ) == 0
     eta, prob = simulation._outcome_law(simulation.make_scenario("austin", 40, 1.0, -1.5))
-    m1, m0 = float(prob @ expit(eta + 1.0)), float(prob @ expit(eta))
+    m1, m0 = float(np.sum(prob * expit(eta + 1.0))), float(np.sum(prob * expit(eta)))
     meta = json.loads((tmp_path / "t_meta.json").read_text())
     assert meta["true_effect"] == float(ESTIMANDS["or"].contrast(m1, m0))
 

@@ -120,7 +120,7 @@ class TestExactOracle:
     def test_factor_moments(self):
         # rounded N(45, 15): mean 45 and, by Sheppard's correction, variance
         # 15^2 + 1/12; the Gauss-Hermite nodes integrate N(0, 1)'s moments
-        factors = simulation._covariate_factors("unmeasured")
+        factors = simulation.SCENARIOS["unmeasured"].law()
         moments = [
             (values[:, 0] @ prob, (values[:, 0] ** 2) @ prob)
             for values, prob in (factors[1], factors[4])
@@ -132,10 +132,39 @@ class TestExactOracle:
 
     def test_unknown_scenario_or_estimand_raises(self):
         spec = make_scenario("covid", 100, 0.5)
+        other = dataclasses.replace(spec, scenario_id="other")
         with pytest.raises(ValueError):
             true_marginal_effect(spec, "hr")
-        with pytest.raises(ValueError):
-            true_marginal_effect(dataclasses.replace(spec, scenario_id="other"))
+        with pytest.raises(ValueError, match="unknown scenario: 'other'"):
+            true_marginal_effect(other)
+        with pytest.raises(ValueError, match="unknown scenario: 'other'"):
+            make_scenario("other", 100, 0.5)
+        with pytest.raises(ValueError, match="unknown scenario: 'other'"):
+            generate(other, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("scenario", simulation.SCENARIO_IDS)
+    def test_each_row_samples_its_law(self, scenario):
+        # coefficients, mask, sampler and law of one row agree: the sampler's
+        # columns are the law's, and each discrete factor holds every drawn
+        # value, at its probability within 5 binomial SEs; the hidden
+        # N(0, 1) confounder is integrated at Gauss-Hermite nodes, not drawn
+        # from them
+        row = simulation.SCENARIOS[scenario]
+        assert len(row.beta) == len(row.alpha) == len(row.mask) + 1
+        n = 20_000
+        X = row.draw(n, np.random.default_rng(2007))
+        law = row.law()
+        assert X.shape == (n, sum(values.shape[1] for values, _ in law)) == (n, len(row.mask))
+        column = 0
+        for values, prob in law:
+            block = X[:, column : column + values.shape[1]]
+            column += values.shape[1]
+            if scenario == "unmeasured" and column == len(row.mask):
+                continue
+            hits = (block[:, None, :] == values[None, :, :]).all(axis=2)
+            assert (hits.sum(axis=1) == 1).all()
+            frequency = hits.mean(axis=0)
+            assert (np.abs(frequency - prob) <= 5.0 * np.sqrt(prob * (1.0 - prob) / n)).all()
 
     @pytest.mark.parametrize("estimand", ["rd", "or"])
     def test_doubling_hermite_nodes_changes_nothing(self, monkeypatch, estimand):
