@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -56,15 +56,7 @@ REPLICATE_COLUMNS = (
     "failed",
     "failure_reason",
 )
-SUMMARY_COLUMNS = (
-    "method",
-    "mean_bias",
-    "rmse",
-    "mae",
-    "coverage",
-    "median_ci_length",
-    "n_failures",
-)
+SUMMARY_COLUMNS = ("method", *(f.name for f in fields(MethodMetrics)))
 #: each JSON type a --config field may have: the phrase its refusal prints
 #: and its test (a JSON true or false is no integer or number)
 NUMBER, LIST = "a number or null", "a list of strings"
@@ -337,51 +329,45 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     return 0
 
 
+def _estimate_values(est: EffectEstimate) -> tuple:
+    """The typed (point, se, ci_lo, ci_hi, failed, failure_reason) of ``est``,
+    the fields of ``REPLICATE_COLUMNS`` after replicate, method and estimand."""
+    ci_lo, ci_hi = est.ci or (None, None)
+    return est.point, est.se, ci_lo, ci_hi, est.failed, est.failure_reason
+
+
 def _estimate_row(replicate: int, est: EffectEstimate) -> list[str]:
-    return [
-        str(replicate),
-        est.method,
-        est.estimand,
-        fmt(est.point),
-        fmt(est.se),
-        fmt(est.ci[0]) if est.ci else "",
-        fmt(est.ci[1]) if est.ci else "",
-        "true" if est.failed else "false",
-        est.failure_reason or "",
-    ]
+    """The replicate CSV row of ``est``; ``_row_estimate`` reads it back."""
+    *numbers, failed, reason = _estimate_values(est)
+    return [str(replicate), est.method, est.estimand, *map(fmt, numbers),
+            "true" if failed else "false", reason or ""]
+
+
+def _row_estimate(row: dict[str, str]) -> EffectEstimate:
+    """The estimate of a replicate CSV row (a ``REPLICATE_COLUMNS`` dict);
+    ValueError or TypeError for a cell it cannot read."""
+    if row["failed"] == "true":
+        return EffectEstimate(row["estimand"], row["method"], None, failed=True,
+                              failure_reason=row["failure_reason"] or "unknown")
+    ci = None
+    if row["ci_lo"] != "" and row["ci_hi"] != "":
+        ci = (float(row["ci_lo"]), float(row["ci_hi"]))
+    se = float(row["se"]) if row["se"] != "" else None
+    return EffectEstimate(row["estimand"], row["method"], float(row["point"]), se, ci)
 
 
 def _summary_rows(summary: dict[str, MethodMetrics], methods: tuple[str, ...]) -> list[list[str]]:
-    rows = []
-    for m in methods:
-        mm = summary[m]
-        rows.append(
-            [
-                m,
-                fmt(mm.mean_bias),
-                fmt(mm.rmse),
-                fmt(mm.mae),
-                fmt(mm.coverage),
-                fmt(mm.median_ci_length),
-                str(mm.n_failures),
-            ]
-        )
-    return rows
+    return [[m, *map(fmt, astuple(summary[m]))] for m in methods]
 
 
 def _print_summary(summary: dict[str, MethodMetrics], methods: tuple[str, ...]) -> None:
-    header = f"{'method':20s} {'mean_bias':>11s} {'rmse':>9s} {'mae':>9s} {'coverage':>9s} {'ci_len':>9s} {'fail':>5s}"
-    print(header)
+    def cell(v, width=9):
+        return f"{v:>{width}.4f}" if v is not None else " " * (width - 2) + "--"
+
+    print(f"{'method':20s} {'mean_bias':>11s} {'rmse':>9s} {'mae':>9s} {'coverage':>9s} {'ci_len':>9s} {'fail':>5s}")
     for m in methods:
-        mm = summary[m]
-
-        def cell(v, width=9):
-            return f"{v:>{width}.4f}" if v is not None else " " * (width - 2) + "--"
-
-        print(
-            f"{m:20s} {cell(mm.mean_bias, 11)} {cell(mm.rmse)} {cell(mm.mae)} "
-            f"{cell(mm.coverage)} {cell(mm.median_ci_length)} {mm.n_failures:>5d}"
-        )
+        *metrics, n_failures = astuple(summary[m])
+        print(f"{m:20s}", cell(metrics[0], 11), *map(cell, metrics[1:]), f"{n_failures:>5d}")
 
 
 def cmd_simulate(cfg: RunConfig, blas: list[dict] | None) -> int:
@@ -534,15 +520,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
         "seed": cfg.master_seed,
         "n_subjects": data.n_subjects,
         "estimates": {
-            m: {
-                "point": estimates[m].point,
-                "se": estimates[m].se,
-                "ci_lo": estimates[m].ci[0] if estimates[m].ci else None,
-                "ci_hi": estimates[m].ci[1] if estimates[m].ci else None,
-                "failed": estimates[m].failed,
-                "failure_reason": estimates[m].failure_reason,
-            }
-            for m in methods
+            m: dict(zip(REPLICATE_COLUMNS[3:], _estimate_values(estimates[m]))) for m in methods
         },
     }
     _write_json(cfg.out + "_estimates.json", report)
@@ -584,22 +562,7 @@ def cmd_summarize(cfg: RunConfig) -> int:
             methods.append(method)
         try:
             idx = int(row["replicate"])
-            if row["failed"] == "true":
-                est = EffectEstimate(
-                    row["estimand"], method, None, failed=True,
-                    failure_reason=row["failure_reason"] or "unknown",
-                )
-            else:
-                ci = None
-                if row["ci_lo"] != "" and row["ci_hi"] != "":
-                    ci = (float(row["ci_lo"]), float(row["ci_hi"]))
-                est = EffectEstimate(
-                    row["estimand"],
-                    method,
-                    float(row["point"]),
-                    float(row["se"]) if row["se"] != "" else None,
-                    ci,
-                )
+            est = _row_estimate(row)
         except (TypeError, ValueError) as exc:
             raise CliError(f"replicate CSV line {line}: {exc}")
         if method in by_replicate.setdefault(idx, {}):
@@ -607,9 +570,7 @@ def cmd_summarize(cfg: RunConfig) -> int:
         by_replicate[idx][method] = est
     results = [ests for _, ests in sorted(by_replicate.items())]
     summary = summarize(results, cfg.true_effect)
-    _write_csv(
-        cfg.out + "_summary.csv", SUMMARY_COLUMNS, _summary_rows(summary, tuple(methods))
-    )
+    _write_csv(cfg.out + "_summary.csv", SUMMARY_COLUMNS, _summary_rows(summary, tuple(methods)))
     _print_summary(summary, tuple(methods))
     return 0
 
@@ -620,6 +581,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args)
+        # refused before any work, so a long run cannot end unable to write
+        directory = os.path.dirname(cfg.out) or "."
+        if not os.path.isdir(directory):
+            raise CliError(f"--out directory {directory} does not exist")
         if cfg.command == "calibrate":
             return cmd_calibrate(cfg)
         if cfg.command == "simulate":

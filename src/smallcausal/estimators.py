@@ -72,10 +72,11 @@ _LOG_OR_FAILURE = math.log(OR_FAILURE_THRESHOLD)
 
 def _log_or(m1, m0):
     """Log odds ratio of two counterfactual means (or arrays of them); NaN
-    when a mean is on the boundary 0 or 1, or NaN itself."""
+    when a mean is on the boundary 0 or 1, or NaN itself.  Each arm's logs
+    are differenced first, so equal means give exactly 0."""
     inside = (np.minimum(m1, m0) > 0.0) & (np.maximum(m1, m0) < 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_or = np.log(m1) - np.log1p(-m1) - np.log(m0) + np.log1p(-m0)
+        log_or = (np.log(m1) - np.log(m0)) - (np.log1p(-m1) - np.log1p(-m0))
     return np.where(inside, log_or, np.nan)
 
 

@@ -26,7 +26,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
 from .blas import cap_blas_threads
 from .data import Dataset
@@ -76,8 +75,12 @@ def _covid_law() -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _unmeasured_law() -> list[tuple[np.ndarray, np.ndarray]]:
-    """The confounder is integrated by Gauss-Hermite nodes."""
-    nodes, weights = hermegauss(HERMITE_NODES)
+    """The confounder is integrated by ``HERMITE_NODES`` Gauss-Hermite nodes,
+    by Golub-Welsch: the eigenvalues of the Jacobi matrix of the probabilists'
+    Hermite polynomials, weighted by the squared first eigenvector entries."""
+    off_diagonal = np.sqrt(np.arange(1.0, HERMITE_NODES))
+    nodes, vectors = np.linalg.eigh(np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1))
+    weights = vectors[0] ** 2
     return _covid_law() + [(nodes[:, None], weights / weights.sum())]
 
 

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 
 from helpers import monte_carlo_truth, summarize_oracle
 from smallcausal import simulation
@@ -166,6 +167,14 @@ class TestExactOracle:
             frequency = hits.mean(axis=0)
             assert (np.abs(frequency - prob) <= 5.0 * np.sqrt(prob * (1.0 - prob) / n)).all()
 
+    def test_hermite_nodes_are_numpys_rule(self):
+        # the Golub-Welsch nodes and normalised weights against numpy's
+        # probabilists' Gauss-Hermite rule
+        nodes, weights = hermegauss(simulation.HERMITE_NODES)
+        values, prob = simulation.SCENARIOS["unmeasured"].law()[-1]
+        assert np.abs(values[:, 0] - nodes).max() <= 1e-14
+        assert np.abs(prob - weights / weights.sum()).max() <= 1e-15
+
     @pytest.mark.parametrize("estimand", ["rd", "or"])
     def test_doubling_hermite_nodes_changes_nothing(self, monkeypatch, estimand):
         spec = make_scenario("unmeasured", 100, 1.078125)
@@ -190,11 +199,14 @@ class TestCalibration:
         row = ESTIMANDS[estimand]
         assert row.to_target(0.0) == null
         assert calibrate_beta_trt("covid", null, estimand) == 0.0
-        # the log odds ratio's four logs cancel at equal means only to rounding
+        # the log odds ratio differences each arm's logs first, so equal
+        # means cancel exactly, and the library truth at the null is the null
         for means in (0.25, np.array([0.001, 0.01, 0.5, 0.99])):
             effects = np.atleast_1d(row.contrast(means, means))
-            assert np.abs(effects).max() <= 4.4e-16
-            assert max(abs(row.to_target(x) - null) for x in effects) <= 4.4e-16
+            assert (effects == 0.0).all()
+            assert all(row.to_target(x) == null for x in effects)
+        for scenario in simulation.SCENARIO_IDS:
+            assert true_marginal_effect(make_scenario(scenario, 1, 0.0), estimand) == 0.0
 
     # the coefficients the Monte Carlo calibration picked at seeds 2007, 1 and
     # 7920: a changed pin changes every --target-effect run's data
