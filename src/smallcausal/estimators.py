@@ -7,8 +7,8 @@ like are caught and recorded as a failed estimate with a reason tag, so a
 simulation replicate always yields one estimate per requested method.
 
 Each method is one row of the registry ``METHODS``: its id, its estimand,
-whether it needs a propensity score or a matched sample, its body and, for
-g-computation, its Q-model.  ``RD_METHODS``, ``OR_METHODS``,
+whether it needs a propensity score or a matched sample, and its body or,
+for g-computation, its Q-model.  ``RD_METHODS``, ``OR_METHODS``,
 :func:`shared_inputs`, :func:`estimate_effect`, :func:`estimate_effects` and
 the command line all read that table, so adding a method means adding one
 row (and the body it calls).  Each estimand is one row of ``ESTIMANDS``:
@@ -113,26 +113,25 @@ class Method:
     ``fn(data, ps, matched)`` is the method's body, run by
     :func:`estimate_effect`: it returns ``(point, se, ci)``, or raises an
     EstimationError for a statistical failure, for both estimands.  A
-    g-computation row names its Q-model in ``q_spec``; its body returns no
-    interval, which comes from the bootstrap pass it shares with the other
-    g-computation rows (:func:`_with_gcomp_cis`).  A row looks its helpers
-    up by module-level name at call time, so rebinding one (to inject a
-    fault, say) reaches every dispatch.
+    g-computation row has no body and names its Q-model in ``q_spec``:
+    :func:`_gcomp_estimates` runs it, and its interval comes from the
+    bootstrap pass it shares with the other g-computation rows.  A row looks
+    its helpers up by module-level name at call time, so rebinding one (to
+    inject a fault, say) reaches every dispatch.
     """
 
     id: str
     estimand: str
     needs_ps: bool  # matching is built on the score, so matched rows need it
     needs_match: bool
-    fn: Callable
+    fn: Callable | None
     q_spec: str | None = None
 
 
 def _gcomp_row(id: str, estimand: str, q_spec: str) -> Method:
-    """The registry row of a g-computation method: :func:`_gcomp` with the
-    Q-model ``q_spec``, which needs a propensity score unless it is plain."""
-    return Method(id, estimand, q_spec != "plain", False,
-                  lambda d, ps, m: _gcomp(d, q_spec, ps, estimand), q_spec)
+    """The registry row of a g-computation method with the Q-model
+    ``q_spec``, which needs a propensity score unless it is plain."""
+    return Method(id, estimand, q_spec != "plain", False, None, q_spec)
 
 
 _RD, _OR = ESTIMAND_RD, ESTIMAND_LOG_OR
@@ -327,130 +326,133 @@ def _q_means(
     return means[0], means[1], status
 
 
-def _gcomp(data: Dataset, q_spec: str, ps: PropensityScores | None, estimand: str):
-    """Outcome-model standardization: predict both potential outcomes for
-    every subject and contrast the averages as ``ESTIMANDS[estimand]`` says.
-
-    ``q_spec`` selects the Q-model: ``plain`` (treatment + covariates),
-    ``simple_dr`` (adds the signed inverse-probability covariate of the
-    given PS) or ``dr_quintiles`` (adds four score-quintile dummies).  The
-    means are the one-row call of :func:`_q_means`, every count 1.  The
-    interval is a percentile bootstrap that refits the whole pipeline
-    (propensity model included) inside each resample
-    (:func:`_with_gcomp_cis`).
-
-    Fewer than 5 distinct logits (``dr_quintiles``) raise
-    DegenerateStrataError; a Q fit that fails raises RankDeficientError or
-    NotConvergedError; a fitted design that is not finite, or a mean that
-    is NaN, raises SeparationError (a separated propensity or Q-model fit).
-    """
-    logits = strata = None
-    if q_spec != "plain":
-        logits = ps.logits[None]
-    if q_spec == "dr_quintiles":
-        strata, (n_distinct,) = quintile_strata(logits, logits)
-        if n_distinct < 5:
-            raise DegenerateStrataError("fewer than 5 distinct logit values")
-    (m1,), (m0,), (status,) = _q_means(
-        data, q_spec, np.ones((1, data.n_subjects)), logits, strata
-    )
-    if status == NON_FINITE:
-        raise SeparationError("outcome-model design is not finite")
-    if status == RANK_DEFICIENT:
-        raise RankDeficientError("outcome-model design is rank deficient")
-    if status == NOT_CONVERGED:
-        raise NotConvergedError("outcome-model IRLS did not converge")
-    if math.isnan(m1) or math.isnan(m0):
-        raise SeparationError("counterfactual mean is not finite")
-    point = float(ESTIMANDS[estimand].contrast(m1, m0))
-    if estimand == ESTIMAND_RD:
-        return point, None, None
-    # the extreme-OR rule applies to the point only, so a method it fails
-    # never enters the bootstrap pass; resamples drop on the boundary check
-    if math.isnan(point):  # the means are never NaN here
-        raise ExtremeOrError("counterfactual mean on the boundary")
-    return _or_point_guard(point), None, None
+#: the g-computation statuses past :func:`fit_logistic_batch`'s, and the
+#: failure each unusable one records for a point (a point takes the fitted
+#: score, so it is never PS_FAILED)
+DEGENERATE_STRATA, PS_FAILED, SINGLE_ARM, NAN_MEAN = range(NON_FINITE + 1, NON_FINITE + 5)
+_GCOMP_FAILURES = {
+    DEGENERATE_STRATA: (DegenerateStrataError, "fewer than 5 distinct logit values"),
+    PS_FAILED: (EstimationError, "propensity fit failed"),
+    RANK_DEFICIENT: (RankDeficientError, "outcome-model design is rank deficient"),
+    NOT_CONVERGED: (NotConvergedError, "outcome-model IRLS did not converge"),
+    NON_FINITE: (SeparationError, "outcome-model design is not finite"),
+    SINGLE_ARM: (RankDeficientError, "single-arm data"),
+    NAN_MEAN: (SeparationError, "counterfactual mean is not finite"),
+}
 
 
-def _gcomp_batch_means(
-    data: Dataset, q_specs: tuple[str, ...], indices: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The counterfactual means of :func:`_gcomp` for every resample of a
+def _gcomp_means(
+    data: Dataset,
+    q_specs: tuple[str, ...],
+    indices: np.ndarray,
+    logits: np.ndarray | None = None,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The g-computation counterfactual means of every resample of a
     ``(b, n)`` index block, for each Q-model spec in ``q_specs``.
 
-    A resample is its row counts, so the propensity and Q-models are
-    count-weighted fits on the original rows.  The counts, the propensity
-    fit and the quintile strata are built once per block and shared by the
-    specs that use them, so each spec gets exactly what it would get alone.
-    Returns ``(m1, m0)`` per spec, NaN for a dropped resample: one that is
-    single-arm, has fewer than 5 distinct logits (``dr_quintiles``), has a
-    propensity or Q fit that fails (a non-finite fitted design among them;
-    see :func:`fit_logistic_batch`) or a NaN counterfactual mean.
+    A resample is its row counts, so the models are count-weighted fits on
+    the original rows; the point is the identity resample on the given
+    ``(1, n)`` propensity ``logits``, which a resample fits itself.  The
+    counts, scores and strata are shared, so each spec gets exactly what it
+    would get alone.  Returns ``(m1, m0, status)`` per spec, one entry per
+    resample: a status is usable (CONVERGED, PLATEAU) or the first failure
+    of fewer than 5 distinct logits (``dr_quintiles``), a failed propensity
+    fit, a failed Q fit, a single arm and a NaN counterfactual mean.
     """
     b, n = indices.shape
     offsets = n * np.arange(b)[:, None]
     counts = np.bincount((indices + offsets).ravel(), minlength=b * n)
     counts = counts.reshape(b, n).astype(float)
     n_treated = counts @ data.treatment
-    both_arms = (n_treated > 0) & (n_treated < n)
-    logits = strata = None
-    if any(q_spec != "plain" for q_spec in q_specs):
+    single_arm = (n_treated == 0) | (n_treated == n)
+    ps_failed = few_logits = np.zeros(b, dtype=bool)
+    strata = None
+    if logits is None and any(q_spec != "plain" for q_spec in q_specs):
         X_ps = _intercept_design(*data.covariates.T)
         gamma, ps_status, _ = fit_logistic_batch(X_ps, data.treatment, counts)
-        logits = gamma @ X_ps.T
+        logits, ps_failed = gamma @ X_ps.T, ps_status > PLATEAU
     if "dr_quintiles" in q_specs:
         expanded = np.take_along_axis(logits, indices, axis=1)
         strata, n_distinct = quintile_strata(logits, expanded)
-
+        few_logits = n_distinct < 5
     means = []
     for q_spec in q_specs:
-        kept = both_arms
-        if q_spec != "plain":
-            kept = kept & (ps_status <= PLATEAU)
-        if q_spec == "dr_quintiles":
-            kept = kept & (n_distinct >= 5)
         m1, m0, status = _q_means(data, q_spec, counts, logits, strata)
-        kept = kept & (status <= PLATEAU)
-        means.append((np.where(kept, m1, np.nan), np.where(kept, m0, np.nan)))
+        failures = (((q_spec == "dr_quintiles") & few_logits, DEGENERATE_STRATA),
+                    ((q_spec != "plain") & ps_failed, PS_FAILED),
+                    (status > PLATEAU, status),
+                    (single_arm, SINGLE_ARM),
+                    (np.isnan(m1) | np.isnan(m0), NAN_MEAN))
+        first = status
+        for failed, code in reversed(failures):  # the first failure is written last
+            first = np.where(failed, code, first)
+        means.append((m1, m0, first))
     return means
 
 
-def _with_gcomp_cis(
+def _gcomp_estimates(
     data: Dataset,
-    estimates: list[EffectEstimate],
+    methods: list[str],
+    estimand: str,
+    ps: PropensityScores | None,
     bootstrap: int,
     rng: np.random.Generator | None,
-) -> list[EffectEstimate]:
-    """The successful g-computation estimates of one estimand, each with its
-    percentile interval from the one pass of ``bootstrap`` resamples they
-    share, over one index draw from ``rng``.
+) -> dict[str, EffectEstimate]:
+    """Outcome-model standardization by the g-computation ``methods``:
+    predict both potential outcomes for every subject and contrast the
+    averages as ``ESTIMANDS[estimand]`` says.
 
-    Every resample refits the whole pipeline, propensity model included, a
-    block at a time by :func:`_gcomp_batch_means`, and contrasts its means
-    as the point does (``ESTIMANDS``); a NaN contrast drops the resample
-    for its method.  A collapsed interval fails its own method only.  With
-    ``bootstrap`` 0 or without estimates nothing is drawn from ``rng``.
+    A row's Q-model is ``plain`` (treatment + covariates), ``simple_dr``
+    (adds the signed inverse-probability covariate) or ``dr_quintiles``
+    (adds four score-quintile dummies).  The points are the identity
+    resample of :func:`_gcomp_means` on ``ps`` (not a refit).  Those that
+    succeed share one pass of ``bootstrap`` resamples (none at 0) over one
+    index draw from ``rng``, each refitting the whole pipeline.  A resample
+    drops for a method whose status is unusable or whose contrast is NaN,
+    and a collapsed interval fails its own method only.
     """
-    if not bootstrap or not estimates:
+    registry, contrast = METHODS[estimand], ESTIMANDS[estimand].contrast
+    q_specs = tuple(registry[method].q_spec for method in methods)
+    identity = np.arange(data.n_subjects)[None]
+    logits = None if ps is None else ps.logits[None]
+    estimates = {}
+    for method, ((m1,), (m0,), (status,)) in zip(
+        methods, _gcomp_means(data, q_specs, identity, logits)
+    ):
+        try:
+            if status > PLATEAU:
+                error, message = _GCOMP_FAILURES[status]
+                raise error(message)
+            point = float(contrast(m1, m0))
+            if estimand == ESTIMAND_LOG_OR:
+                # the extreme-OR rule applies to the point only, so a method
+                # it fails never enters the bootstrap pass; resamples drop on
+                # the boundary check (the means are never NaN here)
+                if math.isnan(point):
+                    raise ExtremeOrError("counterfactual mean on the boundary")
+                point = _or_point_guard(point)
+            estimates[method] = EffectEstimate(estimand, method, point)
+        except EstimationError as exc:
+            estimates[method] = _failed(estimand, method, exc)
+    pending = [method for method, est in estimates.items() if not est.failed]
+    if not bootstrap or not pending:
         return estimates
     if rng is None:
         raise ValueError("bootstrap interval needs a random stream")
-    estimand = estimates[0].estimand
-    q_specs = tuple(METHODS[estimand][est.method].q_spec for est in estimates)
-    contrast = ESTIMANDS[estimand].contrast
+    q_specs = tuple(registry[method].q_spec for method in pending)
 
     def estimator(indices: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [contrast(m1, m0) for m1, m0 in _gcomp_batch_means(data, q_specs, indices)],
-            axis=1,
-        )
+        return np.stack([
+            np.where(status <= PLATEAU, contrast(m1, m0), np.nan)
+            for m1, m0, status in _gcomp_means(data, q_specs, indices)
+        ], axis=1)
 
-    cis = bootstrap_percentile_ci(data, estimator, bootstrap, rng)
-    return [
-        _failed(estimand, est.method, ci) if isinstance(ci, EstimationError)
-        else replace(est, ci=ci)
-        for est, ci in zip(estimates, cis)
-    ]
+    for method, ci in zip(pending, bootstrap_percentile_ci(data, estimator, bootstrap, rng)):
+        estimates[method] = (
+            _failed(estimand, method, ci) if isinstance(ci, EstimationError)
+            else replace(estimates[method], ci=ci)
+        )
+    return estimates
 
 
 def _aipw_rd(data: Dataset, ps: PropensityScores):
@@ -597,14 +599,13 @@ def estimate_effect(
             raise ValueError(f"{method} requires a matched sample")
     elif row.needs_ps and ps is None:
         raise ValueError(f"{method} requires propensity scores")
+    if row.q_spec is not None:
+        return _gcomp_estimates(data, [method], estimand, ps, bootstrap, rng)[method]
     try:
         point, se, ci = row.fn(data, ps, matched)
     except EstimationError as exc:
         return _failed(estimand, method, exc)
-    estimate = EffectEstimate(estimand, method, point, se, ci)
-    if row.q_spec is None:
-        return estimate
-    return _with_gcomp_cis(data, [estimate], bootstrap, rng)[0]
+    return EffectEstimate(estimand, method, point, se, ci)
 
 
 def estimate_effects(
@@ -617,11 +618,12 @@ def estimate_effects(
     """Run every requested method on one dataset, in the requested order.
 
     A method whose propensity score or matched sample could not be built
-    fails with that reason.  Every point comes first; then the g-computation
-    methods whose point succeeded share one pass of ``bootstrap`` resamples
-    (none at 0) over one index draw from ``rng``, so each interval is the
-    one the method gets alone.  A successful estimate with a non-finite
-    point, SE or CI endpoint raises ArithmeticError.
+    fails with that reason.  The g-computation methods go to
+    :func:`_gcomp_estimates` together: their points, then one pass of
+    ``bootstrap`` resamples (none at 0) over one index draw from ``rng``
+    for those whose point succeeded, so each estimate is the one the method
+    gets alone.  A successful estimate with a non-finite point, SE or CI
+    endpoint raises ArithmeticError.
     """
     registry = METHODS.get(estimand, {})
     unknown = set(methods) - set(registry)
@@ -632,23 +634,21 @@ def estimate_effects(
 
     ps, ps_error, matched, match_error = shared_inputs(data, methods, estimand)
     results: dict[str, EffectEstimate] = {}
+    gcomp = []
     for method in methods:
         row = registry[method]
         if row.needs_match and matched is None:
             results[method] = _failed(estimand, method, match_error)
         elif row.needs_ps and ps is None:
             results[method] = _failed(estimand, method, ps_error)
+        elif row.q_spec is not None:
+            gcomp.append(method)
         else:
             results[method] = estimate_effect(data, method, estimand, ps, matched)
-    pending = [
-        est for est in results.values()
-        if registry[est.method].q_spec is not None and not est.failed
-    ]
-    for est in _with_gcomp_cis(data, pending, bootstrap, rng):
-        results[est.method] = est
+    results.update(_gcomp_estimates(data, gcomp, estimand, ps, bootstrap, rng))
     for est in results.values():
         _check_finite(est)
-    return results
+    return {method: results[method] for method in methods}
 
 
 def _check_finite(estimate: EffectEstimate) -> None:

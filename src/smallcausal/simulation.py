@@ -29,7 +29,7 @@ import numpy as np
 
 from .blas import cap_blas_threads
 from .data import Dataset
-from .errors import EstimationError, NotBracketedError, ReplicateError
+from .errors import NotBracketedError, ReplicateError
 from .estimators import ESTIMANDS, EffectEstimate, Estimand, estimate_effects
 from .glm import expit
 from .streams import derive_substream
@@ -325,8 +325,9 @@ def run_replicate(
 
     All randomness comes from substreams keyed by (master seed, scenario,
     replicate index, purpose), so results are independent of scheduling.
-    Statistical failures come back recorded in the estimates; any other
-    exception is re-raised as a ``ReplicateError`` naming the replicate.
+    Statistical failures come back recorded in the estimates, so any
+    exception, an ``EstimationError`` that escaped among them, is re-raised
+    as a ``ReplicateError`` naming the replicate.
     """
     try:
         data_rng = derive_substream(
@@ -339,8 +340,6 @@ def run_replicate(
         return estimate_effects(
             data, tuple(methods), estimand, bootstrap=bootstrap, rng=boot_rng
         )
-    except EstimationError:
-        raise
     except Exception as exc:
         # the message carries the cause: a process pool pickles only the args
         raise ReplicateError(

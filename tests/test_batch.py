@@ -20,10 +20,9 @@ from smallcausal.estimators import (
     ESTIMANDS,
     METHODS,
     OR_FAILURE_THRESHOLD,
-    EffectEstimate,
+    _gcomp_estimates,
     _intercept_design,
     _q_means,
-    _with_gcomp_cis,
     estimate_effect,
 )
 from smallcausal.glm import (
@@ -444,9 +443,8 @@ def scalar_ci(data, q_spec, estimand, replications, rng):
 def _gcomp_ci(data, q_spec, estimand, replications, rng):
     """The bootstrap pass with one Q-model spec: its one interval."""
     method = next(m for m, row in METHODS[estimand].items() if row.q_spec == q_spec)
-    estimate = EffectEstimate(estimand, method, 0.0)
-    (est,) = _with_gcomp_cis(data, [estimate], replications, rng)
-    return est.ci
+    out = _gcomp_estimates(data, [method], estimand, estimate_ps(data), replications, rng)
+    return out[method].ci
 
 
 def counted_ci(monkeypatch, data, q_spec, estimand, replications, rng):

@@ -650,6 +650,28 @@ class TestSimulate:
         setup = json.loads((tmp_path / "b_meta.json").read_text())["setup_seconds"]
         assert setup["calibration"] is None and setup["truth_oracle"] >= 0.0
 
+    def test_config_true_effect_stands_in_for_the_truth(self, tmp_path):
+        # a --config file's true_effect replaces the exact truth: no oracle
+        # runs, and the summary is scored against the file's value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"true_effect": 0.125}))
+        rc = run_cli(
+            "simulate", "--config", str(cfg_path), "--scenario", "covid", "--n", "40",
+            "--replicates", "3", "--bootstrap", "0", "--beta-trt", "0.5",
+            "--methods", "crude,gcomp", "--workers", "1", "--out", str(tmp_path / "t"),
+        )
+        assert rc == 0
+        meta = json.loads((tmp_path / "t_meta.json").read_text())
+        assert meta["true_effect"] == 0.125
+        assert meta["setup_seconds"]["truth_oracle"] is None
+        rc = run_cli(
+            "summarize", "--replicates-csv", str(tmp_path / "t_replicates.csv"),
+            "--true-effect", "0.125", "--out", str(tmp_path / "again"),
+        )
+        assert rc == 0
+        summary = (tmp_path / "t_summary.csv").read_bytes()
+        assert summary == (tmp_path / "again_summary.csv").read_bytes()
+
     def test_failure_counts_in_meta(self, tmp_path):
         rc = run_cli(
             "simulate", "--scenario", "austin", "--beta0", "-1.5", "--n", "40",

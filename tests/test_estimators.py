@@ -7,7 +7,7 @@ from scipy.special import expit
 
 from smallcausal import estimators, simulation
 from smallcausal.data import Dataset
-from smallcausal.errors import ReplicateError
+from smallcausal.errors import ReplicateError, SeparationError
 from smallcausal.estimators import (
     ESTIMAND_LOG_OR,
     ESTIMAND_RD,
@@ -457,6 +457,21 @@ class TestEstimateEffects:
         spec = simulation.make_scenario("covid", 40, 0.5)
         with pytest.raises(ReplicateError, match="ArithmeticError"):
             simulation.run_replicate(spec, ("crude",), "rd", 0, 3, 5)
+
+    def test_escaped_estimation_error_names_the_replicate(self, monkeypatch):
+        # a statistical failure is recorded, never raised: one that escapes
+        # is a bug, and it must say which replicate to rerun
+        def leaking(*args, **kwargs):
+            raise SeparationError("leaked")
+
+        monkeypatch.setattr(simulation, "estimate_effects", leaking)
+        spec = simulation.make_scenario("covid", 40, 0.5)
+        with pytest.raises(ReplicateError) as excinfo:
+            simulation.run_replicate(spec, ("crude",), "rd", 0, 3, 5)
+        assert str(excinfo.value) == (
+            "replicate 5 of scenario 'covid' at master seed 3 raised SeparationError: leaked"
+        )
+        assert isinstance(excinfo.value.__cause__, SeparationError)
 
     @pytest.mark.parametrize("estimand", [ESTIMAND_RD, ESTIMAND_LOG_OR])
     def test_iptw_weight_overflow_fails_as_separation(self, monkeypatch, estimand):

@@ -15,12 +15,12 @@ from smallcausal.estimators import (
     ESTIMAND_LOG_OR,
     ESTIMAND_RD,
     METHODS,
-    _gcomp_batch_means,
+    _gcomp_means,
     estimate_effect,
     estimate_effects,
 )
 from smallcausal.propensity import estimate_ps
-from smallcausal.simulation import generate, make_scenario
+from smallcausal.simulation import generate, make_scenario, run_replicate
 
 CASES = [
     ("covid", None, ESTIMAND_RD),
@@ -59,14 +59,52 @@ def test_interval_does_not_depend_on_the_method_subset_or_order(
         assert reversed_order[method].ci == alone.ci
 
 
+@pytest.mark.parametrize(
+    "scenario, beta0, estimand, reasons",
+    [
+        # fits on the boundary: every failure path of the points and intervals
+        ("austin", -1.5, ESTIMAND_LOG_OR,
+         {None, "ExtremeOR", "RankDeficient", "NotConverged", "BootstrapCollapse"}),
+        # n=40 covid has resamples whose propensity fit fails or that have
+        # fewer than 5 distinct logits
+        ("covid", None, ESTIMAND_RD, {None}),
+    ],
+)
+def test_each_estimate_is_the_one_the_method_gets_alone(scenario, beta0, estimand, reasons):
+    # points, SEs, intervals and failure tags, not only the intervals that exist
+    spec = make_scenario(scenario, 40, 1.0, beta0)
+    methods = tuple(METHODS[estimand])
+    seen = set()
+    for replicate in range(20):
+        together = run_replicate(spec, methods, estimand, 30, 21, replicate)
+        for method in gcomp_ids(estimand):
+            alone = run_replicate(spec, (method,), estimand, 30, 21, replicate)
+            assert alone == {method: together[method]}
+            seen.add(together[method].failure_reason)
+    assert reasons <= seen
+
+
+def failing_ps(data):
+    raise SeparationError("forced")
+
+
+@pytest.mark.parametrize("ps_fails", [False, True], ids=["ps", "ps_failed"])
+@pytest.mark.parametrize("estimand", [ESTIMAND_RD, ESTIMAND_LOG_OR])
+def test_estimates_come_in_the_requested_order(monkeypatch, estimand, ps_fails):
+    data = scenario_data("covid", None)
+    if ps_fails:
+        monkeypatch.setattr(estimators, "estimate_ps", failing_ps)
+    methods = tuple(METHODS[estimand])
+    for order in (methods, methods[::-1], methods[1::2] + methods[::2]):
+        out = estimate_effects(data, order, estimand, 10, np.random.default_rng(1))
+        assert tuple(out) == order
+        assert all(out[method].method == method for method in order)
+
+
 @pytest.mark.parametrize("estimand", [ESTIMAND_RD, ESTIMAND_LOG_OR])
 def test_propensity_failure_leaves_the_plain_interval_alone(monkeypatch, estimand):
     data = scenario_data("covid", None)
     alone = cis(data, ("gcomp",), estimand)["gcomp"]
-
-    def failing_ps(data):
-        raise SeparationError("forced")
-
     monkeypatch.setattr(estimators, "estimate_ps", failing_ps)
     methods = tuple(METHODS[estimand])
     for order in (methods, methods[::-1]):
@@ -92,11 +130,11 @@ def test_shared_pass_gives_each_spec_its_one_spec_values(scenario, beta0):
     data = scenario_data(scenario, beta0, seed=1)
     indices = np.random.default_rng(5).integers(0, data.n_subjects, size=(40, 100))
     q_specs = ("dr_quintiles", "plain", "simple_dr")
-    shared = _gcomp_batch_means(data, q_specs, indices)
+    shared = _gcomp_means(data, q_specs, indices)
     for q_spec, means in zip(q_specs, shared):
-        (alone,) = _gcomp_batch_means(data, (q_spec,), indices)
-        np.testing.assert_array_equal(means[0], alone[0])
-        np.testing.assert_array_equal(means[1], alone[1])
+        (alone,) = _gcomp_means(data, (q_spec,), indices)
+        for shared_part, alone_part in zip(means, alone):  # m1, m0, status
+            np.testing.assert_array_equal(shared_part, alone_part)
 
 
 def test_a_collapse_fails_only_its_own_method(monkeypatch):
